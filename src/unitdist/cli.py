@@ -30,7 +30,7 @@ from .discrete import (
     PointSet,
     count_unit_pairs_bruteforce,
     count_unit_pairs_grid,
-    normalized_pair_count,
+    normalized_pair_count_value,
     random_general_position,
     two_circles_r4,
     unit_step_census,
@@ -241,7 +241,8 @@ def _run_count(cfg: dict, run: _Run) -> int:
     emit_csv(
         run.path("counts.csv"),
         ["label", "d", "n", "eps", "brute_count", "grid_count", "normalized"],
-        [[P.label, P.d, P.n, P.eps, brute, grid, normalized_pair_count(P)]],
+        [[P.label, P.d, P.n, P.eps, brute, grid,
+          normalized_pair_count_value(brute, P.n, P.d)]],
     )
     if census:
         rep = unit_step_census(P)

@@ -82,7 +82,13 @@ class GeneralPositionReport:
 
 
 def _min_singular_batch(pts: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Smallest singular value of the difference matrix of each index combo."""
+    """Smallest singular value of the difference matrix of each index combo.
+
+    For d = 1 the matrix is empty: a single point is vacuously independent,
+    so its smallest singular value is taken as +inf.
+    """
+    if pts.shape[1] == 1:
+        return np.full(len(combos), np.inf)
     sub = pts[combos]                       # (m, d, d)
     diffs = sub[:, 1:, :] - sub[:, :1, :]   # (m, d-1, d)
     return np.linalg.svd(diffs, compute_uv=False).min(axis=1)

@@ -184,6 +184,17 @@ def test_sampled_check_with_n_equal_d():
     assert rep.witness == (0, 1, 2)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_points_on_a_line_are_in_general_position(mode):
+    # in R^1 every d-subset is a single point, vacuously independent; a
+    # repeated point does not change that
+    pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 2.0])[:, None]
+    rep = general_position_check(pts, mode=mode, sample_count=40)
+    assert rep.ok
+    assert rep.witness is None
+    assert rep.subsets_tested == (6 if mode == "exhaustive" else 40)
+
+
 def test_annulus_membership():
     A = Annulus(np.zeros(2), 0.05)
     assert annulus_contains(A, np.array([1.0, 0.0]))
