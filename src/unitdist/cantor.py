@@ -8,7 +8,8 @@ length 2**(-j*q), and the limit set has box (and Hausdorff) dimension p/q.
 
 Endpoints are exact rationals. For p = 1 every endpoint is dyadic; for p >= 2
 the equal gaps introduce denominators divisible by 2**p - 1 (e.g. gap 1/6 for
-p=2, q=3), which is why the exactness layer works over general Fractions.
+p=2, q=3). Stage j therefore lives on the integer lattice
+1 / ((2**p - 1) * 2**(j*q)), and is built there as int64 numerators.
 """
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import IntervalUnion
+import numpy as np
+
+from .intervals import IntervalUnion, check_lattice
 
 __all__ = [
     "CantorSpec",
@@ -62,17 +65,18 @@ def cantor_stage(spec: CantorSpec, stage: int) -> IntervalUnion:
             f"stage {stage} at q={spec.q} exceeds depth limit {MAX_DEPTH}"
         )
     children = 1 << spec.p
-    lows = [Fraction(0)]
-    length = Fraction(1)
+    # On the lattice 1/den, den = (2^p - 1) 2^(stage q), a stage-(j-1)
+    # interval has length (2^p - 1) 2^((stage - j + 1) q) and its children
+    # start every (2^q - 1) 2^((stage - j) q): the first flush left, the
+    # last flush right. Each level is an outer add, and keeps the order.
+    den = (children - 1) << (stage * spec.q)
+    check_lattice(den, den)
+    lows = np.zeros(1, dtype=np.int64)
     for j in range(1, stage + 1):
-        child_len = Fraction(1, 1 << (j * spec.q))
-        # first child flush left, last flush right, equal spacing
-        step = (length - child_len) / (children - 1) if children > 1 else Fraction(0)
-        lows = [lo + m * step for lo in lows for m in range(children)]
-        length = child_len
-    out = IntervalUnion(tuple((lo, lo + length) for lo in sorted(lows)))
-    assert out.n_intervals == children**stage, "children must not overlap"
-    return out
+        step = ((1 << spec.q) - 1) << ((stage - j) * spec.q)
+        lows = (lows[:, None] + np.arange(children, dtype=np.int64) * step).ravel()
+    # the constructor rejects overlapping or unsorted children
+    return IntervalUnion(den, lows, lows + (children - 1))
 
 
 def stage_for_scale(spec: CantorSpec, delta) -> int:

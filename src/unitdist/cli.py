@@ -13,6 +13,8 @@ missing required ones, before any computation starts.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -139,23 +141,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_quote(s: str) -> str:
-    if any(ch in s for ch in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def emit_csv(path: Path, schema: list[str], rows) -> None:
-    """RFC-4180-style CSV: header, LF endings, 17-significant-digit floats;
-    byte-identical across runs with identical inputs."""
-    lines = [",".join(schema)]
+    """RFC-4180-style CSV (the stdlib `csv` dialect, LF endings), 17-significant-
+    digit floats; byte-identical across runs with identical inputs."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema)
     for row in rows:
         if len(row) != len(schema):
             raise ValueError(
                 f"row arity {len(row)} does not match schema arity {len(schema)}"
             )
-        lines.append(",".join(_csv_quote(_fmt(v)) for v in row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+        writer.writerow([_fmt(v) for v in row])
+    Path(path).write_bytes(buf.getvalue().encode())
 
 
 def _write_json(path: Path, obj) -> None:
@@ -540,13 +538,21 @@ def _run_report(cfg: dict, run: _Run) -> int:
     tol = float(_take(cfg, "tol", default=0.2, where=where))
     _done(cfg, where)
 
-    rows = Path(series_csv).read_text().splitlines()
-    if not rows or rows[0].split(",") != _SCALING_SCHEMA:
+    try:
+        with open(series_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read series_csv: {exc}") from exc
+    if not rows or rows[0] != _SCALING_SCHEMA:
         raise ConfigError(f"'{series_csv}' is not a scaling CSV")
     samples = []
     label = ""
-    for line in rows[1:]:
-        parts = line.split(",")
+    for line, parts in enumerate(rows[1:], start=2):
+        if len(parts) != len(_SCALING_SCHEMA):
+            raise ConfigError(
+                f"'{series_csv}' line {line} has {len(parts)} fields, "
+                f"expected {len(_SCALING_SCHEMA)}"
+            )
         label = parts[0]
         samples.append(
             ScaleSample(

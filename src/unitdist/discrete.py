@@ -12,6 +12,7 @@ counter, so the two agree bit-for-bit, not just approximately.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -131,6 +132,7 @@ def count_unit_pairs_bruteforce(P: PointSet) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=16)
 def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
     """Nonzero integer cell offsets that can realize a distance in 1 +- eps.
 
@@ -143,6 +145,10 @@ def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
     built one axis at a time, dropping a prefix once its near bound exceeds
     the band (the bound only grows with more axes) or its first nonzero
     step is negative.
+
+    Memoized per (d, side, eps), since every count at the same dimension
+    and band rebuilds the same table; the shared array is read-only. The
+    cache is bounded because a d = 8 table alone holds 51 MB.
     """
     reach = int(math.ceil((1.0 + eps) / side)) + 1
     lo, hi = 1.0 - eps, 1.0 + eps
@@ -161,7 +167,9 @@ def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
         keep = (side * np.sqrt(near2) <= hi) & (lead >= 0)
         out, near2, far2, lead = out[keep], near2[keep], far2[keep], lead[keep]
     keep = (side * np.sqrt(far2) >= lo) & (lead > 0)
-    return out[keep].astype(np.int64)
+    out = out[keep].astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _linear_keys(

@@ -7,8 +7,9 @@ meeting the neighborhood in positive length, inner = cells fully inside)
 and the full d-dimensional bitmaps are materialized only on demand, under a
 size cap. Outer and inner cell measures bracket |K_delta| exactly.
 
-All index arithmetic happens on exact rationals, so a cell is never
-misclassified by float rounding.
+All index arithmetic happens on the exact integer lattice shared by the
+union's endpoints and the cell size, so a cell is never misclassified by
+float rounding.
 """
 from __future__ import annotations
 
@@ -180,20 +181,24 @@ def _axis_occupancy(
     """
     if fattened.is_empty:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), Fraction(0)
-    span_lo, span_hi = fattened.span
-    base = math.floor(span_lo / cell)
-    origin = base * cell
-    n = math.ceil(span_hi / cell) - base
-    outer = np.zeros(n, dtype=bool)
-    inner = np.zeros(n, dtype=bool)
-    for lo, hi in fattened.intervals:
-        lo_q = (lo - origin) / cell
-        hi_q = (hi - origin) / cell
-        outer[math.floor(lo_q) : math.ceil(hi_q)] = True
-        i_lo, i_hi = math.ceil(lo_q), math.floor(hi_q - 1) + 1
-        if i_hi > i_lo:
-            inner[i_lo:i_hi] = True
-    return outer, inner, origin
+    den = math.lcm(fattened.den, cell.denominator)
+    lo, hi = fattened.numerators(den)
+    step = cell.numerator * (den // cell.denominator)  # the cell in 1/den units
+    base = int(lo[0]) // step
+    lo, hi = lo - base * step, hi - base * step
+    n = -(-int(hi[-1]) // step)
+    outer = _cover(lo // step, -(-hi // step), n)
+    inner = _cover(-(-lo // step), hi // step, n)
+    return outer, inner, Fraction(base * step, den)
+
+
+def _cover(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n cells in the union of the index ranges [start, stop)."""
+    keep = stop > start
+    edges = np.bincount(start[keep], minlength=n + 1) - np.bincount(
+        stop[keep], minlength=n + 1
+    )
+    return np.cumsum(edges[:n]) > 0
 
 
 def rasterize(

@@ -1,24 +1,43 @@
 """Exact arithmetic on finite unions of closed intervals.
 
 Every one-dimensional set in this package is a finite union of closed
-intervals with rational endpoints, held as `fractions.Fraction` so that deep
-refinement stages and tiny neighborhood radii never accumulate float drift.
-Floats only appear when a union is exported to numpy for quadrature.
+intervals with rational endpoints, held on one integer lattice: a
+denominator `den` and sorted int64 arrays `lo`, `hi` of numerators, so the
+k-th interval is [lo[k] / den, hi[k] / den]. Deep refinement stages and tiny
+neighborhood radii never accumulate float drift, and every set operation is
+a few array passes over the numerators. `den` is always reduced (the least
+common multiple of the endpoints' reduced denominators), so equal sets have
+equal fields.
 
-The text serialization is restricted to dyadic endpoints (numerator and a
-power-of-two denominator per line), which covers every set the command-line
-experiments produce; unions with non-dyadic endpoints can be built and used
-in memory but refuse to serialize rather than round.
+Numerators stay below 2**62 in magnitude, which leaves headroom for one sum
+or difference of two of them (a neighborhood, a shift, an interval length)
+inside int64. An operation whose lattice would leave that range raises a
+ValueError that names the denominator; there is no second, slower path.
+`fractions.Fraction` appears only at the edges: exact input (`from_pairs`,
+`single`, `points`), the scalars `total_length` and `span`, and the
+read-only `intervals` view. Floats appear only when a union is exported to
+numpy for quadrature, and each equals float(Fraction) bit for bit.
+
+Text form: a union with a power-of-two `den` is written as
+`intervals <count>` followed by one `num_lo exp_lo num_hi exp_hi` line per
+interval (endpoint = num / 2**exp in lowest terms); any other union as
+`intervals <count> over <den>` followed by `num_lo num_hi` lines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = ["IntervalUnion", "dyadic"]
+
+# bound on |numerator|: a sum or difference of two stays inside int64
+_LIMIT = 1 << 62
+# integers below this are exact doubles, so one IEEE division rounds correctly
+_EXACT_FLOAT = 1 << 53
 
 
 def dyadic(num: int, exp: int) -> Fraction:
@@ -42,17 +61,113 @@ def _as_rational(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact endpoint")
 
 
-@dataclass(frozen=True)
+def check_lattice(den: int, reach: int) -> None:
+    """ValueError unless numerators up to |reach| over `den` fit with headroom."""
+    if reach >= _LIMIT:
+        raise ValueError(
+            f"interval lattice 1/{den} needs numerators up to {reach}, "
+            "beyond the int64 range with headroom (2**62)"
+        )
+
+
+def float_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as float64, each equal to float(Fraction(num, den)).
+
+    int64 / int64 in numpy when both operands are exact doubles (one
+    correctly rounded IEEE division), Python int division otherwise.
+    """
+    if den < _EXACT_FLOAT and (
+        nums.size == 0 or max(-int(nums.min()), int(nums.max())) < _EXACT_FLOAT
+    ):
+        return nums / den
+    return np.array([n / den for n in nums.tolist()], dtype=np.float64)
+
+
+def _dyadic_parts(nums: np.ndarray, exp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest terms of nums / 2**exp as (numerators, exponents)."""
+    lowest_bit = nums & -nums
+    zeros = np.frexp(lowest_bit.astype(np.float64))[1] - 1  # trailing zeros
+    drop = np.where(nums == 0, exp, np.minimum(zeros, exp))
+    return nums >> drop, exp - drop
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs (s, l)."""
+    shift = start - np.cumsum(length) + length
+    return np.arange(int(length.sum())) + np.repeat(shift, length)
+
+
+@dataclass(frozen=True, eq=False)
 class IntervalUnion:
-    """Sorted union of pairwise disjoint closed intervals [lo, hi], lo <= hi.
+    """Sorted union of pairwise disjoint closed intervals [lo, hi], lo <= hi,
+    on the lattice 1/den.
 
     Degenerate intervals (lo == hi) are allowed and represent points; they
     carry zero length but participate in neighborhoods and distance bands.
+    The constructor takes numerators already sorted and disjoint, reduces
+    `den`, and stores read-only int64 copies; `from_pairs` normalizes
+    arbitrary input.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self) -> None:
+        den = int(self.den)
+        lo = np.array(self.lo, dtype=np.int64)
+        hi = np.array(self.hi, dtype=np.int64)
+        if den < 1:
+            raise ValueError(f"lattice denominator {den} must be positive")
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("lo and hi must be 1-D arrays of one length")
+        if (hi < lo).any() or (lo[1:] <= hi[:-1]).any():
+            raise ValueError("intervals must be sorted, disjoint and not reversed")
+        if lo.size:
+            check_lattice(den, max(-int(lo[0]), int(hi[-1])))
+        g = math.gcd(den, int(np.gcd.reduce(lo)), int(np.gcd.reduce(hi)))
+        if g > 1:
+            den, lo, hi = den // g, lo // g, hi // g
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.lo.tobytes(), self.hi.tobytes()))
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _merged(cls, den: int, lo: np.ndarray, hi: np.ndarray) -> "IntervalUnion":
+        """Union of arbitrary intervals [lo[k], hi[k]] / den: sort by start,
+        then merge every interval that meets the running maximum end of the
+        ones before it. Touching closed intervals merge."""
+        reversed_ = np.flatnonzero(hi < lo)
+        if reversed_.size:
+            k = reversed_[0]
+            raise ValueError(
+                f"interval [{Fraction(int(lo[k]), den)}, {Fraction(int(hi[k]), den)}]"
+                " is reversed"
+            )
+        if lo.size == 0:
+            return cls(1, lo, hi)
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
+        reach = np.maximum.accumulate(hi[order])
+        start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+        end = np.concatenate([start[1:], [lo.size]]) - 1
+        return cls(den, lo[start], reach[end])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
@@ -60,17 +175,12 @@ class IntervalUnion:
 
         Touching closed intervals merge, since their union is one interval.
         """
-        exact = sorted((_as_rational(lo), _as_rational(hi)) for lo, hi in pairs)
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in exact:
-            if hi < lo:
-                raise ValueError(f"interval [{lo}, {hi}] is reversed")
-            if merged and lo <= merged[-1][1]:
-                prev_lo, prev_hi = merged[-1]
-                merged[-1] = (prev_lo, max(prev_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return cls(tuple(merged))
+        exact = [(_as_rational(lo), _as_rational(hi)) for lo, hi in pairs]
+        den = math.lcm(*(x.denominator for pair in exact for x in pair))
+        nums = [x.numerator * (den // x.denominator) for pair in exact for x in pair]
+        check_lattice(den, max(map(abs, nums), default=0))
+        pairs_arr = np.array(nums, dtype=np.int64).reshape(-1, 2)
+        return cls._merged(den, pairs_arr[:, 0], pairs_arr[:, 1])
 
     @classmethod
     def single(cls, lo, hi) -> "IntervalUnion":
@@ -82,128 +192,177 @@ class IntervalUnion:
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls(())
+        return cls(1, (), ())
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as exact (lo, hi) Fraction pairs (a read-only view)."""
+        den = self.den
+        return tuple(
+            (Fraction(a, den), Fraction(b, den))
+            for a, b in zip(self.lo.tolist(), self.hi.tolist())
+        )
+
+    @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return self.lo.size == 0
 
     @property
     def n_intervals(self) -> int:
-        return len(self.intervals)
+        return self.lo.size
 
     @property
     def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        # disjoint intervals: the sum is at most the span, inside int64
+        return Fraction(int((self.hi - self.lo).sum()), self.den)
 
     @property
     def span(self) -> tuple[Fraction, Fraction]:
         if self.is_empty:
             raise ValueError("empty union has no span")
-        return self.intervals[0][0], self.intervals[-1][1]
+        return Fraction(int(self.lo[0]), self.den), Fraction(int(self.hi[-1]), self.den)
+
+    def numerators(self, den: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) as numerators over `den`, a multiple of this union's den."""
+        factor, rest = divmod(den, self.den)
+        if rest:
+            raise ValueError(f"lattice 1/{den} does not contain the lattice 1/{self.den}")
+        if factor == 1 or self.is_empty:
+            return self.lo, self.hi
+        reach = max(-int(self.lo[0]), int(self.hi[-1]))
+        check_lattice(den, reach * factor)
+        if reach == 0:  # only zeros, which every lattice holds
+            return self.lo, self.hi
+        return self.lo * factor, self.hi * factor
 
     def contains_point(self, x) -> bool:
-        x = _as_rational(x)
-        # bisect over interval starts
-        lo_idx, hi_idx = 0, len(self.intervals)
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if self.intervals[mid][0] <= x:
-                lo_idx = mid + 1
-            else:
-                hi_idx = mid
-        if lo_idx == 0:
-            return False
-        lo, hi = self.intervals[lo_idx - 1]
-        return lo <= x <= hi
+        t = _as_rational(x) * self.den
+        # lo[k] <= t iff lo[k] <= floor(t); clamping keeps the key in int64
+        key = min(max(math.floor(t), -_LIMIT), _LIMIT)
+        k = int(np.searchsorted(self.lo, key, side="right")) - 1
+        return k >= 0 and int(self.hi[k]) >= t
 
     def contains_union(self, other: "IntervalUnion") -> bool:
         """True if every interval of `other` sits inside one of ours."""
-        i = 0
-        for lo, hi in other.intervals:
-            while i < len(self.intervals) and self.intervals[i][1] < lo:
-                i += 1
-            if i == len(self.intervals):
-                return False
-            mylo, myhi = self.intervals[i]
-            if not (mylo <= lo and hi <= myhi):
-                return False
-        return True
+        if self.is_empty:
+            return other.is_empty
+        den = math.lcm(self.den, other.den)
+        a_lo, a_hi = self.numerators(den)
+        b_lo, b_hi = other.numerators(den)
+        k = np.maximum(np.searchsorted(a_lo, b_lo, side="right") - 1, 0)
+        return bool(((a_lo[k] <= b_lo) & (b_hi <= a_hi[k])).all())
 
     # -- set operations ----------------------------------------------------
 
     def shift(self, s) -> "IntervalUnion":
         s = _as_rational(s)
-        return IntervalUnion(tuple((lo + s, hi + s) for lo, hi in self.intervals))
+        if self.is_empty:
+            return self
+        den = math.lcm(self.den, s.denominator)
+        lo, hi = self.numerators(den)
+        step = s.numerator * (den // s.denominator)
+        check_lattice(den, max(-(int(lo[0]) + step), int(hi[-1]) + step))
+        return IntervalUnion(den, lo + step, hi + step)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_pairs(list(self.intervals) + list(other.intervals))
+        den = math.lcm(self.den, other.den)
+        a_lo, a_hi = self.numerators(den)
+        b_lo, b_hi = other.numerators(den)
+        return IntervalUnion._merged(
+            den, np.concatenate([a_lo, b_lo]), np.concatenate([a_hi, b_hi])
+        )
 
     def neighborhood(self, delta) -> "IntervalUnion":
         """Closed delta-neighborhood: every interval grows by delta each side."""
         delta = _as_rational(delta)
         if delta < 0:
             raise ValueError("neighborhood radius must be nonnegative")
-        return IntervalUnion.from_pairs(
-            (lo - delta, hi + delta) for lo, hi in self.intervals
-        )
+        if self.is_empty:
+            return self
+        den = math.lcm(self.den, delta.denominator)
+        lo, hi = self.numerators(den)
+        r = delta.numerator * (den // delta.denominator)
+        check_lattice(den, max(-int(lo[0]), int(hi[-1])) + r)
+        return IntervalUnion._merged(den, lo - r, hi + r)
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        out: list[tuple[Fraction, Fraction]] = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(tuple(out))
+        den = math.lcm(self.den, other.den)
+        a_lo, a_hi = self.numerators(den)
+        b_lo, b_hi = other.numerators(den)
+        # other's intervals meeting our k-th are j in [first[k], stop[k])
+        first = np.searchsorted(b_hi, a_lo, side="left")
+        stop = np.searchsorted(b_lo, a_hi, side="right")
+        count = np.maximum(stop - first, 0)
+        i = np.repeat(np.arange(a_lo.size), count)
+        j = _ranges(first, count)
+        return IntervalUnion(
+            den, np.maximum(a_lo[i], b_lo[j]), np.minimum(a_hi[i], b_hi[j])
+        )
 
     # -- export ------------------------------------------------------------
 
     def as_float_array(self) -> np.ndarray:
         """(n, 2) float64 array of endpoints (rounded to nearest float)."""
-        if self.is_empty:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.array([[float(lo), float(hi)] for lo, hi in self.intervals])
+        return np.column_stack(
+            [float_quotients(self.lo, self.den), float_quotients(self.hi, self.den)]
+        )
 
     def to_text(self) -> str:
-        """Serialize as one line per interval: `num_lo exp_lo num_hi exp_hi`.
+        """Serialize the union, exactly.
 
-        Endpoint value = num / 2**exp. Raises if any endpoint is not dyadic.
+        A power-of-two `den` gives one `num_lo exp_lo num_hi exp_hi` line per
+        interval, endpoint value = num / 2**exp in lowest terms, under the
+        header `intervals <count>`. Any other `den` gives `num_lo num_hi`
+        lines over the header `intervals <count> over <den>`.
         """
-        lines = [f"intervals {len(self.intervals)}"]
-        for lo, hi in self.intervals:
-            lines.append(f"{_dyadic_repr(lo)} {_dyadic_repr(hi)}")
-        return "\n".join(lines) + "\n"
+        count = self.n_intervals
+        if self.den & (self.den - 1):
+            head = f"intervals {count} over {self.den}"
+            cols = (self.lo, self.hi)
+        else:
+            head = f"intervals {count}"
+            exp = self.den.bit_length() - 1
+            cols = (*_dyadic_parts(self.lo, exp), *_dyadic_parts(self.hi, exp))
+        line = " ".join(["%d"] * len(cols)) + "\n"
+        return f"{head}\n" + (line * count) % tuple(np.column_stack(cols).ravel().tolist())
 
     @classmethod
     def from_text(cls, text: str) -> "IntervalUnion":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("intervals "):
-            raise ValueError("missing 'intervals <count>' header")
-        count = int(lines[0].split()[1])
+        head = lines[0].split() if lines else []
+        over = len(head) == 4 and head[2] == "over"
+        if head[:1] != ["intervals"] or len(head) != (4 if over else 2):
+            raise ValueError("missing 'intervals <count> [over <den>]' header")
+        count = int(head[1])
         if len(lines) - 1 != count:
             raise ValueError(f"header promises {count} intervals, file has {len(lines) - 1}")
-        pairs = []
-        for ln in lines[1:]:
-            num_lo, exp_lo, num_hi, exp_hi = (int(tok) for tok in ln.split())
-            pairs.append((dyadic(num_lo, exp_lo), dyadic(num_hi, exp_hi)))
-        out = cls.from_pairs(pairs)
-        if len(out.intervals) != count:
+        width = 2 if over else 4
+        # one token stream for the whole body; its length must match too
+        tokens = text.split()[len(head):]
+        if len(tokens) != width * count:
+            raise ValueError(f"expected {width} integers per interval line")
+        try:
+            rows = np.array(tokens, dtype=np.int64).reshape(count, width)
+        except OverflowError as exc:
+            raise ValueError(f"serialized numerator does not fit int64: {exc}") from None
+        if over:
+            den = int(head[3])
+            if den < 1:
+                raise ValueError(f"lattice denominator {den} must be positive")
+            lo, hi = rows[:, 0], rows[:, 1]
+        else:
+            nums, exps = rows[:, 0::2], rows[:, 1::2]
+            top = int(exps.max(initial=0))
+            shift = top - np.maximum(exps, top - 63)  # clipped at 63, no wrap
+            bound = np.right_shift(_LIMIT - 1, shift)
+            if ((nums > bound) | (nums < -bound)).any():
+                raise ValueError(f"serialized endpoints overflow the lattice 1/2**{top}")
+            den = 1 << top
+            scaled = np.where(nums == 0, 0, nums << np.minimum(shift, 62))
+            lo, hi = scaled[:, 0], scaled[:, 1]
+        out = cls._merged(den, lo, hi)
+        if out.n_intervals != count:
             raise ValueError("serialized intervals were not disjoint")
         return out
-
-
-def _dyadic_repr(x: Fraction) -> str:
-    den = x.denominator
-    if den & (den - 1):
-        raise ValueError(f"endpoint {x} is not dyadic; cannot serialize exactly")
-    exp = den.bit_length() - 1
-    return f"{x.numerator} {exp}"

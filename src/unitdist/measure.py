@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, float_quotients
 from .grids import GridIndicator
 
 __all__ = [
@@ -175,8 +175,9 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
         raise ValueError("spacing must be positive")
     if A.is_empty:
         raise ValueError("empty union has no correlogram")
-    min_len = min((hi - lo for lo, hi in A.intervals if hi > lo), default=None)
-    if min_len is not None and spacing_q > min_len / 2:
+    lengths = A.hi - A.lo
+    lengths = lengths[lengths > 0]
+    if lengths.size and spacing_q > Fraction(int(lengths.min()), 2 * A.den):
         raise ValueError("spacing too coarse for the finest block")
     if method == "auto":
         method = "exact" if A.n_intervals <= _EXACT_BLOCK_CAP else "fft"
@@ -205,7 +206,7 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    cov, _origin = _coverage(A, spacing_q)
+    cov = _coverage(A, spacing_q)
     n = cov.size
     size = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(cov, size)
@@ -215,23 +216,32 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
     return Correlogram(sample_spacing=h, values=corr, total_mass=mass)
 
 
-def _coverage(A: IntervalUnion, spacing: Fraction) -> tuple[np.ndarray, Fraction]:
-    """Per-cell coverage fractions of A on the spacing lattice (exact)."""
-    span_lo, span_hi = A.span
-    base = math.floor(span_lo / spacing)
-    origin = base * spacing
-    n = math.ceil(span_hi / spacing) - base
-    cov = np.zeros(max(n, 1))
-    for lo, hi in A.intervals:
-        lo_q = (lo - origin) / spacing
-        hi_q = (hi - origin) / spacing
-        i0, i1 = math.floor(lo_q), math.ceil(hi_q)
-        if i1 == i0:
-            continue
-        cov[i0:i1] += 1.0
-        cov[i0] -= float(lo_q - i0)
-        cov[i1 - 1] -= float(i1 - hi_q)
-    return cov, origin
+def _coverage(A: IntervalUnion, spacing: Fraction) -> np.ndarray:
+    """Per-cell coverage fractions of A on the spacing lattice, each the
+    exactly rounded quotient of the covered length by the spacing.
+
+    Cells run from the lattice point at or below A's start. A cell strictly
+    inside one interval is covered whole; the covered parts of the cells
+    holding an endpoint are summed as exact integers first.
+    """
+    den = math.lcm(A.den, spacing.denominator)
+    lo, hi = A.numerators(den)
+    step = spacing.numerator * (den // spacing.denominator)  # in 1/den units
+    origin = int(lo[0]) // step * step
+    lo, hi = lo - origin, hi - origin
+    n = max(-(-int(hi[-1]) // step), 1)
+    first, stop = lo // step, -(-hi // step)  # cells [first, stop) meet [lo, hi]
+    one = stop - first == 1
+    many = stop - first > 1
+    inside = np.cumsum(
+        np.bincount(first[many] + 1, minlength=n + 1)
+        - np.bincount(stop[many] - 1, minlength=n + 1)
+    )[:n]
+    covered = inside * step
+    np.add.at(covered, first[one], hi[one] - lo[one])
+    np.add.at(covered, first[many], (first[many] + 1) * step - lo[many])
+    np.add.at(covered, stop[many] - 1, hi[many] - (stop[many] - 1) * step)
+    return float_quotients(covered, step)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +376,7 @@ class ProductBandMeasure:
 
 def _common_denominator(sets: list[IntervalUnion], cap: int, message: str) -> int:
     """Least common denominator of every endpoint; ValueError(message) above cap."""
-    den = 1
-    for U in sets:
-        for lo, hi in U.intervals:
-            den = math.lcm(den, lo.denominator, hi.denominator)
+    den = math.lcm(*(U.den for U in sets))
     if den > cap:
         raise ValueError(message)
     return den
@@ -415,15 +422,8 @@ def _dense_band_integral(
 
 def _lattice_blocks(U: IntervalUnion, den: int) -> tuple[np.ndarray, np.ndarray]:
     """Block centers and lengths as exact integers in units of 1/(2*den)."""
-    cs, ls = [], []
-    for lo, hi in U.intervals:
-        if den % lo.denominator or den % hi.denominator:
-            raise ValueError("endpoints do not lie on the common lattice")
-        a = lo.numerator * (den // lo.denominator)  # endpoints in 1/den units
-        b = hi.numerator * (den // hi.denominator)
-        cs.append(a + b)  # twice the center
-        ls.append(2 * (b - a))
-    return np.array(cs, dtype=np.int64), np.array(ls, dtype=np.int64)
+    a, b = U.numerators(den)  # endpoints in 1/den units
+    return a + b, 2 * (b - a)
 
 
 def _merge_counts(

@@ -1,10 +1,13 @@
 """End-to-end checks of the experiment runner: exit codes, artifacts, manifests."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from unitdist.cli import main, run_config
+from unitdist.intervals import IntervalUnion
 
 
 def _write(path, obj):
@@ -70,6 +73,20 @@ def test_cantor_stage_report(tmp_path):
     assert stats["fattened_length"] == "3/16"
     assert (out / "intervals.txt").read_text().strip()
     assert (out / "fattened.txt").exists()
+
+
+def test_cantor_non_dyadic_writes_over_form(tmp_path):
+    # C(2,3) has gaps of 1/6: its lattice is 1/(3 * 2^(3 stage))
+    cfg = _write(tmp_path / "c.json", {"p": 2, "q": 3, "stage": 2, "delta": "2^-10"})
+    out = tmp_path / "run"
+    assert main(["cantor", "--config", cfg, "--out", str(out)]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    text = (out / "intervals.txt").read_text()
+    assert text.splitlines()[0] == "intervals 16 over 192"
+    fat = IntervalUnion.from_text((out / "fattened.txt").read_text())
+    assert fat.n_intervals == stats["fattened_intervals"] == 16
+    assert str(fat.total_length) == stats["fattened_length"]
+    assert IntervalUnion.from_text(text).total_length == Fraction(stats["total_length"])
 
 
 def test_sweep_in_bounds(tmp_path):
@@ -190,6 +207,97 @@ def test_report_verdicts(tmp_path):
         {"series_csv": series_csv("bad.csv", 5.0), "d": 2, "alpha": 1.5},
     )
     assert main(["report", "--config", bad, "--out", str(tmp_path / "runb")]) == 2
+
+
+def test_report_reads_quoted_labels(tmp_path):
+    # emit_csv quotes a label holding a comma; report must read it back
+    cfg = _write(
+        tmp_path / "s.json",
+        {
+            "axes": [
+                {"kind": "cantor", "p": 1, "q": 2},
+                {"kind": "interval", "lo": 0, "hi": 2},
+            ],
+            "deltas": ["2^-5", "2^-6", "2^-7"],
+            "method": "grid",
+            "alpha": 1.5,
+            "label": "a,b",
+        },
+    )
+    swept = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(swept)]) == 0
+    assert '"a,b",2,' in (swept / "scaling.csv").read_text()
+    report_cfg = _write(
+        tmp_path / "r.json",
+        {"series_csv": str(swept / "scaling.csv"), "d": 2, "alpha": 1.5},
+    )
+    out = tmp_path / "report"
+    assert main(["report", "--config", report_cfg, "--out", str(out)]) == 0
+    sweep_verdict = json.loads((swept / "verdict.json").read_text())
+    sweep_verdict.pop("fit")
+    assert json.loads((out / "verdict.json").read_text()) == sweep_verdict
+
+
+def test_report_names_unreadable_series(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("label,d,alpha,delta,value,value_low,value_high\nx,2,1.5,0.5\n")
+    cfg = _write(tmp_path / "a.json", {"series_csv": str(short), "d": 2, "alpha": 1.5})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r1")]) == 1
+    assert "line 2 has 4 fields" in capsys.readouterr().err
+
+    absent = _write(
+        tmp_path / "b.json", {"series_csv": str(tmp_path / "no.csv"), "d": 2, "alpha": 1.5}
+    )
+    assert main(["report", "--config", absent, "--out", str(tmp_path / "r2")]) == 1
+    assert "cannot read series_csv" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# byte identity: artifacts against golden bytes from an earlier release
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def _cantor(p, q, **extra):
+    return {"kind": "cantor", "p": p, "q": q, **extra}
+
+
+GOLDEN_CASES = {
+    "cantor_c12": ("cantor", {"p": 1, "q": 2, "stage": 3}),
+    "cantor_c12_delta": ("cantor", {"p": 1, "q": 2, "stage": 3, "delta": "2^-8"}),
+    "cantor_c13": ("cantor", {"p": 1, "q": 3, "stage": 2}),
+    # 2 delta exceeds the stage-2 gap, so siblings merge
+    "cantor_c13_delta": ("cantor", {"p": 1, "q": 3, "stage": 2, "delta": "2^-4"}),
+    "sweep_grid": (
+        "sweep",
+        {
+            "axes": [_cantor(1, 2), {"kind": "interval", "lo": 0, "hi": 2}],
+            "deltas": ["2^-5", "2^-6", "2^-7"],
+            "method": "grid",
+        },
+    ),
+    "sweep_product": (
+        "sweep",
+        {
+            "axes": [_cantor(1, 2, shift=1), _cantor(1, 2)],
+            "deltas": ["2^-6", "2^-7", "2^-8"],
+            "method": "product",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_artifacts_match_golden_bytes(tmp_path, case):
+    kind, spec = GOLDEN_CASES[case]
+    cfg = _write(tmp_path / "c.json", spec)
+    out = tmp_path / "run"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+    want = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(_manifest(out)["artifacts"]) == want
+    for name in want:
+        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

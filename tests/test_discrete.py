@@ -187,3 +187,19 @@ def test_random_general_position_is_reproducible():
     np.testing.assert_array_equal(A.points, B.points)
     C = random_general_position(25, 2, seed=8)
     assert not np.array_equal(A.points, C.points)
+
+
+def test_compatible_offsets_are_cached_read_only():
+    from unitdist.discrete import _compatible_offsets
+
+    side = 1.0 / np.sqrt(3.0)
+    cached = _compatible_offsets(3, side, 1e-3)
+    assert _compatible_offsets(3, side, 1e-3) is cached
+    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, side, 1e-3))
+    with pytest.raises(ValueError):
+        cached[0, 0] = 7
+    # counting reuses the table and leaves it as built
+    pts = random_general_position(40, 3, seed=2).points
+    P = PointSet(pts, eps=1e-3)
+    assert count_unit_pairs_grid(P) == count_unit_pairs_bruteforce(P)
+    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, side, 1e-3))
