@@ -32,7 +32,6 @@ from .geom import (
     TripleAnnulusReport,
     TupleSolution,
     affinely_independent,
-    annulus_contains,
     circumsphere_through_origin,
     general_position_check,
     triple_annulus_diameter,

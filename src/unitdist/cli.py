@@ -1,11 +1,11 @@
 """Configuration-driven experiment runner.
 
 Every experiment is a JSON config executed by a subcommand of the same
-kind; runs are deterministic (seeds always explicit, threads pinned when
-requested) and leave behind CSV/JSON artifacts plus a manifest echoing the
-config and recording package versions. Exit codes: 0 success, 1 config or
-operational error, 2 "ran fine, but a bound was violated" -- CI treats 2
-as a red experiment rather than a crash.
+kind; runs are deterministic (seeds always explicit) and leave behind
+CSV/JSON artifacts plus a manifest echoing the config and recording package
+versions. Exit codes: 0 success, 1 config or operational error, 2 "ran
+fine, but a bound was violated" -- CI treats 2 as a red experiment rather
+than a crash.
 
 Config validation is strict: unknown fields are rejected by name, as are
 missing required ones, before any computation starts.
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -66,8 +65,6 @@ KINDS = (
     "incidence",
     "report",
 )
-
-THREADS_ENV = "UNITDIST_THREADS"
 
 
 class ConfigError(Exception):
@@ -165,11 +162,10 @@ def _write_json(path: Path, obj) -> None:
 class _Run:
     """Artifact directory plus the manifest bookkeeping."""
 
-    def __init__(self, kind: str, out: Path, config_echo: dict, threads):
+    def __init__(self, kind: str, out: Path, config_echo: dict):
         self.kind = kind
         self.out = out
         self.config_echo = config_echo
-        self.threads = threads
         self.artifacts: list[str] = []
         self.started = time.perf_counter()
         out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +184,6 @@ class _Run:
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
-            "threads": self.threads,
             "wall_time_s": round(time.perf_counter() - self.started, 6),
         }
         _write_json(self.out / "manifest.json", manifest)
@@ -283,13 +278,13 @@ def _run_frames(cfg: dict, run: _Run) -> int:
             for j in range(d - 1):
                 resid = max(resid, abs(np.linalg.norm(s.b[0] + a[j]) - 1.0))
             resid = max(resid, abs(np.linalg.norm(s.b[0]) - 1.0))
-        r0 = float(np.linalg.norm(sols[0].section.offset)) if sols else math.nan
-        rows.append([i, d, r0, len(sols), resid])
+        offset = float(np.linalg.norm(sols[0].section.offset)) if sols else math.nan
+        rows.append([i, d, offset, len(sols), resid])
         worst_resid = max(worst_resid, resid)
         max_solutions = max(max_solutions, len(sols))
     emit_csv(
         run.path("frames.csv"),
-        ["index", "d", "r0", "n_solutions", "max_residual"],
+        ["index", "d", "section_offset", "n_solutions", "max_residual"],
         rows,
     )
     _write_json(
@@ -590,7 +585,6 @@ def run_config(
     kind: str | None = None,
     out_override=None,
     seed_override: int | None = None,
-    threads: int | None = None,
 ) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
@@ -626,12 +620,8 @@ def run_config(
         else:
             cfg["seed"] = seed_override
 
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
     echo = {"kind": kind, **cfg, "out": str(out)}
-    run = _Run(kind, out, echo, threads)
+    run = _Run(kind, out, echo)
     try:
         code = _RUNNERS[kind](cfg, run)
     except ConfigError as exc:
@@ -656,25 +646,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"BLAS/FFT thread cap (default: ${THREADS_ENV} if set)",
-        )
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError:
-            print(f"error: ${THREADS_ENV} is not an integer", file=sys.stderr)
-            return 1
     return run_config(
-        args.config,
-        kind=args.kind,
-        out_override=args.out,
-        seed_override=args.seed,
-        threads=threads,
+        args.config, kind=args.kind, out_override=args.out, seed_override=args.seed
     )

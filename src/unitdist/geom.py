@@ -24,7 +24,6 @@ __all__ = [
     "TupleSolution",
     "unit_frame_solutions",
     "Annulus",
-    "annulus_contains",
     "TripleAnnulusReport",
     "triple_annulus_diameter",
 ]
@@ -289,10 +288,6 @@ class Annulus:
         lo, hi = self.band
         r = float(np.linalg.norm(_vec(x) - self.center))
         return lo - BOUNDARY_SLACK <= r <= hi + BOUNDARY_SLACK
-
-
-def annulus_contains(A: Annulus, x) -> bool:
-    return A.contains(x)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = ["GridIndicator", "rasterize", "AlphaSetReport", "alpha_set_verify"]
 
 OCCUPANCY_CAP = 10**8
 DENSE_CAP = 1 << 26
+_BALL_BLOCK = 1 << 16  # (sample, row[, plane]) expansions evaluated at once
 
 
 def _frac(x) -> Fraction:
@@ -99,75 +99,6 @@ class GridIndicator:
         for m in masks[1:]:
             out = np.multiply.outer(out, m)
         return out
-
-    # -- serialization: header + per-axis run-length bitmaps ---------------
-
-    def to_text(self) -> str:
-        lines = [
-            f"gridindicator d={self.d} cell={self.cell} delta={self.delta} "
-            f"alpha={self.alpha:.17g}",
-            f"label {self.label}",
-        ]
-        for ax in range(self.d):
-            lines.append(f"axis origin={self.origin[ax]} n={self.dims[ax]}")
-            lines.append("outer " + _rle_encode(self.axis_masks[ax]))
-            lines.append("inner " + _rle_encode(self.axis_masks_inner[ax]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GridIndicator":
-        lines = text.splitlines()
-        head = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-        if not lines[0].startswith("gridindicator "):
-            raise ValueError("missing gridindicator header")
-        d = int(head["d"])
-        label = lines[1].removeprefix("label ").strip() if len(lines) > 1 else ""
-        masks, inners, origins = [], [], []
-        at = 2
-        for _ in range(d):
-            ax_head = dict(tok.split("=", 1) for tok in lines[at].split()[1:])
-            n = int(ax_head["n"])
-            origins.append(Fraction(ax_head["origin"]))
-            masks.append(_rle_decode(lines[at + 1].removeprefix("outer "), n))
-            inners.append(_rle_decode(lines[at + 2].removeprefix("inner "), n))
-            at += 3
-        return cls(
-            axis_masks=tuple(masks),
-            axis_masks_inner=tuple(inners),
-            origin=tuple(origins),
-            cell=Fraction(head["cell"]),
-            delta=Fraction(head["delta"]),
-            alpha=float(head["alpha"]),
-            label=label,
-        )
-
-
-def _rle_encode(mask: np.ndarray) -> str:
-    """Run lengths of alternating values, first run counting zeros."""
-    runs = []
-    current, count = False, 0
-    for bit in mask:
-        if bool(bit) == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = bool(bit), 1
-    runs.append(count)
-    return " ".join(str(r) for r in runs)
-
-
-def _rle_decode(text: str, n: int) -> np.ndarray:
-    runs = [int(tok) for tok in text.split()]
-    out = np.zeros(n, dtype=bool)
-    at, value = 0, False
-    for r in runs:
-        if value:
-            out[at : at + r] = True
-        at += r
-        value = not value
-    if at != n:
-        raise ValueError(f"run lengths sum to {at}, expected {n}")
-    return out
 
 
 def _axis_occupancy(
@@ -253,46 +184,66 @@ class AlphaSetReport:
     worst_r: float
 
 
-def _ball_cell_count(G: GridIndicator, x: np.ndarray, r: float) -> int:
-    """Occupied cells with center within r of x, via per-axis prefix sums."""
-    cell = float(G.cell)
-    prefixes = []
-    first_centers = []
-    for ax in range(G.d):
-        mask = G.axis_masks[ax]
-        prefixes.append(np.concatenate([[0], np.cumsum(mask)]))
-        first_centers.append(float(G.origin[ax]) + 0.5 * cell)
+def _ball_cell_counts(G: GridIndicator, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Occupied cells with center within r[s] of x[s], for every sample s.
 
-    def axis_count(ax: int, center: float, halfwidth) -> np.ndarray:
-        lo = np.ceil((center - halfwidth - first_centers[ax]) / cell).astype(np.int64)
-        hi = np.floor((center + halfwidth - first_centers[ax]) / cell).astype(np.int64)
-        n = len(G.axis_masks[ax])
-        lo = np.clip(lo, 0, n)
-        hi = np.clip(hi + 1, 0, n)
-        return prefixes[ax][np.maximum(hi, lo)] - prefixes[ax][lo]
+    Axis 0 is counted with one prefix sum over its mask. For d = 2, 3 each
+    sample is expanded against the occupied rows (and planes) within its
+    reach, at most _BALL_BLOCK expansions at a time, and a row contributes
+    the axis-0 cells within its chord half-width.
+    """
+    cell = float(G.cell)
+    first = float(G.origin[0]) + 0.5 * cell
+    n0 = len(G.axis_masks[0])
+    prefix = np.concatenate([[0], np.cumsum(G.axis_masks[0])])
+
+    def axis0_count(center: np.ndarray, halfwidth: np.ndarray) -> np.ndarray:
+        lo = np.ceil((center - halfwidth - first) / cell).astype(np.int64)
+        hi = np.floor((center + halfwidth - first) / cell).astype(np.int64)
+        lo = np.clip(lo, 0, n0)
+        hi = np.clip(hi + 1, 0, n0)
+        return prefix[np.maximum(hi, lo)] - prefix[lo]
 
     if G.d == 1:
-        return int(axis_count(0, x[0], np.array(r)))
-    # enumerate occupied rows (and planes) within reach, prefix-count axis 0
-    last = G.d - 1
-    centers_last = G.axis_centers(last)
-    sel = np.nonzero(G.axis_masks[last] & (np.abs(centers_last - x[last]) <= r))[0]
-    if G.d == 2:
-        dy = centers_last[sel] - x[1]
-        hw = np.sqrt(np.maximum(0.0, r * r - dy * dy))
-        return int(axis_count(0, x[0], hw).sum())
-    centers_mid = G.axis_centers(1)
-    sel_mid = np.nonzero(G.axis_masks[1] & (np.abs(centers_mid - x[1]) <= r))[0]
-    if sel.size == 0 or sel_mid.size == 0:
-        return 0
-    dy = (centers_mid[sel_mid] - x[1])[:, None]
-    dz = (centers_last[sel] - x[2])[None, :]
-    hw2 = r * r - dy * dy - dz * dz
-    ok = hw2 > 0
-    if not ok.any():
-        return 0
-    hw = np.sqrt(hw2[ok])
-    return int(axis_count(0, x[0], hw).sum())
+        return axis0_count(x[:, 0], r)
+    # Per outer axis, the occupied centers and, per sample, the run of them
+    # within reach. The run is found with a one-cell guard; the distance
+    # tests below decide membership exactly.
+    occupied, start, length = [], [], []
+    for ax in range(1, G.d):
+        centers = G.axis_centers(ax)[G.axis_masks[ax]]
+        lo = np.searchsorted(centers, x[:, ax] - r - cell, "left")
+        hi = np.searchsorted(centers, x[:, ax] + r + cell, "right")
+        occupied.append(centers)
+        start.append(lo)
+        length.append(hi - lo)
+    sizes = length[0] if G.d == 2 else length[0] * length[1]
+    ends = np.cumsum(sizes)
+    counts = np.zeros(len(sizes), dtype=np.int64)
+    s0 = 0
+    while s0 < len(sizes):
+        base = ends[s0] - sizes[s0]
+        s1 = max(s0 + 1, int(np.searchsorted(ends, base + _BALL_BLOCK, "right")))
+        s = np.repeat(np.arange(s0, s1), sizes[s0:s1])
+        local = np.arange(ends[s1 - 1] - base) - (ends[s] - sizes[s] - base)
+        rs = r[s]
+        if G.d == 2:
+            dy = occupied[0][start[0][s] + local] - x[s, 1]
+            ok = np.abs(dy) <= rs
+            hw = np.sqrt(np.maximum(0.0, rs * rs - dy * dy))
+        else:
+            nz = length[1][s]
+            iy = local // nz
+            dy = occupied[0][start[0][s] + iy] - x[s, 1]
+            dz = occupied[1][start[1][s] + local - iy * nz] - x[s, 2]
+            hw2 = rs * rs - dy * dy - dz * dz
+            ok = (np.abs(dy) <= rs) & (np.abs(dz) <= rs) & (hw2 > 0)
+            hw = np.sqrt(np.where(ok, hw2, 0.0))
+        cum = np.concatenate([[0], np.cumsum(np.where(ok, axis0_count(x[s, 0], hw), 0))])
+        seg = ends[s0:s1] - base
+        counts[s0:s1] = cum[seg] - cum[seg - sizes[s0:s1]]
+        s0 = s1
+    return counts
 
 
 def alpha_set_verify(
@@ -302,7 +253,11 @@ def alpha_set_verify(
     r in [delta, diameter], returning the empirical supremum and its ball.
 
     Centers are restricted to occupied cells: the supremum of the ratio is
-    attained near the set, so off-set centers only waste samples.
+    attained near the set, so off-set centers only waste samples. All
+    samples are drawn up front and their balls counted in NumPy blocks
+    (`_ball_cell_counts`); the first sample attaining the maximum ratio is
+    reported. The ratio's denominator uses Python's float power, because
+    `np.power` can differ from it in the last bit.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -311,34 +266,24 @@ def alpha_set_verify(
         raise ValueError("grid has no occupied cells")
     delta = float(G.delta)
     cell = float(G.cell)
-    spans = [
-        (len(m) * cell) for m in G.axis_masks
-    ]
+    spans = [len(m) * cell for m in G.axis_masks]
     diameter = max(math.sqrt(sum(s * s for s in spans)), 2 * delta)
     rng = np.random.default_rng(seed)
-
-    sup_ratio = -1.0
-    worst = (np.zeros(G.d), delta)
     radii = np.exp(rng.uniform(math.log(delta), math.log(diameter), sample_count))
-    center_idx = np.stack(
-        [idx[rng.integers(0, idx.size, sample_count)] for idx in occ_idx], axis=1
+    x = np.stack(
+        [
+            G.axis_centers(ax)[idx[rng.integers(0, idx.size, sample_count)]]
+            for ax, idx in enumerate(occ_idx)
+        ],
+        axis=1,
     )
-    for s in range(sample_count):
-        x = np.array(
-            [
-                float(G.origin[ax]) + (center_idx[s, ax] + 0.5) * cell
-                for ax in range(G.d)
-            ]
-        )
-        r = float(radii[s])
-        measure = _ball_cell_count(G, x, r) * cell**G.d
-        ratio = measure / ((r / delta) ** alpha * delta**G.d)
-        if ratio > sup_ratio:
-            sup_ratio = ratio
-            worst = (x, r)
+    measure = _ball_cell_counts(G, x, radii) * cell**G.d
+    volume = delta**G.d
+    ratio = measure / np.array([(r / delta) ** alpha * volume for r in radii.tolist()])
+    worst = int(np.argmax(ratio))
     return AlphaSetReport(
-        sup_ratio=float(sup_ratio),
+        sup_ratio=float(ratio[worst]),
         samples_tested=sample_count,
-        worst_x=tuple(float(v) for v in worst[0]),
-        worst_r=float(worst[1]),
+        worst_x=tuple(float(v) for v in x[worst]),
+        worst_r=float(radii[worst]),
     )

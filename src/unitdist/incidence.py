@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 TUPLE_CAP = 10**9
+_TRIPLE_BLOCK = 1 << 22  # (pair, k) candidates tested at once
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,12 @@ def incidence_census(G: GridIndicator, lam: float, c: float = 0.1) -> IncidenceC
     1 +- 3 delta around c, and the census counts ordered tuples from S_c
     with all pairwise distances >= c * (lam / delta^(d - alpha))^(1/alpha).
     The projection fiber of a tuple is the number of centers it serves.
+
+    Each section's far pairs come from one distance matrix, and its triples
+    from extending the far pairs (i, j) by every k > j far from both, in
+    blocks. Every unordered tuple is keyed as one int64 over the net's
+    indices, and max_projection_fiber is the largest count of one
+    np.unique over all sections' keys.
     """
     d = G.d
     if d not in (2, 3):
@@ -303,8 +310,14 @@ def incidence_census(G: GridIndicator, lam: float, c: float = 0.1) -> IncidenceC
             "coarsen the grid or raise lam"
         )
 
+    n_j = j_points.shape[0]
+    if n_j**arity > np.iinfo(np.int64).max:
+        raise RuntimeError(
+            f"a net of {n_j} points overflows the int64 {arity}-tuple keys; "
+            "coarsen the grid"
+        )
     total = 0
-    fibers: dict[tuple[int, ...], int] = {}
+    keys: list[np.ndarray] = []
     thr2 = threshold * threshold
     for sel in sections:
         if sel.size < arity:
@@ -313,27 +326,26 @@ def incidence_census(G: GridIndicator, lam: float, c: float = 0.1) -> IncidenceC
         diff = pts[:, None, :] - pts[None, :, :]
         far = np.einsum("ijk,ijk->ij", diff, diff) >= thr2
         np.fill_diagonal(far, False)
+        ii, jj = np.nonzero(np.triu(far, 1))
         if arity == 2:
             total += int(far.sum())
-            ii, jj = np.nonzero(np.triu(far, 1))
-            for a, b in zip(sel[ii], sel[jj]):
-                key = (int(a), int(b))
-                fibers[key] = fibers.get(key, 0) + 1
-        else:
-            m = sel.size
-            for i in range(m):
-                row_i = far[i]
-                for j in range(i + 1, m):
-                    if not row_i[j]:
-                        continue
-                    ks = np.flatnonzero(row_i & far[j])
-                    ks = ks[ks > j]
-                    total += 6 * ks.size
-                    for k in ks:
-                        key = (int(sel[i]), int(sel[j]), int(sel[k]))
-                        fibers[key] = fibers.get(key, 0) + 1
+            keys.append(sel[ii] * n_j + sel[jj])
+            continue
+        # triples i < j < k: extend each far pair (i, j) by every k > j far
+        # from both, a block of pairs at a time
+        step = max(1, _TRIPLE_BLOCK // sel.size)
+        later = np.arange(sel.size)
+        for at in range(0, ii.size, step):
+            i, j = ii[at : at + step], jj[at : at + step]
+            p, k = np.nonzero(far[i] & far[j] & (later > j[:, None]))
+            total += 6 * k.size
+            keys.append((sel[i[p]] * n_j + sel[j[p]]) * n_j + sel[k])
 
-    max_fiber = max(fibers.values(), default=0)
+    # the projection fiber of a tuple: how many sections hold it
+    max_fiber = 0
+    if keys:
+        _, fiber = np.unique(np.concatenate(keys), return_counts=True)
+        max_fiber = int(fiber.max(initial=0))
     for arr in (j_points, centers, sizes):
         arr.setflags(write=False)
     return IncidenceCensus(

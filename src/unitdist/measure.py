@@ -256,6 +256,9 @@ class PairBandBracket:
     inner_pairs: int
 
 
+_RING_BLOCK = 1 << 15  # (kx, ky) offsets per last-axis ring evaluation
+
+
 def _axis_pair_counts(mask: np.ndarray) -> np.ndarray:
     """counts[k] = number of index pairs (i, i+k) both occupied, k >= 0."""
     n = mask.size
@@ -287,7 +290,16 @@ def _ring_limits(
 def _band_cell_pairs(
     masks: tuple[np.ndarray, ...], cell: float, lo: float, hi: float, round_out: bool
 ) -> int:
-    """Ordered occupied-cell pairs with center distance in [lo, hi]."""
+    """Ordered occupied-cell pairs with center distance in [lo, hi].
+
+    The pair count factors over the axes' offset correlograms counts[k]:
+    each signed offset vector (kx[, ky], z) in the ring contributes the
+    product of its axes' counts. The last axis is summed with one prefix sum
+    over |z| ranges. For d = 3 the x offsets with nonzero counts are
+    evaluated against the ky^2 within the outer radius, in blocks of at
+    most _RING_BLOCK (kx, ky) cells, and each row's weighted sum is added
+    to the total as a Python int, so the result is exact.
+    """
     if lo > hi:
         return 0
     counts = [_axis_pair_counts(m) for m in masks]
@@ -295,12 +307,12 @@ def _band_cell_pairs(
         return 0
     d = len(masks)
     t_lo, t_hi = (lo / cell) ** 2, (hi / cell) ** 2
+    cz = counts[-1]
+    P = np.concatenate([[0], np.cumsum(cz)])
 
     def last_axis_sum(prefix_sq: np.ndarray) -> np.ndarray:
-        """sum over signed offsets y of counts_last[|y|] with
-        prefix_sq + y^2 in the ring, vectorized over prefix_sq."""
-        cz = counts[-1]
-        P = np.concatenate([[0], np.cumsum(cz)])
+        """sum over signed offsets z of counts_last[|z|] with
+        prefix_sq + z^2 in the ring, vectorized over prefix_sq."""
         y_lo, y_hi = _ring_limits(t_lo, t_hi, prefix_sq, round_out)
         y_hi = np.minimum(y_hi, cz.size - 1)
         valid = y_hi >= y_lo
@@ -316,16 +328,26 @@ def _band_cell_pairs(
     if d == 2:
         per_kx = last_axis_sum(kx * kx)
         return int((2 * counts[0][1:] * per_kx[1:]).sum() + counts[0][0] * per_kx[0])
-    total = 0
     ky = np.arange(counts[1].size, dtype=np.float64)
-    wy = 2 * counts[1].copy()
+    ky_sq = ky * ky
+    wy = 2 * counts[1]
     wy[0] = counts[1][0]
-    for i, cx in enumerate(counts[0]):
-        if cx == 0:
-            continue
-        per_ky = last_axis_sum(i * i + ky * ky)
-        wx = cx if i == 0 else 2 * cx
-        total += int(wx) * int((wy * per_ky).sum())
+    rows = np.flatnonzero(counts[0])
+    wx = 2 * counts[0][rows]
+    wx[rows == 0] = counts[0][0]
+    total = 0
+    at = 0
+    while at < rows.size:
+        # Rows ascend, so no row of this block reaches a ky beyond its first
+        # row's outer radius (ky^2 > t_hi - kx^2 + 1): those columns count 0.
+        reach = int(np.searchsorted(ky_sq, t_hi - float(rows[at]) ** 2, "right"))
+        width = min(ky_sq.size, reach + 1)
+        stop = at + max(1, _RING_BLOCK // width)
+        i = rows[at:stop]
+        per = last_axis_sum((i * i)[:, None] + ky_sq[:width])
+        row_sums = (wy[:width] * per).sum(axis=1)
+        total += sum(w * s for w, s in zip(wx[at:stop].tolist(), row_sums.tolist()))
+        at = stop
     return total
 
 

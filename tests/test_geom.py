@@ -10,7 +10,6 @@ import pytest
 
 from unitdist.geom import (
     Annulus,
-    annulus_contains,
     affinely_independent,
     circumsphere_through_origin,
     general_position_check,
@@ -197,10 +196,10 @@ def test_points_on_a_line_are_in_general_position(mode):
 
 def test_annulus_membership():
     A = Annulus(np.zeros(2), 0.05)
-    assert annulus_contains(A, np.array([1.0, 0.0]))
-    assert annulus_contains(A, np.array([0.0, 1.09]))
-    assert not annulus_contains(A, np.array([0.0, 1.11]))
-    assert not annulus_contains(A, np.array([0.5, 0.0]))
+    assert A.contains(np.array([1.0, 0.0]))
+    assert A.contains(np.array([0.0, 1.09]))
+    assert not A.contains(np.array([0.0, 1.11]))
+    assert not A.contains(np.array([0.5, 0.0]))
 
 
 def test_triple_annulus_diameter_obeys_prediction():

@@ -1,12 +1,13 @@
 """Grid indicators: rasterized fattened sets with certified inner/outer masks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from unitdist.cantor import CantorSpec, cantor_stage
-from unitdist.grids import GridIndicator, alpha_set_verify, rasterize
+from unitdist.grids import AlphaSetReport, _ball_cell_counts, alpha_set_verify, rasterize
 from unitdist.intervals import IntervalUnion
 
 
@@ -75,18 +76,6 @@ def test_axis_centers_align_with_origin():
     np.testing.assert_allclose(rel - np.floor(rel), 0.5)
 
 
-def test_text_round_trip_preserves_masks():
-    A = cantor_stage(CantorSpec(1, 2), 3)
-    G = rasterize([A, A], Fraction(1, 64), Fraction(1, 128), alpha=1.0, label="rt")
-    again = GridIndicator.from_text(G.to_text())
-    assert again.label == "rt"
-    assert again.cell == G.cell
-    assert again.delta == G.delta
-    for ax in range(2):
-        np.testing.assert_array_equal(again.axis_masks[ax], G.axis_masks[ax])
-        np.testing.assert_array_equal(again.axis_masks_inner[ax], G.axis_masks_inner[ax])
-
-
 def test_alpha_set_verify_interval_is_exactly_one_dimensional():
     # |[x-r, x+r] cap K_delta| <= 2r for every ball, so at alpha = 1 the
     # normalized ratio sits near 2 (plus a little raster slop at r ~ delta)
@@ -115,3 +104,125 @@ def test_alpha_set_verify_flags_wrong_exponent():
     G = rasterize(u, Fraction(1, 256), Fraction(1, 512), alpha=0.5)
     rep = alpha_set_verify(G, 0.5, 1500, seed=2)
     assert rep.sup_ratio > 8.0
+
+
+# ---- batched ball counts against the per-sample reference ------------------
+
+
+def _ball_cell_count_reference(G, x, r):
+    """Per-sample ball count of the earlier release, kept as the oracle."""
+    cell = float(G.cell)
+    prefixes = []
+    first_centers = []
+    for ax in range(G.d):
+        mask = G.axis_masks[ax]
+        prefixes.append(np.concatenate([[0], np.cumsum(mask)]))
+        first_centers.append(float(G.origin[ax]) + 0.5 * cell)
+
+    def axis_count(ax, center, halfwidth):
+        lo = np.ceil((center - halfwidth - first_centers[ax]) / cell).astype(np.int64)
+        hi = np.floor((center + halfwidth - first_centers[ax]) / cell).astype(np.int64)
+        n = len(G.axis_masks[ax])
+        lo = np.clip(lo, 0, n)
+        hi = np.clip(hi + 1, 0, n)
+        return prefixes[ax][np.maximum(hi, lo)] - prefixes[ax][lo]
+
+    if G.d == 1:
+        return int(axis_count(0, x[0], np.array(r)))
+    last = G.d - 1
+    centers_last = G.axis_centers(last)
+    sel = np.nonzero(G.axis_masks[last] & (np.abs(centers_last - x[last]) <= r))[0]
+    if G.d == 2:
+        dy = centers_last[sel] - x[1]
+        hw = np.sqrt(np.maximum(0.0, r * r - dy * dy))
+        return int(axis_count(0, x[0], hw).sum())
+    centers_mid = G.axis_centers(1)
+    sel_mid = np.nonzero(G.axis_masks[1] & (np.abs(centers_mid - x[1]) <= r))[0]
+    if sel.size == 0 or sel_mid.size == 0:
+        return 0
+    dy = (centers_mid[sel_mid] - x[1])[:, None]
+    dz = (centers_last[sel] - x[2])[None, :]
+    hw2 = r * r - dy * dy - dz * dz
+    ok = hw2 > 0
+    if not ok.any():
+        return 0
+    return int(axis_count(0, x[0], np.sqrt(hw2[ok])).sum())
+
+
+def _alpha_set_verify_reference(G, alpha, sample_count, seed=0):
+    """The earlier release's per-sample loop over the same draws."""
+    occ_idx = [np.nonzero(m)[0] for m in G.axis_masks]
+    delta, cell = float(G.delta), float(G.cell)
+    spans = [len(m) * cell for m in G.axis_masks]
+    diameter = max(math.sqrt(sum(s * s for s in spans)), 2 * delta)
+    rng = np.random.default_rng(seed)
+    sup_ratio, worst = -1.0, (np.zeros(G.d), delta)
+    radii = np.exp(rng.uniform(math.log(delta), math.log(diameter), sample_count))
+    center_idx = np.stack(
+        [idx[rng.integers(0, idx.size, sample_count)] for idx in occ_idx], axis=1
+    )
+    for s in range(sample_count):
+        x = np.array(
+            [float(G.origin[ax]) + (center_idx[s, ax] + 0.5) * cell for ax in range(G.d)]
+        )
+        r = float(radii[s])
+        measure = _ball_cell_count_reference(G, x, r) * cell**G.d
+        ratio = measure / ((r / delta) ** alpha * delta**G.d)
+        if ratio > sup_ratio:
+            sup_ratio, worst = ratio, (x, r)
+    return AlphaSetReport(
+        sup_ratio=float(sup_ratio),
+        samples_tested=sample_count,
+        worst_x=tuple(float(v) for v in worst[0]),
+        worst_r=float(worst[1]),
+    )
+
+
+_ORACLE_GRIDS = [
+    # (axes as (p, q, stage) or None for [0, 1], delta exponent, cell divisor)
+    ([(1, 2, 5)], 10, 2),
+    ([(2, 3, 3)], 9, 3),
+    ([None], 8, 4),
+    ([(1, 2, 3), (1, 3, 2)], 7, 2),
+    ([(2, 3, 2), None], 6, 3),
+    ([(1, 2, 2), (1, 2, 2), (2, 3, 2)], 5, 2),
+    ([None, (1, 3, 2), (1, 2, 1)], 4, 3),
+]
+
+
+def _oracle_grid(axes, k, div):
+    sets = [
+        IntervalUnion.single(0, 1) if ax is None else cantor_stage(CantorSpec(*ax[:2]), ax[2])
+        for ax in axes
+    ]
+    delta = Fraction(1, 2**k)
+    return rasterize(sets, delta, delta / div, alpha=1.0)
+
+
+@pytest.mark.parametrize("axes,k,div", _ORACLE_GRIDS)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_alpha_set_verify_matches_per_sample_reference(axes, k, div, seed):
+    G = _oracle_grid(axes, k, div)
+    for alpha in (0.5, 2 / 3, 1.7):
+        got = alpha_set_verify(G, alpha, 400, seed=seed)
+        assert got == _alpha_set_verify_reference(G, alpha, 400, seed=seed)
+
+
+@pytest.mark.parametrize("axes,k,div", _ORACLE_GRIDS)
+def test_ball_counts_match_reference_past_the_grid_edge(axes, k, div):
+    # centers on and off the support, radii from below one cell to several
+    # grid diameters, so that balls reach past every edge of the grid
+    G = _oracle_grid(axes, k, div)
+    rng = np.random.default_rng(k)
+    lo = np.array([float(o) for o in G.origin])
+    span = np.array(G.dims) * float(G.cell)
+    x = rng.uniform(lo - span, lo + 2 * span, size=(300, G.d))
+    x[:100] = np.stack(
+        [G.axis_centers(ax)[rng.integers(0, G.dims[ax], 100)] for ax in range(G.d)], axis=1
+    )
+    r = np.exp(rng.uniform(math.log(float(G.cell) / 3), math.log(4 * span.max()), 300))
+    # radii of whole and half cells put cell centers exactly on the sphere
+    r[::3] = rng.integers(1, 2 * max(G.dims), 100) * (float(G.cell) / 2)
+    got = _ball_cell_counts(G, x, r)
+    want = [_ball_cell_count_reference(G, x[s], float(r[s])) for s in range(300)]
+    assert got.tolist() == want

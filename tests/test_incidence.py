@@ -221,3 +221,53 @@ def test_census_requires_finite_alpha():
     G = rasterize([A, A], Fraction(1, 64), Fraction(1, 256))  # alpha defaults to nan
     with pytest.raises(ValueError):
         incidence_census(G, lam=1e-4)
+
+
+def _census_dict_oracle(census, d):
+    """Tuple count and largest projection fiber of the census, recounted
+    with a dict of index tuples over the census's own net and centers."""
+    J, delta = census.j_points, census.delta
+    thr2 = census.separation_threshold**2
+    total, fibers = 0, {}
+    for ctr in census.centers:
+        dist = np.linalg.norm(J - ctr, axis=1)
+        sel = np.flatnonzero((dist >= 1.0 - 3 * delta) & (dist <= 1.0 + 3 * delta))
+        diff = J[sel][:, None, :] - J[sel][None, :, :]
+        far = (diff * diff).sum(axis=-1) >= thr2
+        np.fill_diagonal(far, False)
+        m = sel.size
+        for i in range(m):
+            for j in range(i + 1, m):
+                if not far[i, j]:
+                    continue
+                if d == 2:
+                    tuples = [(sel[i], sel[j])]
+                else:
+                    tuples = [
+                        (sel[i], sel[j], sel[k])
+                        for k in range(j + 1, m)
+                        if far[i, k] and far[j, k]
+                    ]
+                for key in tuples:
+                    fibers[key] = fibers.get(key, 0) + 1
+                total += len(tuples) * (2 if d == 2 else 6)
+    return total, max(fibers.values(), default=0)
+
+
+@pytest.mark.parametrize(
+    "axes,k,c",
+    [
+        ([(1, 2, 3), (1, 2, 3)], 5, 0.1),
+        ([(2, 3, 3), (1, 3, 3)], 5, 0.05),
+        ([(1, 3, 3), (1, 3, 3), (1, 3, 3)], 3, 0.08),
+        ([(1, 3, 3), (1, 3, 2), (1, 3, 3)], 3, 0.09),
+    ],
+)
+def test_census_tuples_and_fibers_match_dict_oracle(axes, k, c):
+    delta = Fraction(1, 2**k)
+    sets = [cantor_stage(CantorSpec(p, q), s) for p, q, s in axes]
+    G = rasterize(sets, delta, delta / 2, alpha=sum(p / q for p, q, _ in axes))
+    census = incidence_census(G, section_histogram(G).top_threshold(), c=c)
+    assert census.tuple_count > 0
+    want = _census_dict_oracle(census, G.d)
+    assert (census.tuple_count, census.max_projection_fiber) == want

@@ -18,6 +18,7 @@ from unitdist.intervals import IntervalUnion, dyadic
 from unitdist.measure import (
     Correlogram,
     _PairCum,
+    _band_cell_pairs,
     _common_denominator,
     _difference_atoms,
     _lattice_blocks,
@@ -301,3 +302,57 @@ def test_dense_and_atoms_agree_within_their_errors(case):
     atoms = pair_band_measure_product(F, B, delta, width_multiplier=w, method="atoms")
     tol = dense.quadrature_error + atoms.quadrature_error
     assert abs(dense.value - atoms.value) <= tol
+
+
+# ---- grid bracket: ring counts against brute-force pair enumeration -------
+
+@st.composite
+def _masks_and_rings(draw):
+    """1-3 small random axis masks and a ring whose squared radii, in cell
+    units, are perfect squares (pairs on the boundary) or half-integers."""
+    d = draw(st.integers(1, 3))
+    n_max = (24, 14, 9)[d - 1]
+    masks = tuple(
+        np.array(draw(st.lists(st.booleans(), min_size=1, max_size=n_max)))
+        for _ in range(d)
+    )
+    top = d * (n_max - 1) ** 2 + 2
+
+    def radius_sq():
+        m = draw(st.integers(0, math.isqrt(top)))
+        if draw(st.booleans()):
+            return m, m * m
+        a = m * m + draw(st.integers(0, 2 * m))
+        return math.sqrt(a + 0.5), a + 0.5
+
+    (lo, t_lo), (hi, t_hi) = radius_sq(), radius_sq()
+    cell = draw(st.sampled_from([1.0, 0.125, 1 / 64]))
+    return masks, cell, lo * cell, hi * cell, t_lo, t_hi
+
+
+def _ring_pairs_brute(masks, t_lo, t_hi):
+    """Over all ordered pairs of occupied cells: the closed-ring count, the
+    open-ring mask and the last-axis index offset."""
+    idx = np.stack(
+        np.meshgrid(*[np.flatnonzero(m) for m in masks], indexing="ij"), axis=-1
+    ).reshape(-1, len(masks))
+    diff = idx[:, None, :] - idx[None, :, :]
+    k2 = (diff * diff).sum(axis=-1)
+    closed = (k2 >= t_lo) & (k2 <= t_hi)
+    open_ = (k2 > t_lo) & (k2 < t_hi)
+    return int(closed.sum()), open_, diff[..., -1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_masks_and_rings())
+def test_band_cell_pairs_match_brute_force(case):
+    masks, cell, lo, hi, t_lo, t_hi = case
+    closed, open_, last = _ring_pairs_brute(masks, t_lo, t_hi)
+    # the outer bracket counts the closed ring exactly
+    assert _band_cell_pairs(masks, cell, lo, hi, round_out=True) == closed
+    # The inner bracket counts the open ring, minus the pairs that share
+    # their last-axis cell: the narrowing guard starts every |z| range at 1
+    # once the other axes alone reach past the inner radius. That keeps it
+    # a lower bound, but not a tight one.
+    inner = _band_cell_pairs(masks, cell, lo, hi, round_out=False)
+    assert inner == int((open_ & (last != 0)).sum()) <= int(open_.sum())
