@@ -71,43 +71,6 @@ class PointSet:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def validate_distinct(self) -> None:
-        """Pairwise-distinctness invariant (distance > eps). O(n^2)."""
-        pts = self.points
-        for i0 in range(0, self.n, _CHUNK):
-            blk = pts[i0 : i0 + _CHUNK]
-            d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-            rows, cols = np.nonzero(d2 <= self.eps * self.eps)
-            for r, c in zip(rows, cols):
-                if i0 + r != c:
-                    raise ValueError(
-                        f"points {i0 + r} and {c} coincide within eps={self.eps:g}"
-                    )
-
-    # -- plain-text serialization (bit-exact round-trip) --------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.d} {self.n} {self.eps:.17g}"]
-        for row in self.points:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, label: str = "") -> "PointSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty point-set file")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError("header must be 'd n eps'")
-        d, n, eps = int(head[0]), int(head[1]), float(head[2])
-        if len(lines) - 1 != n:
-            raise ValueError(f"header promises {n} points, file has {len(lines) - 1}")
-        pts = np.array(
-            [[float(tok) for tok in ln.split()] for ln in lines[1:]], dtype=np.float64
-        ).reshape(n, d)
-        return cls(points=pts, eps=eps, label=label)
-
 
 def _band_limits(eps: float) -> tuple[float, float]:
     lo = max(0.0, 1.0 - eps)

@@ -22,11 +22,35 @@ import numpy as np
 
 from .intervals import IntervalUnion
 
-__all__ = ["GridIndicator", "rasterize", "AlphaSetReport", "alpha_set_verify"]
+__all__ = [
+    "GridIndicator",
+    "rasterize",
+    "AlphaSetReport",
+    "alpha_set_verify",
+    "fft_length",
+]
 
 OCCUPANCY_CAP = 10**8
 DENSE_CAP = 1 << 26
 _BALL_BLOCK = 1 << 16  # (sample, row[, plane]) expansions evaluated at once
+
+
+def fft_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m: a transform length that NumPy's FFT runs
+    about as fast as a power of two, without doubling a length that only
+    just passes one."""
+    if m < 1:
+        raise ValueError("transform length must be positive")
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to m or beyond
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _frac(x) -> Fraction:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridIndicator
+from .grids import GridIndicator, fft_length
 
 __all__ = [
     "AnnulusOverlap",
@@ -139,9 +139,7 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
 def _fft_convolve_same(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve with a centered kernel, same output shape as mask."""
     pads = [(k - 1) // 2 for k in kernel.shape]
-    shape = [
-        1 << (n + k - 1).bit_length() for n, k in zip(mask.shape, kernel.shape)
-    ]
+    shape = [fft_length(n + k - 1) for n, k in zip(mask.shape, kernel.shape)]
     axes = tuple(range(mask.ndim))
     fa = np.fft.rfftn(mask, shape, axes=axes)
     fk = np.fft.rfftn(kernel, shape, axes=axes)

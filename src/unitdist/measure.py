@@ -7,7 +7,9 @@ Three independent computations of the same quantity live here on purpose:
 * `pair_band_measure_grid` counts rasterized cell pairs and returns a
   certified [inner, outer] bracket (slack +-sqrt(d)*cell on the band);
 * `pair_band_measure_product` ("dense") integrates the exact formula
-  |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice;
+  |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice.
+  The lattice correlograms are exact: FFT overlap counts after certified
+  rounding to integers;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
   delta = 2^-26. Both autocorrelations are exact piecewise-linear functions
@@ -23,14 +25,13 @@ They cross-check each other in the test-suite; none is derived from another.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .intervals import IntervalUnion, float_quotients
-from .grids import GridIndicator
+from .grids import GridIndicator, fft_length
 
 __all__ = [
     "Correlogram",
@@ -147,16 +148,6 @@ class Correlogram:
         h = self.sample_spacing
         return 2.0 * h * (self.values.sum() - 0.5 * self.values[0])
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<dQ", self.sample_spacing, self.values.size)
-        return head + self.values.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Correlogram":
-        spacing, n = struct.unpack_from("<dQ", blob, 0)
-        vals = np.frombuffer(blob, dtype="<f8", count=n, offset=16).copy()
-        return cls(sample_spacing=spacing, values=vals, total_mass=float(vals[0]))
-
 
 _EXACT_BLOCK_CAP = 64
 
@@ -164,10 +155,14 @@ _EXACT_BLOCK_CAP = 64
 def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlogram:
     """Correlogram of an interval union.
 
-    The fast path samples per-cell coverage exactly and squares the FFT; it
-    reproduces corr on the lattice exactly whenever the endpoints lie on the
-    spacing lattice (our constructions always do), and within
-    2*spacing*|A| otherwise. The reference path evaluates the block-pair
+    The fast path samples per-cell coverage exactly and squares its FFT.
+    When every endpoint lies on the spacing lattice (our constructions and
+    every CLI path), each cell is empty or full and the FFT returns whole-cell
+    overlap counts plus float noise. These are rounded to integers, certified
+    (each within 0.25 of its integer, else FloatingPointError) and scaled by
+    the spacing, so the lattice correlogram is exact and does not depend on
+    the transform length. Other coverage keeps the unrounded FFT, within
+    2*spacing*|A| of corr. The reference path evaluates the block-pair
     trapezoids directly and is capped at 64 blocks.
     """
     spacing_q = _frac(spacing)
@@ -206,23 +201,43 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    cov = _coverage(A, spacing_q)
-    n = cov.size
-    size = 1 << (2 * n - 1).bit_length()
-    spec = np.fft.rfft(cov, size)
-    corr = np.fft.irfft(spec * np.conj(spec), size)[:n] * h
-    corr = np.maximum(corr, 0.0)
-    corr[0] = mass  # exact by construction for lattice-aligned coverage
+    covered, step = _coverage(A, spacing_q)
+    full = covered == step
+    if np.all(full | (covered == 0)):
+        # lattice-aligned: the raw correlation counts whole overlapping cells
+        corr = _certified_counts(_fft_autocorrelation(full.astype(np.float64))) * h
+    else:
+        corr = _fft_autocorrelation(float_quotients(covered, step)) * h
+        corr = np.maximum(corr, 0.0)
+        corr[0] = mass
     return Correlogram(sample_spacing=h, values=corr, total_mass=mass)
 
 
-def _coverage(A: IntervalUnion, spacing: Fraction) -> np.ndarray:
-    """Per-cell coverage fractions of A on the spacing lattice, each the
-    exactly rounded quotient of the covered length by the spacing.
+def _fft_autocorrelation(x: np.ndarray) -> np.ndarray:
+    """raw[k] = sum_i x[i] x[i + k] for 0 <= k < x.size, from one real FFT
+    pair long enough that no lag wraps around."""
+    n = x.size
+    size = fft_length(2 * n - 1)
+    spec = np.fft.rfft(x, size)
+    return np.fft.irfft(spec * np.conj(spec), size)[:n]
+
+
+def _certified_counts(raw: np.ndarray) -> np.ndarray:
+    """FFT pair counts rounded to int64. Raises if any value lies 0.25 or
+    more from its integer, so rounding never hides a wrong count."""
+    counts = np.rint(raw)
+    if np.any(np.abs(raw - counts) >= 0.25):
+        raise FloatingPointError("FFT pair counts are not within 0.25 of integers")
+    return counts.astype(np.int64)
+
+
+def _coverage(A: IntervalUnion, spacing: Fraction) -> tuple[np.ndarray, int]:
+    """Per-cell covered lengths of A on the spacing lattice, as exact
+    integers in 1/den units, and the spacing in the same units.
 
     Cells run from the lattice point at or below A's start. A cell strictly
     inside one interval is covered whole; the covered parts of the cells
-    holding an endpoint are summed as exact integers first.
+    holding an endpoint are summed as exact integers.
     """
     den = math.lcm(A.den, spacing.denominator)
     lo, hi = A.numerators(den)
@@ -241,7 +256,7 @@ def _coverage(A: IntervalUnion, spacing: Fraction) -> np.ndarray:
     np.add.at(covered, first[one], hi[one] - lo[one])
     np.add.at(covered, first[many], (first[many] + 1) * step - lo[many])
     np.add.at(covered, stop[many] - 1, hi[many] - (stop[many] - 1) * step)
-    return float_quotients(covered, step)
+    return covered, step
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +276,9 @@ _RING_BLOCK = 1 << 15  # (kx, ky) offsets per last-axis ring evaluation
 
 def _axis_pair_counts(mask: np.ndarray) -> np.ndarray:
     """counts[k] = number of index pairs (i, i+k) both occupied, k >= 0."""
-    n = mask.size
-    if n == 0:
+    if mask.size == 0:
         return np.zeros(1, dtype=np.int64)
-    size = 1 << (2 * n - 1).bit_length()
-    spec = np.fft.rfft(mask.astype(np.float64), size)
-    corr = np.fft.irfft(spec * np.conj(spec), size)[:n]
-    return np.rint(corr).astype(np.int64)
+    return _certified_counts(_fft_autocorrelation(mask.astype(np.float64)))
 
 
 def _ring_limits(

@@ -11,7 +11,6 @@ through per-axis spectra (separability); nothing here needs a 2-D FFT.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,33 +111,6 @@ class SpectrumGrid:
         s = self.spectral_norm_sq()
         denom = max(self.norm_sq, s, 1e-300)
         return abs(s - self.norm_sq) / denom
-
-    def to_bytes(self) -> bytes:
-        header = (
-            f"spectrum spacing={self.sample_spacing!r} length={self.length} "
-            f"delta={self.delta!r} alpha={self.alpha!r} norm_sq={self.norm_sq!r}\n"
-        ).encode()
-        return header + self.values.astype("<c16").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SpectrumGrid":
-        nl = blob.index(b"\n")
-        header = blob[:nl].decode()
-        m = re.fullmatch(
-            r"spectrum spacing=(\S+) length=(\d+) delta=(\S+) alpha=(\S+) norm_sq=(\S+)",
-            header,
-        )
-        if not m:
-            raise ValueError("malformed spectrum header")
-        vals = np.frombuffer(blob[nl + 1 :], dtype="<c16").copy()
-        return cls(
-            sample_spacing=float(m.group(1)),
-            length=int(m.group(2)),
-            values=vals,
-            delta=float(m.group(3)),
-            alpha=float(m.group(4)),
-            norm_sq=float(m.group(5)),
-        )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from unitdist.cantor import CantorSpec, cantor_stage
-from unitdist.grids import AlphaSetReport, _ball_cell_counts, alpha_set_verify, rasterize
+from unitdist.grids import (
+    AlphaSetReport,
+    _ball_cell_counts,
+    alpha_set_verify,
+    fft_length,
+    rasterize,
+)
 from unitdist.intervals import IntervalUnion
 
 
@@ -226,3 +232,29 @@ def test_ball_counts_match_reference_past_the_grid_edge(axes, k, div):
     got = _ball_cell_counts(G, x, r)
     want = [_ball_cell_count_reference(G, x[s], float(r[s])) for s in range(300)]
     assert got.tolist() == want
+
+
+# ---- transform lengths -----------------------------------------------------
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_length_is_the_least_5_smooth_bound():
+    smooth = [n for n in range(1, 6001) if _is_5_smooth(n)]
+    at = 0
+    for m in range(1, 5001):
+        while smooth[at] < m:
+            at += 1
+        assert fft_length(m) == smooth[at], m
+
+
+def test_fft_length_just_past_a_power_of_two():
+    assert fft_length((1 << 20) + 15) == 1_049_760 == 2**5 * 3**8 * 5
+    assert fft_length((1 << 19) + 15) == 524_880
+    assert fft_length(1 << 20) == 1 << 20
+    with pytest.raises(ValueError):
+        fft_length(0)

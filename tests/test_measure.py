@@ -15,10 +15,12 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
 from unitdist.intervals import IntervalUnion, dyadic
+import unitdist.measure
 from unitdist.measure import (
     Correlogram,
     _PairCum,
     _band_cell_pairs,
+    _certified_counts,
     _common_denominator,
     _difference_atoms,
     _lattice_blocks,
@@ -109,13 +111,66 @@ def test_autocorrelation_spacing_guard():
         autocorrelation(A, Fraction(1, 64))  # spacing must resolve the blocks
 
 
-def test_correlogram_round_trip():
-    A = cantor_stage(CantorSpec(1, 3), 2)
-    c = autocorrelation(A, Fraction(1, 1024), method="fft")
-    again = Correlogram.from_bytes(c.to_bytes())
-    assert again.sample_spacing == c.sample_spacing
-    assert again.total_mass == c.total_mass
-    np.testing.assert_array_equal(again.values, c.values)
+@st.composite
+def _aligned_unions(draw):
+    """A few disjoint intervals on a 1/L lattice and a spacing 1/(L 2^j)
+    that resolves them, so every sample cell is empty or full."""
+    L = draw(st.sampled_from([1, 3, 4, 6, 12, 40]))
+    ends = sorted(draw(st.lists(st.integers(-60, 60), min_size=2, max_size=14, unique=True)))
+    if len(ends) % 2:
+        ends = ends[:-1]
+    pairs = [(Fraction(a, L), Fraction(b, L)) for a, b in zip(ends[::2], ends[1::2])]
+    spacing = Fraction(1, L * 2 ** draw(st.integers(1, 4)))
+    return IntervalUnion.from_pairs(pairs), spacing
+
+
+def _lattice_overlaps(A, spacing):
+    """int64 overlap counts of A's 0/1 cell coverage at lags 0, 1, ...,
+    by direct correlation."""
+    cells = [(a / spacing, b / spacing) for a, b in A.intervals]
+    origin = math.floor(cells[0][0])
+    cov = np.zeros(math.ceil(cells[-1][1]) - origin, dtype=np.int64)
+    for a, b in cells:
+        cov[int(a) - origin : int(b) - origin] = 1
+    return np.correlate(cov, cov, "full")[cov.size - 1 :]
+
+
+def _power_of_two_length(m):
+    return 1 << m.bit_length()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_aligned_unions())
+def test_lattice_correlogram_is_exact_for_any_transform_length(case):
+    A, spacing = case
+    got = autocorrelation(A, spacing, method="fft").values
+    h = float(spacing)
+    np.testing.assert_array_equal(got, h * _lattice_overlaps(A, spacing))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unitdist.measure, "fft_length", _power_of_two_length)
+        again = autocorrelation(A, spacing, method="fft").values
+    np.testing.assert_array_equal(again, got)
+
+
+def test_unaligned_correlogram_within_documented_error():
+    # endpoints at thirds and sevenths sit off the 1/256 sample lattice
+    A = IntervalUnion.from_pairs(
+        [(0, Fraction(1, 3)), (Fraction(3, 7), Fraction(2, 3)), (Fraction(5, 7), 1)]
+    )
+    h = Fraction(1, 256)
+    fft = autocorrelation(A, h, method="fft").values
+    exact = autocorrelation(A, h, method="exact").values
+    n = min(fft.size, exact.size)
+    gap = np.abs(fft[:n] - exact[:n]).max()
+    assert 0 < gap <= 2 * float(h) * float(A.total_length)
+
+
+def test_certified_counts_refuse_far_from_integer_values():
+    np.testing.assert_array_equal(
+        _certified_counts(np.array([3.0 - 1e-9, 0.24, -0.1])), [3, 0, 0]
+    )
+    with pytest.raises(FloatingPointError):
+        _certified_counts(np.array([1.0, 2.25]))
 
 
 def test_correlogram_rejects_negative_values():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import unitdist.measure
 from unitdist.scaling import (
     Bound,
     BoundTable,
@@ -136,6 +137,16 @@ def test_grid_sweep_bracket_contains_value():
     for s in series.samples:
         assert s.low <= s.value <= s.high
         assert s.low > 0
+
+
+def test_dense_product_sweep_independent_of_transform_length(monkeypatch):
+    # the dense route rounds its lattice correlograms to exact overlap
+    # counts, so power-of-two and 5-smooth transforms give the same bits
+    axes = [CantorAxis(1, 2, shift=1), CantorAxis(1, 2)]
+    deltas = [Fraction(1, 2**k) for k in range(6, 17)]
+    want = sweep(axes, deltas, method="product")
+    monkeypatch.setattr(unitdist.measure, "fft_length", lambda m: 1 << m.bit_length())
+    assert sweep(axes, deltas, method="product") == want
 
 
 def test_product_sweep_matches_grid_window():

@@ -12,7 +12,6 @@ from unitdist.intervals import IntervalUnion
 from unitdist.spectral import (
     MollifierSpec,
     ProductSpectrum,
-    SpectrumGrid,
     ball_convolution_l2,
     mollify_transform,
     weighted_energy,
@@ -67,17 +66,6 @@ def test_parseval_identity_within_tolerance():
     S = mollify_transform(_line_grid(A, delta, alpha=0.5))
     # stored time-domain norm equals the weighted spectral norm
     assert S.spectral_norm_sq() == pytest.approx(S.norm_sq, rel=1e-6)
-
-
-def test_spectrum_serialization_round_trip():
-    delta = Fraction(1, 128)
-    S = mollify_transform(_line_grid(IntervalUnion.single(0, Fraction(1, 2)), delta))
-    again = SpectrumGrid.from_bytes(S.to_bytes())
-    assert again.sample_spacing == S.sample_spacing
-    assert again.length == S.length
-    assert again.delta == S.delta
-    assert again.norm_sq == S.norm_sq
-    np.testing.assert_array_equal(again.values, S.values)
 
 
 def test_product_transform_returns_axis_pair():
