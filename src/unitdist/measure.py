@@ -15,10 +15,13 @@ Three independent computations of the same quantity live here on purpose:
   delta = 2^-26. Both autocorrelations are exact piecewise-linear functions
   with integer breakpoints on the quarter-unit lattice (slope jumps summed
   in int64); the vertical band mass W(s) = 2 (G(u+) - G(u-)) comes from the
-  exactly piecewise-quadratic G = int_0 corrB, one sorted lookup and a
-  local quadratic per node. corrF and W are even in s, so composite Simpson
-  runs over s >= 0 only, on ascending nodes with each shared node evaluated
-  once.
+  exactly piecewise-quadratic G = int_0 corrB. corrF and W are even in s,
+  so only s >= 0 is integrated. The s-line is cut wherever corrF or G
+  changes segment, which leaves pieces on which the integrand is analytic;
+  each piece gets a 4-point Gauss-Legendre rule with an a priori truncation
+  bound from its Bernstein ellipse, and a forward rounding bound. Its
+  quadrature error is therefore a certified bound, while the dense route's
+  |I_h - I_2h| is an estimate.
 
 They cross-check each other in the test-suite; none is derived from another.
 """
@@ -287,11 +290,15 @@ def _ring_limits(
     """Integer ranges [lo_k, hi_k] with t_lo <= k_sq + y^2 <= t_hi.
 
     round_out widens the range by the float guard (outer bracket); otherwise
-    the guard narrows it (inner bracket stays certified).
+    the guard narrows it (inner bracket stays certified). Where k_sq alone
+    exceeds t_lo by more than the guard, y = 0 is inside, so the narrowed
+    range starts at 0 too.
     """
     eps = 1e-9
     g = eps if round_out else -eps
     lo = np.ceil(np.sqrt(np.maximum(0.0, t_lo - k_sq)) - g).astype(np.int64)
+    if not round_out:
+        lo[k_sq > t_lo + eps] = 0
     hi_arg = t_hi - k_sq
     hi = np.floor(np.sqrt(np.maximum(0.0, hi_arg)) + g).astype(np.int64)
     hi[hi_arg < 0] = -1
@@ -462,12 +469,16 @@ def _lattice_blocks(U: IntervalUnion, den: int) -> tuple[np.ndarray, np.ndarray]
 def _merge_counts(
     vals: np.ndarray, cnts: np.ndarray, new_vals: np.ndarray, new_cnts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Union of two sorted unique value lists, multiplicities summed. The
+    stable sort sees two sorted runs and merges them in one pass."""
     allv = np.concatenate([vals, new_vals])
-    allc = np.concatenate([cnts, new_cnts])
-    u, inv = np.unique(allv, return_inverse=True)
-    out = np.zeros(u.size, dtype=np.int64)
-    np.add.at(out, inv, allc)
-    return u, out
+    order = np.argsort(allv, kind="stable")
+    allv = allv[order]
+    first = np.flatnonzero(np.concatenate([[True], allv[1:] != allv[:-1]]))
+    return allv[first], np.add.reduceat(np.concatenate([cnts, new_cnts])[order], first)
+
+
+_DIFF_BLOCK = 1 << 22  # center differences formed at once
 
 
 def _difference_atoms(
@@ -476,7 +487,11 @@ def _difference_atoms(
     """Deduplicated signed center differences per ordered length-class pair.
 
     Returns (values, multiplicities, len_a, len_b) tuples; values are exact
-    integers on the shared lattice.
+    integers on the shared lattice. The differences are formed in blocks of
+    whole rows, at most _DIFF_BLOCK where a row fits, and the blocks'
+    (values, counts) are merged in a balanced pairwise tree: a stack holds
+    the merges of 1, 2, 4, ... blocks, so each value is merged about
+    log2(blocks) times.
     """
     out = []
     classes = np.unique(lengths)
@@ -484,13 +499,21 @@ def _difference_atoms(
         ca = centers[lengths == la]
         for lb in classes:
             cb = centers[lengths == lb]
-            vals = np.empty(0, dtype=np.int64)
-            cnts = np.empty(0, dtype=np.int64)
-            rows = max(1, (1 << 22) // max(cb.size, 1))
+            stack: list[tuple[np.ndarray, np.ndarray, int]] = []
+            rows = max(1, _DIFF_BLOCK // max(cb.size, 1))
             for i0 in range(0, ca.size, rows):
                 diff = (ca[i0 : i0 + rows, None] - cb[None, :]).ravel()
-                v, c = np.unique(diff, return_counts=True)
-                vals, cnts = _merge_counts(vals, cnts, v, c)
+                vals, cnts = np.unique(diff, return_counts=True)
+                blocks = 1
+                while stack and stack[-1][2] == blocks:
+                    v, c, b = stack.pop()
+                    vals, cnts = _merge_counts(v, c, vals, cnts)
+                    blocks += b
+                stack.append((vals, cnts, blocks))
+            vals, cnts, _ = stack.pop()
+            while stack:
+                v, c, _ = stack.pop()
+                vals, cnts = _merge_counts(v, c, vals, cnts)
             out.append((vals, cnts, int(la), int(lb)))
     return out
 
@@ -572,130 +595,331 @@ class _PairCum:
         return self.cum[k] + t * (self.corr[k] + 0.5 * self.slope[k] * t)
 
 
-def _band_w(cum_b: _PairCum, lo: float, hi: float, s: np.ndarray) -> np.ndarray:
-    """W(s) = 2 (G(u+) - G(u-)), u+-(s) = sqrt(hi^2 - s^2), sqrt(lo^2 - s^2)
-    clipped at 0. u+- fall as s rises, so ascending s reaches the lookups as
-    ascending queries; G(0) = 0 spares the second lookup for s >= lo."""
-    u_hi = np.sqrt(np.maximum(0.0, hi * hi - s * s))[::-1]
-    u_lo = np.sqrt(np.maximum(0.0, lo * lo - s * s))[::-1]
-    w = cum_b(u_hi)
-    inner = u_lo > 0.0
-    w[inner] -= cum_b(u_lo[inner])
-    return 2.0 * w[::-1]
+# Gauss-Legendre rule with four nodes on [-1, 1]: the roots of P_4, with
+# weights 2 / ((1 - x^2) P_4'(x)^2). It is exact up to degree 7.
+_GL_NODES = np.array(
+    [-0.861136311594052575224, -0.339981043584856264803,
+     0.339981043584856264803, 0.861136311594052575224]
+)
+_GL_WEIGHTS = np.array(
+    [0.347854845137453857373, 0.652145154862546142627,
+     0.652145154862546142627, 0.347854845137453857373]
+)
+_UNIT = 2.0**-53  # unit roundoff of binary64
+_PIECE_TOL = 1e-10  # a piece's truncation bound, relative to its sum
+_MAX_SPLITS = 12  # bisections per piece; past them the bound stands as it is
+_WINDOW = 1 << 14  # corrF breakpoints per window of the s-line
 
 
-_W9 = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0])
-_W5 = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
-_SINGULAR_ROWS = 1 << 16
-_PLAIN_NODES = 1 << 19
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+@dataclass(frozen=True)
+class _BandIntegrand:
+    """f(s) = corrF(s) W(s) on s >= 0, W = 2 (G(u+) - G(u-)) with
+    u+-(s) = sqrt(r^2 - s^2) for the band radii r = hi, lo.
+
+    corrF is its exact breaklist in s units (breakpoints fx, values fv,
+    slopes fs) and G is the B side's _PairCum. On a kink-free piece the F
+    segment and, for each live radius, the G segment are fixed, so f is one
+    closed form there. A piece has its own variable z: s itself (knot 0),
+    or tau with s = knot - tau^2 next to a square-root knot.
+    """
+
+    fx: np.ndarray
+    fv: np.ndarray
+    fs: np.ndarray
+    g: _PairCum
+    lo: float
+    hi: float
+
+
+def _kink_free_pieces(fn: _BandIntegrand):
+    """The live part of [0, hi] cut into pieces on which f is analytic.
+
+    Cuts: corrF's breakpoints, lo and hi, and sqrt(r^2 - x^2) for every G
+    breakpoint x < r, for r = hi, lo (where u+- crosses x). A piece within
+    `zone` below a knot r in {lo, hi}, where u_r has a square-root branch
+    point, is integrated in tau = sqrt(r - s), which makes it analytic; a
+    cut at r - zone bounds that region. The s-line is cut window by window,
+    _WINDOW corrF breakpoints at a time, so memory stays bounded. A rounded
+    sqrt cut can leave a node within a few ulps on the far side of its G
+    breakpoint; G is C^1 there, so its segment's quadratic is off by
+    second order in u, inside the doubled first-order rounding bound.
+    Yields (knot, radii, za, zb, kf, kg): pieces [za, zb] in one variable
+    (knot 0.0 for s), the radii live on them, their F segments and, per
+    radius, their G segments.
+    """
+    lo, hi, g = fn.lo, fn.hi, fn.g
+    knots = (hi, lo) if lo > 0.0 else (hi,)
+    # zone is the largest 4^-k <= 0.49 min(hi - lo, lo): r - zone is exact,
+    # and so is sqrt(r - (r - zone)), so s and tau pieces meet without a gap
+    reach = 0.49 * min(hi - lo, lo) if lo > 0.0 else 0.49 * hi
+    zone = 4.0 ** ((math.frexp(reach)[1] - 1) // 2)
+    end = min(hi, float(fn.fx[-1]))  # corrF vanishes past its last breakpoint
+    x = g.x[g.x > 0.0]
+    kinks = [np.sqrt((r - x[x < r]) * (r + x[x < r]))[::-1] for r in knots]
+    fixed = np.array([*knots, *(r - zone for r in knots)])
+    breaks = fn.fx[fn.fx < end]
+    for i0 in range(0, breaks.size, _WINDOW):
+        s0 = breaks[i0]
+        s1 = breaks[i0 + _WINDOW] if i0 + _WINDOW < breaks.size else end
+        parts = [breaks[i0 : i0 + _WINDOW], [s1], fixed[(fixed > s0) & (fixed < s1)]]
+        for k in kinks:
+            parts.append(k[np.searchsorted(k, s0, "right") : np.searchsorted(k, s1)])
+        cuts = np.unique(np.concatenate(parts))
+        a, b = cuts[:-1], cuts[1:]
+        mid = 0.5 * (a + b)
+        kf = np.searchsorted(fn.fx, mid, "right") - 1
+        live = (fn.fv[kf] != 0.0) | (fn.fs[kf] != 0.0)
+        a, b, mid, kf = a[live], b[live], mid[live], kf[live]
+        knot = np.zeros(a.size)
+        for r in knots:
+            knot[(a >= r - zone) & (b <= r)] = r
+        inner = b <= lo
+        for r in (0.0, *knots):
+            for radii in ((hi, lo), (hi,)):
+                sel = (knot == r) & (inner if len(radii) == 2 else ~inner)
+                if not sel.any():
+                    continue
+                m = mid[sel]
+                kg = tuple(
+                    np.searchsorted(g.x, np.sqrt((q - m) * (q + m)), "right") - 1
+                    for q in radii
+                )
+                if r:
+                    za, zb = np.sqrt(r - b[sel]), np.sqrt(r - a[sel])
+                else:
+                    za, zb = a[sel], b[sel]
+                yield r, radii, za, zb, kf[sel], kg
+
+
+def _evaluate(fn, knot, radii, kf, kg, z, dz):
+    """f at points z of the piece variable, and a bound on its rounding
+    error; kf and kg (one array per radius) are the segments of the pieces
+    the points lie on, and dz bounds the error of each z.
+
+    r^2 - s^2 is formed as (r - s)(r + s), and in tau as
+    ((r - knot) + tau^2)((r + knot) - tau^2), so it never cancels. The
+    error bound is first order in u (Higham, Accuracy and Stability, section
+    3.1): each operation adds u times its result's magnitude, and the errors
+    of s, r^2 - s^2, u and t propagate through the local derivatives.
+    The stored breakpoints, values and slopes are exact integers times
+    the quarter unit, so each is off by at most u. G(u+) - G(u-) cancels:
+    the stored prefix sums G(x_k) come from one sequential cumsum of areas
+    that are each rounded twice, then scaled, so the difference of two of
+    them is off by at most 4u |k+ - k-| G(x_top), and by nothing when both
+    lookups land in one segment.
+    """
+    u0 = _UNIT
+    g = fn.g
+    if knot:
+        zz = z * z
+        s = knot - zz
+    else:
+        s = z
+    x0, v0, sl = fn.fx[kf], fn.fv[kf], fn.fs[kf]
+    lin = sl * (s - x0)
+    corr_f = v0 + lin
+    ds = u0 * (s + 2.0 * zz) + 2.0 * z * dz if knot else dz
+    d_corr = 4.0 * u0 * (np.abs(v0) + np.abs(lin)) + np.abs(sl) * (ds + u0 * x0)
+    w = dw = 0.0
+    for sign, r, k in zip((1.0, -1.0), radii, kg):
+        if knot:
+            d, p = (r - knot) + zz, (r + knot) - zz
+        else:
+            d, p = r - s, r + s
+        q = d * p
+        u = np.sqrt(q)
+        t = u - g.x[k]
+        cb, sb, cum = g.corr[k], g.slope[k], g.cum[k]
+        st = sb * t
+        y = t * (cb + 0.5 * st)
+        gk = cum + y
+        w = w + sign * gk
+        # d + p = 2r; both are positive on a piece
+        if knot:
+            dq = u0 * (3.0 * q + zz * (2.0 * r) + p * (r - knot) + d * (r + knot))
+            dq += 4.0 * r * z * dz
+        else:
+            dq = 3.0 * u0 * q + (2.0 * r) * ds
+        dt = dq / u + u0 * (u + np.abs(t))
+        # fl(cum + y) is off by at most min(u |cum + y|, |y|)
+        dw = dw + (
+            4.0 * u0 * np.abs(t) * (cb + 0.5 * np.abs(st))
+            + np.abs(cb + st) * dt
+            + np.minimum(u0 * np.abs(gk), np.abs(y))
+        )
+    w = 2.0 * w
+    f = corr_f * w
+    if knot:
+        f = f * (2.0 * z)
+    if len(kg) == 2:
+        span, top = np.abs(kg[0] - kg[1]), np.maximum(kg[0], kg[1])
+    else:
+        span, top = kg[0], kg[0]
+    dw = 2.0 * (dw + 4.0 * u0 * span * g.cum[top]) + 2.0 * u0 * np.abs(w)
+    df = np.abs(w) * d_corr + np.abs(corr_f) * dw
+    if knot:
+        df = 2.0 * z * df + np.abs(corr_f * w) * (2.0 * dz)
+    return f, df + 3.0 * u0 * np.abs(f)
+
+
+def _branch_points(knot: float, radii: tuple) -> list[tuple[float, float]]:
+    """Branch points (re, im) of the integrand in the piece variable, up to
+    conjugates: s = +-r in s; in tau (s = knot - tau^2), tau^2 = knot + r
+    and tau^2 = knot - r, which is 0 (removable) for r = knot and negative
+    for the other radius, hi, on pieces below lo."""
+    if not knot:
+        return [(sign * r, 0.0) for r in radii for sign in (1.0, -1.0)]
+    pts = []
+    for r in radii:
+        far = math.sqrt(knot + r)
+        pts += [(far, 0.0), (-far, 0.0)]
+        if r != knot:
+            pts.append((0.0, math.sqrt(r - knot)))
+    return pts
+
+
+def _truncation_bound(fn, knot, radii, kf, kg, c, h):
+    """Truncation bound of the n-point Gauss-Legendre rule (n = 4) on
+    pieces [c - h, c + h] of the piece variable.
+
+    f is analytic inside the Bernstein ellipse E_rho whose rho is set by
+    the nearest branch point, so |GL_n - I| <= h (64/15) M rho^(2-2n) /
+    (rho^2 - 1) with |f - p| <= M on E_rho for any polynomial p of degree
+    < 2n (Trefethen, SIAM Review 50 (2008), Thm 4.5; ATAP Thm 19.3, whose
+    I_n has n + 1 nodes): the Chebyshev coefficients of f - p obey
+    |a_k| <= 2 M rho^-k, the rule is exact up to degree 2n - 1, and it
+    misses an even T_k (k >= 4) by at most 2 + 2/(k^2 - 1) <= 32/15.
+
+    With p = corrF(s(z)) J(z) W(c), M <= sup |corrF J| sup |W(z) - W(c)|
+    over |z - c| <= R = h (rho + 1/rho) / 2, which covers E_rho. |corrF|
+    and |J| grow at most by their slopes times sup |s(z) - s(c)|. Because
+    Re sqrt >= 0, |u(z) - u(c)| <= |s(z)^2 - s(c)^2| / u(c); in tau with
+    r = knot, u = z v(z), v = sqrt(2 knot - z^2), is bounded the same way
+    through v. A quadratic G_k then moves by at most
+    |dt| (|G_k'(t(c))| + |G_k''| |dt| / 2).
+    """
+    rho = np.full(c.shape, np.inf)
+    for re, im in _branch_points(knot, radii):
+        a = (np.hypot(re - c - h, im) + np.hypot(re - c + h, im)) / (2.0 * h)
+        rho = np.minimum(rho, a + np.sqrt((a - 1.0) * (a + 1.0)))
+    rho = np.maximum(rho * (1.0 - 2.0**-30), 1.0)  # stay inside the branch point
+    R = 0.5 * h * (rho + 1.0 / rho)
+    ac = np.abs(c)
+    if knot:
+        s_c = knot - c * c
+        ds = R * (2.0 * ac + R)  # sup |s(z) - s(c)| = sup |z^2 - c^2|
+        jac = 2.0 * (ac + R)
+    else:
+        s_c, ds, jac = c, R, 1.0
+    g = fn.g
+    sl = fn.fs[kf]
+    corr_c = fn.fv[kf] + sl * (s_c - fn.fx[kf])
+    var = np.zeros(c.shape)
+    for r, k in zip(radii, kg):
+        if r == knot:
+            v_c = np.sqrt((r + knot) - c * c)
+            dv = ds / v_c
+            du = R * (v_c + dv) + ac * dv
+            u_c = c * v_c
+        else:
+            if knot:
+                u_c = np.sqrt(((r - knot) + c * c) * ((r + knot) - c * c))
+            else:
+                u_c = np.sqrt((r - c) * (r + c))
+            du = ds * (2.0 * np.abs(s_c) + ds) / u_c
+        cb, sb = g.corr[k], g.slope[k]
+        var += du * (np.abs(cb + sb * (u_c - g.x[k])) + 0.5 * np.abs(sb) * du)
+    m = (np.abs(corr_c) + np.abs(sl) * ds) * jac * 2.0 * var
+    n = _GL_NODES.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        trunc = h * (64.0 / 15.0) * m * rho ** (2.0 - 2.0 * n) / (rho * rho - 1.0)
+    return np.where(m == 0.0, 0.0, trunc)
+
+
+def _gauss_sums(fn, knot, radii, kf, kg, c, h):
+    """Per piece: the Gauss-Legendre sum over [c - h, c + h], a bound on its
+    rounding error, and the sum of |terms|. c and h are the rounded center
+    and half-width of a piece [a, b] with float ends, so the nodes are off
+    those of the exact rule on [a, b] by at most 4u (|c| + h), and h by u.
+    The first-order node bounds are doubled to cover second-order terms."""
+    z = c[:, None] + h[:, None] * _GL_NODES
+    dz = (4.0 * _UNIT) * (np.abs(c) + h)[:, None]
+    f, df = _evaluate(fn, knot, radii, kf[:, None], tuple(k[:, None] for k in kg), z, dz)
+    w = _GL_WEIGHTS
+    return h * (f @ w), 2.0 * h * (df @ w), h * (np.abs(f) @ w)
+
+
+def _integrate_pieces(fn, knot, radii, za, zb, kf, kg):
+    """Gauss-Legendre over pieces [za, zb] of one variable. A piece whose
+    truncation bound exceeds both _PIECE_TOL of its sum and its rounding
+    bound is bisected at its float midpoint, so the halves tile it exactly,
+    at most _MAX_SPLITS times; a piece of zero width adds nothing. Returns
+    (sum, truncation and rounding bound, sum of |terms|, terms)."""
+    total = bound = size = 0.0
+    terms = 0
+    for split in range(_MAX_SPLITS + 1):
+        wide = zb > za
+        za, zb, kf, kg = za[wide], zb[wide], kf[wide], tuple(k[wide] for k in kg)
+        c, h = 0.5 * (za + zb), 0.5 * (zb - za)
+        trunc = _truncation_bound(fn, knot, radii, kf, kg, c, h)
+        est, err, mag = _gauss_sums(fn, knot, radii, kf, kg, c, h)
+        over = trunc > np.maximum(_PIECE_TOL * np.abs(est), err)
+        if split == _MAX_SPLITS:
+            over[:] = False
+        done = ~over
+        total += float(est[done].sum())
+        bound += float(trunc[done].sum() + err[done].sum())
+        size += float(mag[done].sum())
+        terms += int(done.sum()) * _GL_NODES.size
+        if not over.any():
+            break
+        c = c[over]
+        za = np.concatenate([za[over], c])
+        zb = np.concatenate([c, zb[over]])
+        kf = np.tile(kf[over], 2)
+        kg = tuple(np.tile(k[over], 2) for k in kg)
+    return total, bound, size, terms
+
+
+def _band_integrand(
+    F: IntervalUnion, B: IntervalUnion, lo: float, hi: float
+) -> _BandIntegrand:
+    """corrF's exact breaklist and B's pair-mass profile G up to hi."""
+    den = _common_denominator(
+        [F, B], 1 << 40, "endpoint lattice too fine for the atoms path"
+    )
+    quarter = 1.0 / (4 * den)
+    cum_b = _PairCum.from_atoms(_difference_atoms(*_lattice_blocks(B, den)), quarter, hi)
+    pos, slope, value = _trapezoid_breaklist(_difference_atoms(*_lattice_blocks(F, den)))
+    return _BandIntegrand(
+        pos * quarter, value * quarter, slope.astype(np.float64), cum_b, lo, hi
+    )
 
 
 def _atoms_band_integral(
     F: IntervalUnion, B: IntervalUnion, lo: float, hi: float
 ) -> tuple[float, float]:
-    """(value, quadrature error) of int corrF(s) W(s) ds over the s-line."""
-    den = _common_denominator(
-        [F, B], 1 << 40, "endpoint lattice too fine for the atoms path"
-    )
-    quarter = 1.0 / (4 * den)
-    b_atoms = _difference_atoms(*_lattice_blocks(B, den))
-    cum_b = _PairCum.from_atoms(b_atoms, quarter, hi)
-    pos, _, value = _trapezoid_breaklist(_difference_atoms(*_lattice_blocks(F, den)))
+    """(value, error bound) of int corrF(s) W(s) ds over the s-line.
 
-    # value = int corrF(s) W(s) ds over the whole s-line, where corrF is
-    # exactly linear on each segment and W is the band mass of the vertical
-    # factor. Both are even in s, so integrate s >= 0 and double; W vanishes
-    # for s > hi by construction of u+-.
-    s_pts = pos * quarter
-    corr = value * quarter
-    # splice in the band-circle abscissas so no segment straddles a W kink
-    for knot in (lo, hi):
-        k = np.searchsorted(s_pts, knot)
-        if k == 0 or k == s_pts.size or s_pts[k] == knot:
-            continue
-        c_interp = corr[k - 1] + (corr[k] - corr[k - 1]) * (
-            (knot - s_pts[k - 1]) / (s_pts[k] - s_pts[k - 1])
-        )
-        s_pts = np.insert(s_pts, k, knot)
-        corr = np.insert(corr, k, c_interp)
-
-    live = np.flatnonzero(
-        ((corr[:-1] != 0.0) | (corr[1:] != 0.0)) & (s_pts[:-1] < hi)
-    )
-    a, b = s_pts[live], s_pts[live + 1]
-    ca = corr[live]
-    slope = (corr[live + 1] - ca) / (b - a)
-
-    # W(s) has vertical tangents (square-root behaviour) where a band circle
-    # radius vanishes: at s = hi, and at s = lo approached from below.
-    # Fixed-order rules across those points are one-sidedly biased, so a
-    # segment whose right end sits within `zone` below such a knot (the
-    # knot-touching segment always qualifies) is integrated in the
-    # substituted variable tau = sqrt(knot - s), which makes the integrand
-    # smooth.
-    zone = 0.49 * min(hi - lo, lo) if lo > 0.0 else 0.49 * hi
-    total, err = 0.0, 0.0
-    singular = np.zeros(a.size, dtype=bool)
-    for knot in (hi, lo) if lo > 0.0 else (hi,):
-        sel = np.flatnonzero(~singular & (b <= knot) & (b >= knot - zone))
-        singular[sel] = True
-        for i0 in range(0, sel.size, _SINGULAR_ROWS):
-            idx = sel[i0 : i0 + _SINGULAR_ROWS]
-            t_near = np.sqrt(knot - b[idx])
-            step = (np.sqrt(knot - a[idx]) - t_near) / 8.0
-            # nodes run from a to b, so W sees ascending s
-            tau = t_near[:, None] + step[:, None] * np.arange(8.0, -1.0, -1.0)
-            s_nodes = knot - tau * tau
-            f = (
-                (ca[idx][:, None] + slope[idx][:, None] * (s_nodes - a[idx][:, None]))
-                * _band_w(cum_b, lo, hi, s_nodes.ravel()).reshape(s_nodes.shape)
-                * 2.0
-                * tau
-            )
-            s_fine = step / 3.0 * (f @ _W9)
-            s_half = 2.0 * step / 3.0 * (f[:, ::2] @ _W5)
-            total += float(s_fine.sum())
-            err += float(np.abs(s_fine - s_half).sum())
-
-    plain = np.flatnonzero(~singular)
-    a, b, ca, slope = a[plain], b[plain], ca[plain], slope[plain]
-    # W carries structure at the quarter-unit scale, so split long segments
-    # (isolated correlogram bumps) down to that pitch
-    pieces = np.minimum(64, np.maximum(1, np.ceil((b - a) / quarter).astype(np.int64)))
-    frac = (b - a) / pieces
-    # every piece has nodes at both ends and at its midpoint, laid out in
-    # ascending s; a node shared by adjacent pieces or segments is evaluated
-    # once
-    nodes = 2 * pieces + 1
-    node_end = np.cumsum(nodes)
-    i0 = 0
-    while i0 < a.size:
-        budget = node_end[i0] - nodes[i0] + _PLAIN_NODES
-        i1 = max(i0 + 1, int(np.searchsorted(node_end, budget)))
-        n = nodes[i0:i1]
-        first = np.cumsum(n) - n
-        rows = np.repeat(np.arange(n.size), n)
-        r = np.arange(rows.size) - first[rows]
-        sa = a[i0:i1][rows]
-        s = sa + (0.5 * frac[i0:i1])[rows] * r
-        last = first + n - 1
-        s[last] = b[i0:i1]
-        c = ca[i0:i1][rows] + slope[i0:i1][rows] * (s - sa)
-        new = np.concatenate([[True], s[1:] != s[:-1]])
-        f = c * _band_w(cum_b, lo, hi, s[new])[np.cumsum(new) - 1]
-        is_left = r % 2 == 0
-        is_left[last] = False
-        left = np.flatnonzero(is_left)
-        fa, fm, fb = f[left], f[left + 1], f[left + 2]
-        width = frac[i0:i1][rows[left]]
-        s5 = width / 6.0 * (fa + 4.0 * fm + fb)
-        trapez = width / 2.0 * (fa + fb)
-        total += float(s5.sum())
-        err += float(np.abs(s5 - trapez).sum())
-        i0 = i1
-    # the doubled half-line: value 2 * total, and the error (half the summed
-    # rule differences over the whole line) equals the half-line sum
-    return 2.0 * total, err
+    corrF and W are even in s, so the half-line s >= 0 is integrated and
+    doubled; W vanishes for s > hi. The error bound is the sum of the
+    pieces' truncation and rounding bounds plus gamma_N times the sum of
+    the N terms' magnitudes (Higham, section 3.1), with 8 more roundings
+    for each term's weight, h and product, doubled with the value.
+    """
+    fn = _band_integrand(F, B, lo, hi)
+    total = bound = size = 0.0
+    terms = 0
+    for piece in _kink_free_pieces(fn):
+        t, b, s, n = _integrate_pieces(fn, *piece)
+        total, bound, size, terms = total + t, bound + b, size + s, terms + n
+    bound += _gamma(terms + 8) * size
+    return 2.0 * total, 2.0 * bound
 
 
 _DENSE_LATTICE_CAP = 1 << 21
@@ -714,15 +938,18 @@ def pair_band_measure_product(
     m(s) = 2 * int_{u-(s)}^{u+(s)} corrB, u±(s) = sqrt((1 ± w delta)^2 - s^2).
 
     The dense method samples both correlograms on an aligned lattice
-    (spacing <= delta/4) and reports the |I_h - I_2h| quadrature error.
+    (spacing <= delta/4) and reports the |I_h - I_2h| quadrature error, an
+    estimate rather than a bound.
     The atoms method evaluates the same integral from deduplicated block
     differences and scales to delta = 2^-26: m(s) is exact (a piecewise
-    quadratic in u, evaluated locally per segment), and the s-integral runs
-    over s >= 0 by composite Simpson on corrF's exact breakpoints, split to
-    the quarter-unit pitch and substituted tau = sqrt(knot - s) next to the
-    square-root knots s = lo, hi. Its quadrature_error is half the summed
-    |Simpson - trapezoid| (|S_h - S_2h| on substituted segments) over the
-    whole s-line.
+    quadratic in u, evaluated locally per segment). The s-integral over
+    s >= 0 is cut at corrF's breakpoints, at lo and hi, and where u+-(s)
+    crosses a breakpoint of corrB, so the integrand is analytic on every
+    piece; next to the square-root knots s = lo, hi it runs in
+    tau = sqrt(knot - s). Each piece gets a 4-point Gauss-Legendre rule and
+    is bisected until its a priori truncation bound is small. The
+    quadrature_error is a certified bound: the pieces' truncation bounds
+    plus a first-order forward bound on the rounding error.
     """
     if F.is_empty or B.is_empty:
         return ProductBandMeasure(0.0, 0.0, "empty")

@@ -11,19 +11,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
 from unitdist.intervals import IntervalUnion, dyadic
 import unitdist.measure
 from unitdist.measure import (
     Correlogram,
+    _GL_NODES,
     _PairCum,
     _band_cell_pairs,
+    _band_integrand,
     _certified_counts,
     _common_denominator,
     _difference_atoms,
+    _gamma,
+    _gauss_sums,
+    _kink_free_pieces,
     _lattice_blocks,
+    _trapezoid_breaklist,
+    _truncation_bound,
     autocorrelation,
     pair_band_mass,
     pair_band_measure_grid,
@@ -308,6 +315,141 @@ def test_pair_cum_matches_band_mass_oracle(p, q, stage, delta):
     assert 2.0 * cum(np.array([top]))[0] == pytest.approx(mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 100, 1 << 22])
+def test_difference_atoms_merge_blocks_exactly(block):
+    # Three length classes of 32, 8 and 16 intervals. A block of 1 sends one
+    # row per block through the merge tree, 100 sends 3, 12 or 6 rows (11
+    # blocks for the 32-row class), 2^22 sends each class pair at once.
+    # Every count must match np.unique of all differences.
+    B = cantor_stage(CantorSpec(1, 2), 5).union(
+        cantor_stage(CantorSpec(2, 3), 2).shift(Fraction(5, 4))
+    ).union(cantor_stage(CantorSpec(1, 3), 3).shift(Fraction(5, 2)))
+    centers, lengths = _lattice_blocks(B, _common_denominator([B], 1 << 40, "lattice"))
+    np.testing.assert_array_equal(np.unique(lengths, return_counts=True)[1], [32, 8, 16])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unitdist.measure, "_DIFF_BLOCK", block)
+        atoms = _difference_atoms(centers, lengths)
+    for vals, cnts, la, lb in atoms:
+        diff = (centers[lengths == la][:, None] - centers[lengths == lb][None, :]).ravel()
+        want_vals, want_cnts = np.unique(diff, return_counts=True)
+        np.testing.assert_array_equal(vals, want_vals)
+        np.testing.assert_array_equal(cnts, want_cnts)
+
+
+# ---- atoms path: Gauss-Legendre pieces and their error bounds -------------
+
+def _gauss_legendre_ld(n):
+    """n-point Gauss-Legendre nodes and weights in long double: Newton steps
+    on P_n from the double-precision nodes."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(4):
+        p0, p1 = np.ones_like(x), x.copy()
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def _exact_pair_cum(F, B, fn):
+    """G at the breakpoints of fn.g from B's integer breaklist, summed
+    exactly in Python ints and scaled in long double."""
+    den = _common_denominator([F, B], 1 << 40, "lattice")
+    pos, _, value = _trapezoid_breaklist(_difference_atoms(*_lattice_blocks(B, den)))
+    n = fn.g.x.size
+    np.testing.assert_array_equal(pos[:n] * (1.0 / (4 * den)), fn.g.x)
+    pos, value = pos[:n].tolist(), value[:n].tolist()
+    cum = [0]
+    for k in range(n - 1):
+        cum.append(cum[-1] + (value[k] + value[k + 1]) * (pos[k + 1] - pos[k]))
+    quarter = np.longdouble(1) / (4 * den)
+    return np.array(cum, dtype=np.longdouble) * (quarter * quarter / 2)
+
+
+def _reference_integrand(fn, cum, knot, z):
+    """corrF(s) W(s) (times ds/dtau = 2 tau in the tau variable) in long
+    double, every segment looked up per point rather than per piece."""
+    L = np.longdouble
+    fx, fv, fs = (a.astype(L) for a in (fn.fx, fn.fv, fn.fs))
+    x, corr, slope = (a.astype(L) for a in (fn.g.x, fn.g.corr, fn.g.slope))
+    s = L(knot) - z * z if knot else z
+    k = np.searchsorted(fx, s, "right") - 1
+    corr_f = fv[k] + fs[k] * (s - fx[k])
+    w = 0
+    for sign, r in ((1, L(fn.hi)), (-1, L(fn.lo))):
+        d = (r - L(knot)) + z * z if knot else r - s  # r - s
+        u = np.sqrt(np.maximum(d * (2 * r - d), 0))
+        k = np.searchsorted(x, u, "right") - 1
+        t = u - x[k]
+        w = w + sign * (cum[k] + t * (corr[k] + slope[k] * t / 2))
+    f = corr_f * 2 * w
+    return f * 2 * z if knot else f
+
+
+_FOUND_PRODUCTS = [
+    # the two products whose earlier error estimates missed (see CHANGES.md)
+    (
+        IntervalUnion.points(
+            [Fraction(5, 48), Fraction(13, 24), Fraction(3, 4), Fraction(43, 48), Fraction(9, 8)]
+        ),
+        IntervalUnion.points([Fraction(7, 12)]),
+        Fraction(1, 64),
+        1.0,
+    ),
+    (IntervalUnion.points([0, Fraction(13, 16)]), IntervalUnion.points([0]), Fraction(1, 16), 1.0),
+]
+
+
+_PIECE_PRODUCTS = _FOUND_PRODUCTS + [
+    (
+        shift_union(cantor_stage(CantorSpec(1, 2), 2), 1),
+        cantor_stage(CantorSpec(1, 2), 2),
+        Fraction(1, 64),
+        2.5,
+    ),
+    (
+        shift_union(cantor_stage(CantorSpec(2, 3), 1), Fraction(3, 4)),
+        cantor_stage(CantorSpec(1, 3), 1),
+        Fraction(1, 32),
+        1.5,
+    ),
+]
+
+
+def test_piece_bounds_cover_a_much_finer_rule():
+    # Each kink-free piece's truncation plus rounding bound must cover the
+    # distance from its Gauss-Legendre sum to GL_32 on 8 equal sub-pieces of
+    # the integrand evaluated independently in long double.
+    x32, w32 = _gauss_legendre_ld(32)
+    sub = (2 * np.arange(8, dtype=np.longdouble) - 7) / 8
+    seen = set()
+    for F0, B0, delta, w in _PIECE_PRODUCTS:
+        F, B = F0.neighborhood(delta), B0.neighborhood(delta)
+        d = w * float(delta)
+        fn = _band_integrand(F, B, 1 - d, 1 + d)
+        cum = _exact_pair_cum(F, B, fn)
+        for knot, radii, za, zb, kf, kg in _kink_free_pieces(fn):
+            c, h = 0.5 * (za + zb), 0.5 * (zb - za)
+            trunc = _truncation_bound(fn, knot, radii, kf, kg, c, h)
+            est, err, mag = _gauss_sums(fn, knot, radii, kf, kg, c, h)
+            bound = trunc + err + _gamma(_GL_NODES.size + 8) * mag
+            a_ld, b_ld = za.astype(np.longdouble), zb.astype(np.longdouble)
+            hl = ((b_ld - a_ld) / 2)[:, None, None]
+            z = ((a_ld + b_ld) / 2)[:, None, None] + hl * (sub[:, None] + x32 / 8)
+            f = _reference_integrand(fn, cum, knot, z)
+            ref = (hl[:, 0, 0] / 8) * (f @ w32).sum(axis=1)
+            miss = np.abs(est - ref).astype(np.float64)
+            assert np.all(miss <= bound), (knot, radii, (miss / bound).max())
+            seen.add(("tau" if knot else "s", len(radii)))
+            if knot and (za == 0).any():
+                seen.add(("touches", "hi" if knot == fn.hi else "lo"))
+            if not knot and ((za == fn.lo) | (zb == fn.lo)).any():
+                seen.add(("touches", "lo"))
+    assert seen == {
+        ("s", 2), ("s", 1), ("tau", 1), ("tau", 2), ("touches", "lo"), ("touches", "hi")
+    }
+
+
 # ---- property tests: the routes on random small products ------------------
 
 @st.composite
@@ -336,11 +478,63 @@ def test_grid_bracket_contains_atoms_value_and_error(case):
     assert atoms.value + atoms.quadrature_error <= bracket.outer
 
 
+@st.composite
+def _coarse_cantor_products(draw):
+    """delta-neighborhoods F x B of small Cantor stages whose intervals are
+    longer than delta; F is a stage together with a translate."""
+    delta = Fraction(1, draw(st.sampled_from([16, 32, 64])))
+
+    def stage():
+        spec = draw(st.sampled_from([CantorSpec(1, 2), CantorSpec(1, 3), CantorSpec(2, 3)]))
+        coarsest_fine = stage_for_scale(spec, delta)
+        return cantor_stage(spec, draw(st.integers(0, max(0, coarsest_fine - 1))))
+
+    F0 = shift_union(stage(), draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), 1])))
+    B0 = stage()
+    w = draw(st.sampled_from([1.0, 1.5, 2.0, 2.5]))
+    return F0, B0, delta, w
+
+
+def _assert_atoms_contain_dense_limit(F0, B0, delta, w):
+    # The reference is the dense route at spacing delta/2048. Its tolerance
+    # is the larger of its last two steps (from delta/1024 and from
+    # delta/512 to delta/1024): the dense values can converge with a
+    # period-2 wobble, so that one step alone is smaller than what remains.
+    # A floor of 2^-50 (|F| |B|)^2 covers the dense route's float noise,
+    # about 1e-20 on products whose measure is exactly 0.
+    F, B = F0.neighborhood(delta), B0.neighborhood(delta)
+    atoms = pair_band_measure_product(F, B, delta, width_multiplier=w, method="atoms")
+    fine, mid, coarse = (
+        pair_band_measure_product(
+            F, B, delta, spacing=delta / k, width_multiplier=w, method="dense"
+        ).value
+        for k in (2048, 1024, 512)
+    )
+    tol = max(abs(fine - mid), abs(mid - coarse))
+    tol += 2.0**-50 * float(F.total_length * B.total_length) ** 2
+    assert abs(atoms.value - fine) <= atoms.quadrature_error + tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_lattice_products())
+@example(_FOUND_PRODUCTS[0])
+@example(_FOUND_PRODUCTS[1])
+def test_atoms_error_contains_the_dense_limit(case):
+    _assert_atoms_contain_dense_limit(*case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_coarse_cantor_products())
+def test_atoms_error_contains_the_dense_limit_on_cantor_products(case):
+    _assert_atoms_contain_dense_limit(*case)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="quadrature_error is an estimate, not a bound: on a few percent of "
-    "these products the two routes differ by more than the sum (ROADMAP item 6)",
+    reason="the dense route's quadrature_error |I_h - I_2h| is only an estimate "
+    "(the atoms error is a bound): on a few percent of these products the two "
+    "routes differ by more than the sum",
 )
 @settings(
     max_examples=60,
@@ -386,8 +580,8 @@ def _masks_and_rings(draw):
 
 
 def _ring_pairs_brute(masks, t_lo, t_hi):
-    """Over all ordered pairs of occupied cells: the closed-ring count, the
-    open-ring mask and the last-axis index offset."""
+    """Over all ordered pairs of occupied cells: the closed-ring and the
+    open-ring counts."""
     idx = np.stack(
         np.meshgrid(*[np.flatnonzero(m) for m in masks], indexing="ij"), axis=-1
     ).reshape(-1, len(masks))
@@ -395,19 +589,16 @@ def _ring_pairs_brute(masks, t_lo, t_hi):
     k2 = (diff * diff).sum(axis=-1)
     closed = (k2 >= t_lo) & (k2 <= t_hi)
     open_ = (k2 > t_lo) & (k2 < t_hi)
-    return int(closed.sum()), open_, diff[..., -1]
+    return int(closed.sum()), int(open_.sum())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_masks_and_rings())
 def test_band_cell_pairs_match_brute_force(case):
     masks, cell, lo, hi, t_lo, t_hi = case
-    closed, open_, last = _ring_pairs_brute(masks, t_lo, t_hi)
+    closed, open_ = _ring_pairs_brute(masks, t_lo, t_hi)
     # the outer bracket counts the closed ring exactly
     assert _band_cell_pairs(masks, cell, lo, hi, round_out=True) == closed
-    # The inner bracket counts the open ring, minus the pairs that share
-    # their last-axis cell: the narrowing guard starts every |z| range at 1
-    # once the other axes alone reach past the inner radius. That keeps it
-    # a lower bound, but not a tight one.
-    inner = _band_cell_pairs(masks, cell, lo, hi, round_out=False)
-    assert inner == int((open_ & (last != 0)).sum()) <= int(open_.sum())
+    # the inner bracket counts the open ring exactly, including the pairs
+    # that share their last-axis cell
+    assert _band_cell_pairs(masks, cell, lo, hi, round_out=False) == open_
