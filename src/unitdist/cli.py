@@ -133,8 +133,6 @@ def _axis_from_config(spec, where: str):
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -273,11 +271,11 @@ def _run_frames(cfg: dict, run: _Run) -> int:
         except ValueError:
             rows.append([i, d, math.nan, -1, math.nan])
             continue
-        resid = 0.0
-        for s in sols:
-            for j in range(d - 1):
-                resid = max(resid, abs(np.linalg.norm(s.b[0] + a[j]) - 1.0))
-            resid = max(resid, abs(np.linalg.norm(s.b[0]) - 1.0))
+        # the rows of s.b are b_1 and b_1 + a_j, each a unit step
+        resid = max(
+            (float(np.abs(np.linalg.norm(s.b, axis=1) - 1.0).max()) for s in sols),
+            default=0.0,
+        )
         offset = float(np.linalg.norm(sols[0].section.offset)) if sols else math.nan
         rows.append([i, d, offset, len(sols), resid])
         worst_resid = max(worst_resid, resid)

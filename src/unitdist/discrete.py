@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .geom import general_position_check
+from .intervals import _ranges
 
 __all__ = [
     "PointSet",
@@ -78,11 +79,11 @@ def _band_limits(eps: float) -> tuple[float, float]:
     return lo * lo, hi * hi
 
 
-def count_unit_pairs_bruteforce(P: PointSet) -> int:
-    """O(n^2) reference count of ordered unit pairs."""
+def _inband_blocks(P: PointSet) -> Iterator[np.ndarray]:
+    """Rows of the (n, n) in-band matrix, `_CHUNK` at a time: entry (i, j)
+    is whether |p_i - p_j| is within eps of 1, with i == j excluded."""
     pts = P.points
     lo2, hi2 = _band_limits(P.eps)
-    total = 0
     for i0 in range(0, P.n, _CHUNK):
         blk = pts[i0 : i0 + _CHUNK]
         d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
@@ -91,8 +92,12 @@ def count_unit_pairs_bruteforce(P: PointSet) -> int:
         if lo2 == 0.0:
             idx = np.arange(blk.shape[0])
             inband[idx, i0 + idx] = False
-        total += int(inband.sum())
-    return total
+        yield inband
+
+
+def count_unit_pairs_bruteforce(P: PointSet) -> int:
+    """O(n^2) reference count of ordered unit pairs."""
+    return sum(int(inband.sum()) for inband in _inband_blocks(P))
 
 
 @functools.lru_cache(maxsize=16)
@@ -155,12 +160,6 @@ def _linear_keys(
     keys = ((cells - base).astype(np.uint64) * radix).sum(axis=1, dtype=np.uint64)
     okeys = (offsets.astype(np.uint64) * radix).sum(axis=1, dtype=np.uint64)
     return keys, okeys, exact
-
-
-def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over the pairs (s, l)."""
-    shift = start - np.cumsum(length) + length
-    return np.arange(int(length.sum())) + np.repeat(shift, length)
 
 
 def count_unit_pairs_grid(P: PointSet) -> int:
@@ -308,19 +307,7 @@ class UnitPairReport:
 
 def _unit_neighbor_lists(P: PointSet) -> list[np.ndarray]:
     """neighbors[i] = indices j != i with |p_i - p_j| within eps of 1."""
-    pts = P.points
-    lo2, hi2 = _band_limits(P.eps)
-    neighbors: list[np.ndarray] = []
-    for i0 in range(0, P.n, _CHUNK):
-        blk = pts[i0 : i0 + _CHUNK]
-        d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        inband = (d2 >= lo2) & (d2 <= hi2)
-        if lo2 == 0.0:
-            idx = np.arange(blk.shape[0])
-            inband[idx, i0 + idx] = False
-        for r in range(blk.shape[0]):
-            neighbors.append(np.nonzero(inband[r])[0])
-    return neighbors
+    return [np.nonzero(row)[0] for inband in _inband_blocks(P) for row in inband]
 
 
 _TUPLE_CAP = 10**7

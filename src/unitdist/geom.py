@@ -5,6 +5,10 @@ Vectors are plain float64 numpy arrays of dimension 1..8. Tolerance policy:
 geometric identities are checked to absolute 1e-9; rank decisions use a
 caller-supplied singular-value threshold (default 1e-9); the tangency case
 r0 == 1 is classified with 1e-12 so it only fires on constructed inputs.
+
+Every affine-independence decision goes through `_min_singular_batch`. A
+frame of d-1 steps in R^d is factored by one full SVD, which gives its rank
+test, its circumcenter and its unit normal; d = 1 is the frame with no rows.
 """
 from __future__ import annotations
 
@@ -65,11 +69,7 @@ def affinely_independent(points: Sequence, tol: float = 1e-9) -> bool:
     n, d = pts.shape
     if n != d:
         raise ValueError(f"need exactly d={d} points, got {n}")
-    if n == 1:
-        return True
-    diffs = pts[1:] - pts[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    return bool(sv.min() > tol)
+    return _first_bad(pts, [tuple(range(d))], tol) is None
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,9 @@ def _min_singular_batch(pts: np.ndarray, combos: np.ndarray) -> np.ndarray:
     For d = 1 the matrix is empty: a single point is vacuously independent,
     so its smallest singular value is taken as +inf.
     """
-    if pts.shape[1] == 1:
-        return np.full(len(combos), np.inf)
     sub = pts[combos]                       # (m, d, d)
     diffs = sub[:, 1:, :] - sub[:, :1, :]   # (m, d-1, d)
-    return np.linalg.svd(diffs, compute_uv=False).min(axis=1)
+    return np.linalg.svd(diffs, compute_uv=False).min(axis=1, initial=np.inf)
 
 
 def general_position_check(
@@ -117,19 +115,11 @@ def general_position_check(
         return GeneralPositionReport(True, None, mode, 0)
 
     if mode == "exhaustive":
+        subsets = itertools.combinations(range(n), d)
         tested = 0
-        chunk: list[tuple[int, ...]] = []
-        for combo in itertools.combinations(range(n), d):
-            chunk.append(combo)
-            if len(chunk) == 65536:
-                bad = _first_bad(pts, chunk, tol)
-                tested += len(chunk)
-                if bad is not None:
-                    return GeneralPositionReport(False, bad, mode, tested)
-                chunk = []
-        if chunk:
-            bad = _first_bad(pts, chunk, tol)
+        while chunk := list(itertools.islice(subsets, 65536)):
             tested += len(chunk)
+            bad = _first_bad(pts, chunk, tol)
             if bad is not None:
                 return GeneralPositionReport(False, bad, mode, tested)
         return GeneralPositionReport(True, None, mode, tested)
@@ -144,21 +134,42 @@ def general_position_check(
         taken = (combos[:, :k] == t[:, None]).any(axis=1)
         combos[:, k] = np.where(taken, j, t)
     combos.sort(axis=1)
-    sv = _min_singular_batch(pts, combos)
-    bad_rows = np.nonzero(sv <= tol)[0]
-    if bad_rows.size:
-        witness = tuple(int(i) for i in combos[bad_rows[0]])
-        return GeneralPositionReport(False, witness, mode, sample_count)
-    return GeneralPositionReport(True, None, mode, sample_count)
+    bad = _first_bad(pts, combos, tol)
+    return GeneralPositionReport(bad is None, bad, mode, sample_count)
 
 
-def _first_bad(pts, chunk, tol) -> tuple[int, ...] | None:
-    combos = np.array(chunk, dtype=np.intp)
-    sv = _min_singular_batch(pts, combos)
-    bad = np.nonzero(sv <= tol)[0]
+def _first_bad(pts, combos, tol) -> tuple[int, ...] | None:
+    """First index tuple in `combos` whose points are affinely dependent."""
+    combos = np.asarray(combos, dtype=np.intp)
+    bad = np.nonzero(_min_singular_batch(pts, combos) <= tol)[0]
     if bad.size:
         return tuple(int(i) for i in combos[bad[0]])
     return None
+
+
+def _frame(a: Sequence, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows A, circumcenter c0 and unit normal v of a frame, from one SVD.
+
+    A = U S Vt. The rank test is min S > tol. c0 is the minimum-norm solution
+    of 2 c . a_j = |a_j|^2, namely Vt[:-1]^T ((U^T rhs) / S) with
+    rhs_j = |a_j|^2 / 2, so it lies in span(a). v = Vt[-1], signed so that
+    its first nonzero coordinate is positive. With no rows (d = 1) S is
+    empty, Vt = [[1]] and c0 = [0].
+    """
+    rows = [_vec(x) for x in a]
+    A = np.stack(rows) if rows else np.zeros((0, 1))
+    d = A.shape[1]
+    if A.shape[0] != d - 1:
+        raise ValueError(f"need d-1={d - 1} vectors in R^{d}, got {A.shape[0]}")
+    u, sv, vt = np.linalg.svd(A, full_matrices=True)
+    if sv.min(initial=np.inf) <= tol:
+        raise ValueError("input vectors are linearly dependent")
+    rhs = 0.5 * np.einsum("ij,ij->i", A, A)
+    c0 = vt[:-1].T @ ((u.T @ rhs) / sv)
+    v = vt[-1]
+    if v[np.argmax(np.abs(v) > 1e-12)] < 0:
+        v = -v
+    return A, c0, v
 
 
 def circumsphere_through_origin(
@@ -171,20 +182,7 @@ def circumsphere_through_origin(
     the minimum-norm least-squares solution lands in the row space, which
     is exactly span(a). Raises on linearly dependent input.
     """
-    rows = [_vec(x) for x in a]
-    if rows:
-        A = np.stack(rows)
-        d = A.shape[1]
-        if A.shape[0] != d - 1:
-            raise ValueError(f"need d-1={d - 1} vectors in R^{d}, got {A.shape[0]}")
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv.size and sv.min() <= tol:
-            raise ValueError("input vectors are linearly dependent")
-        rhs = 0.5 * np.einsum("ij,ij->i", A, A)
-        c0 = np.linalg.lstsq(2.0 * A, 2.0 * rhs, rcond=None)[0]
-    else:
-        # d = 1: no constraints, center is the origin itself
-        c0 = np.zeros(1)
+    _, c0, _ = _frame(a, tol)
     return c0, float(np.linalg.norm(c0))
 
 
@@ -211,21 +209,6 @@ class TupleSolution:
     section: SphereSection
 
 
-def _unit_normal(A: np.ndarray) -> np.ndarray:
-    """Unit normal to the row space, first nonzero coordinate positive."""
-    d = A.shape[1]
-    if A.shape[0] == 0:
-        return np.ones(1)
-    _, _, vt = np.linalg.svd(A, full_matrices=True)
-    v = vt[-1]
-    for x in v:
-        if abs(x) > 1e-12:
-            if x < 0:
-                v = -v
-            break
-    return v
-
-
 def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
     """All tuples (b_1, ..., b_d) of unit vectors with b_j = b_1 + a_j.
 
@@ -235,12 +218,12 @@ def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
     span(a), and t = ±sqrt(1 - r0^2). Hence 0, 1, or 2 solutions:
     none for r0 > 1, one at tangency (|r0 - 1| <= 1e-12), else two,
     returned with the +t branch first.
-    """
-    rows = [_vec(x) for x in a]
-    A = np.stack(rows) if rows else np.zeros((0, 1))
-    d = A.shape[1]
-    c0, r0 = circumsphere_through_origin(a, tol) if rows else (np.zeros(1), 0.0)
 
+    One full SVD of the (d-1) x d step matrix gives the rank test, c0 and v.
+    d = 1 is the frame with no steps: b_1 = ±1.
+    """
+    A, c0, v = _frame(a, tol)
+    r0 = float(np.linalg.norm(c0))
     if abs(r0 - 1.0) <= TANGENT_TOL:
         ts = [0.0]
     elif r0 > 1.0:
@@ -249,14 +232,12 @@ def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
         s = math.sqrt(1.0 - r0 * r0)
         ts = [s, -s]
 
-    v = _unit_normal(A)
     out = []
     for t in ts:
         b1 = t * v - c0
-        b = np.vstack([b1, b1 + A]) if rows else b1[None, :]
         out.append(
             TupleSolution(
-                b=b,
+                b=np.vstack([b1, b1 + A]),
                 t=t,
                 section=SphereSection(t, v, math.sqrt(max(0.0, 1.0 - t * t))),
             )

@@ -53,14 +53,6 @@ def fft_length(m: int) -> int:
     return best
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class GridIndicator:
     """Per-axis occupancy of a product neighborhood on a uniform grid."""
@@ -171,7 +163,7 @@ def rasterize(
     axes = [sets] if isinstance(sets, IntervalUnion) else list(sets)
     if not 1 <= len(axes) <= 3:
         raise ValueError("need 1 to 3 axis unions")
-    delta_q, cell_q = _frac(delta), _frac(cell)
+    delta_q, cell_q = Fraction(delta), Fraction(cell)
     if cell_q > delta_q or delta_q <= 0 or cell_q <= 0:
         raise ValueError("need 0 < cell <= delta")
     outers, inners, origins = [], [], []

@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # exact interval-pair band masses
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
     2*spacing*|A| of corr. The reference path evaluates the block-pair
     trapezoids directly and is capped at 64 blocks.
     """
-    spacing_q = _frac(spacing)
+    spacing_q = Fraction(spacing)
     if spacing_q <= 0:
         raise ValueError("spacing must be positive")
     if A.is_empty:
@@ -953,7 +949,7 @@ def pair_band_measure_product(
     """
     if F.is_empty or B.is_empty:
         return ProductBandMeasure(0.0, 0.0, "empty")
-    delta_q = _frac(delta)
+    delta_q = Fraction(delta)
     if delta_q <= 0:
         raise ValueError("delta must be positive")
     w = width_multiplier * float(delta_q)
@@ -963,7 +959,7 @@ def pair_band_measure_product(
         spacing_q = (
             _aligned_spacing([F, B], delta_q / 4)
             if spacing is None
-            else _frac(spacing)
+            else Fraction(spacing)
         )
         if spacing_q > delta_q / 4:
             raise ValueError("spacing must be at most delta/4")

@@ -61,6 +61,27 @@ def test_frames_small(tmp_path):
     assert len(lines) == 51  # header + rows
 
 
+def test_frames_residual_checks_every_step(tmp_path, monkeypatch):
+    # a solver whose last row b_d = b_1 + a_{d-1} leaves the unit sphere
+    # must fail the residual gate
+    import unitdist.cli as cli
+
+    solve = cli.unit_frame_solutions
+
+    def last_row_off(a):
+        sols = solve(a)
+        for s in sols:
+            s.b[-1] *= 1.0 + 1e-6
+        return sols
+
+    monkeypatch.setattr(cli, "unit_frame_solutions", last_row_off)
+    cfg = _write(tmp_path / "f.json", {"kind": "frames", "d": 3, "count": 50})
+    out = tmp_path / "run"
+    assert main(["frames", "--config", cfg, "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["worst_residual"] == pytest.approx(1e-6, rel=1e-3)
+
+
 def test_cantor_stage_report(tmp_path):
     cfg = _write(
         tmp_path / "c.json", {"p": 1, "q": 2, "stage": 3, "delta": "2^-8"}

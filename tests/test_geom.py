@@ -5,10 +5,14 @@ the classic equilateral configurations, and against a brute mesh search over
 the unit sphere that knows nothing about the solver's linear algebra.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitdist.geom import (
+    TANGENT_TOL,
     Annulus,
     affinely_independent,
     circumsphere_through_origin,
@@ -77,6 +81,112 @@ def test_affine_independence():
     assert not affinely_independent(
         [np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0])]
     )
+
+
+def _three_call_frame_solutions(a, tol=1e-9):
+    """The earlier solver, kept as the oracle: an SVD rank test, an lstsq
+    center and a full SVD for the normal. Returns (t, b, normal) triples."""
+    A = np.array(a, dtype=np.float64).reshape(len(a), -1) if len(a) else np.zeros((0, 1))
+    if A.shape[0]:
+        if np.linalg.svd(A, compute_uv=False).min() <= tol:
+            raise ValueError("input vectors are linearly dependent")
+        rhs = 0.5 * np.einsum("ij,ij->i", A, A)
+        c0 = np.linalg.lstsq(2.0 * A, 2.0 * rhs, rcond=None)[0]
+        v = np.linalg.svd(A, full_matrices=True)[2][-1]
+        v = -v if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0 else v
+    else:
+        c0, v = np.zeros(1), np.ones(1)
+    r0 = float(np.linalg.norm(c0))
+    if abs(r0 - 1.0) <= TANGENT_TOL:
+        ts = [0.0]
+    elif r0 > 1.0:
+        return []
+    else:
+        ts = [math.sqrt(1.0 - r0 * r0), -math.sqrt(1.0 - r0 * r0)]
+    return [(t, np.vstack([t * v - c0, t * v - c0 + A]), v) for t in ts]
+
+
+def _assert_matches_oracle(a):
+    want = _three_call_frame_solutions(a)
+    got = unit_frame_solutions(a)
+    assert len(got) == len(want)
+    for s, (t, b, v) in zip(got, want):
+        assert np.sign(s.t) == np.sign(t)
+        assert abs(s.t - t) <= 1e-12
+        assert np.abs(s.b - b).max() <= 1e-12
+        assert np.abs(s.section.normal - v).max() <= 1e-12
+    return got
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
+def test_frame_solver_matches_three_call_oracle(seed, scale):
+    rng = np.random.default_rng(seed)
+    for d in range(1, 9):
+        a = rng.normal(size=(d - 1, d)) * scale
+        sv = np.linalg.svd(a, compute_uv=False)
+        if sv.size == 0 or sv.min() >= 1e-3 * sv.max():
+            _assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize(
+    "a, n_solutions",
+    [
+        ([], 2),                                       # d = 1: b_1 = +-1
+        ([[2.0, 0.0]], 1),                             # tangent in the plane
+        ([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 1),       # tangent in space
+        ([[0.6, 0.0, 0.0], [0.0, 0.8, 0.0]], 2),
+        ([[3.0, 0.0, 0.0], [0.0, 0.1, 0.0]], 0),
+    ],
+)
+def test_frame_solver_matches_oracle_on_explicit_frames(a, n_solutions):
+    assert len(_assert_matches_oracle(a)) == n_solutions
+
+
+def test_empty_frame_is_the_one_dimensional_case():
+    sols = unit_frame_solutions([])
+    assert [s.t for s in sols] == [1.0, -1.0]
+    assert [s.b.tolist() for s in sols] == [[[1.0]], [[-1.0]]]
+    assert all(s.section.normal.tolist() == [1.0] for s in sols)
+    assert circumsphere_through_origin([])[1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+        [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0]],
+    ],
+)
+def test_dependent_frames_raise_the_oracle_message(a):
+    with pytest.raises(ValueError) as want:
+        _three_call_frame_solutions(np.array(a))
+    for solve in (unit_frame_solutions, circumsphere_through_origin):
+        with pytest.raises(ValueError) as got:
+            solve(np.array(a))
+        assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    lam=st.floats(-2.0, 2.0),
+)
+def test_affinely_independent_equals_exhaustive_check(d, seed, degenerate, lam):
+    pts = np.random.default_rng(seed).normal(size=(d, d))
+    degenerate = degenerate and d >= 2
+    if degenerate:
+        # the last point joins the line through points 0 and d-2 (for d = 2
+        # it repeats point 0)
+        pts[-1] = pts[0] + lam * (pts[-2] - pts[0])
+    rep = general_position_check(pts, mode="exhaustive")
+    assert affinely_independent(list(pts)) == rep.ok
+    assert rep.subsets_tested == 1
+    if degenerate:
+        assert not rep.ok and rep.witness == tuple(range(d))
 
 
 def _mesh_oracle_hits(a_list, sol, mesh, tol):
