@@ -36,7 +36,7 @@ from .discrete import (
     two_circles_r4,
     unit_step_census,
 )
-from .geom import unit_frame_solutions
+from .geom import unit_frame_batch
 from .grids import alpha_set_verify, rasterize
 from .incidence import incidence_census, section_histogram
 from .intervals import IntervalUnion
@@ -260,26 +260,25 @@ def _run_frames(cfg: dict, run: _Run) -> int:
         raise ConfigError("'d' must be in [2, 8] in frames config")
 
     rng = np.random.default_rng(seed)
-    rows = []
-    worst_resid = 0.0
-    max_solutions = 0
-    for i in range(count):
+    A = np.empty((count, d - 1, d))
+    for a in A:
         scale = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-        a = rng.normal(size=(d - 1, d)) * scale
-        try:
-            sols = unit_frame_solutions(a)
-        except ValueError:
-            rows.append([i, d, math.nan, -1, math.nan])
-            continue
-        # the rows of s.b are b_1 and b_1 + a_j, each a unit step
-        resid = max(
-            (float(np.abs(np.linalg.norm(s.b, axis=1) - 1.0).max()) for s in sols),
-            default=0.0,
-        )
-        offset = float(np.linalg.norm(sols[0].section.offset)) if sols else math.nan
-        rows.append([i, d, offset, len(sols), resid])
-        worst_resid = max(worst_resid, resid)
-        max_solutions = max(max_solutions, len(sols))
+        a[:] = rng.normal(size=(d - 1, d)) * scale
+    n_sol, t, b = unit_frame_batch(A)
+    # the rows of each solution's b are b_1 and b_1 + a_j, each a unit step;
+    # a frame's residual is the worst over its solutions (0 with none)
+    dev = np.abs(np.linalg.norm(b, axis=-1) - 1.0).max(axis=-1)
+    resid = np.where(np.arange(2) < n_sol[:, None], dev, 0.0).max(axis=1)
+    solved = n_sol >= 0
+    resid[~solved] = math.nan
+    # section_offset is |t| of the first solution; NaN without one
+    offset = np.abs(t[:, 0]).tolist()
+    rows = [
+        [i, d, o, k, r]
+        for i, (o, k, r) in enumerate(zip(offset, n_sol.tolist(), resid.tolist()))
+    ]
+    worst_resid = float(resid[solved].max(initial=0.0))
+    max_solutions = int(n_sol.max(initial=0))
     emit_csv(
         run.path("frames.csv"),
         ["index", "d", "section_offset", "n_solutions", "max_residual"],

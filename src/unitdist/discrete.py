@@ -6,9 +6,10 @@ reports unordered edges; ordered counts here are exactly twice those.
 
 The grid counter assigns points to a uniform grid of cell side 1/sqrt(d),
 sorts them by a linear cell key, and finds the candidate pairs of every
-compatible cell offset with `searchsorted` on the sorted keys. It compares
-squared distances with the *same* elementwise expression as the brute-force
-counter, so the two agree bit-for-bit, not just approximately.
+compatible cell offset with `searchsorted` on the sorted keys. Both counters
+take squared distances from the one kernel `geom._sq_dist`, which sums
+(x_k - y_k)^2 one axis at a time over per-axis coordinate arrays, so the two
+agree bit-for-bit, not just approximately.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import general_position_check
+from .geom import _sq_dist, general_position_check
 from .intervals import _ranges
 
 __all__ = [
@@ -34,7 +35,8 @@ __all__ = [
     "normalized_pair_count",
 ]
 
-_CHUNK = 256  # rows per block in pairwise-distance passes
+_CHUNK = 256  # offsets per query block in the grid counter
+_BLOCK_PAIRS = 1 << 15  # pairs per in-band block: a float block stays in cache
 
 
 @dataclass(frozen=True)
@@ -80,39 +82,43 @@ def _band_limits(eps: float) -> tuple[float, float]:
 
 
 def _inband_blocks(P: PointSet) -> Iterator[np.ndarray]:
-    """Rows of the (n, n) in-band matrix, `_CHUNK` at a time: entry (i, j)
-    is whether |p_i - p_j| is within eps of 1, with i == j excluded."""
-    pts = P.points
+    """Rows of the (n, n) in-band matrix, about `_BLOCK_PAIRS` entries at a
+    time: entry (i, j) is whether |p_i - p_j| is within eps of 1, with
+    i == j excluded."""
+    cols = np.ascontiguousarray(P.points.T)
     lo2, hi2 = _band_limits(P.eps)
-    for i0 in range(0, P.n, _CHUNK):
-        blk = pts[i0 : i0 + _CHUNK]
-        d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    n = P.n
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    for i0 in range(0, n, rows):
+        blk = cols[:, i0 : i0 + rows, None]
+        d2 = _sq_dist(blk, cols[:, None, :])
         inband = (d2 >= lo2) & (d2 <= hi2)
         # the diagonal has distance 0; it is in-band only if eps >= 1
         if lo2 == 0.0:
-            idx = np.arange(blk.shape[0])
+            idx = np.arange(blk.shape[1])
             inband[idx, i0 + idx] = False
         yield inband
 
 
 def count_unit_pairs_bruteforce(P: PointSet) -> int:
     """O(n^2) reference count of ordered unit pairs."""
-    return sum(int(inband.sum()) for inband in _inband_blocks(P))
+    return sum(int(np.count_nonzero(inband)) for inband in _inband_blocks(P))
 
 
 @functools.lru_cache(maxsize=16)
 def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
-    """Nonzero integer cell offsets that can realize a distance in 1 +- eps.
+    """Integer cell offsets that can realize a distance in 1 +- eps: the zero
+    offset, then the nonzero ones.
 
     For offset Delta the distance between points of cells k and k + Delta
     lies in [side*sqrt(sum max(0,|Di|-1)^2), side*sqrt(sum (|Di|+1)^2)];
     keep offsets whose range meets the band. Only the lexicographically
     positive half is kept (each unordered cell pair is visited once).
 
-    Returned as a (k, d) int64 array in lexicographic order. The cube is
-    built one axis at a time, dropping a prefix once its near bound exceeds
-    the band (the bound only grows with more axes) or its first nonzero
-    step is negative.
+    Returned as a (k, d) int64 array, nonzero rows in lexicographic order.
+    The cube is built one axis at a time, dropping a prefix once its near
+    bound exceeds the band (the bound only grows with more axes) or its
+    first nonzero step is negative.
 
     Memoized per (d, side, eps), since every count at the same dimension
     and band rebuilds the same table; the shared array is read-only. The
@@ -135,7 +141,7 @@ def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
         keep = (side * np.sqrt(near2) <= hi) & (lead >= 0)
         out, near2, far2, lead = out[keep], near2[keep], far2[keep], lead[keep]
     keep = (side * np.sqrt(far2) >= lo) & (lead > 0)
-    out = out[keep].astype(np.int64)
+    out = np.concatenate([np.zeros((1, d), dtype=np.int64), out[keep]])
     out.setflags(write=False)
     return out
 
@@ -167,12 +173,13 @@ def count_unit_pairs_grid(P: PointSet) -> int:
 
     Points are sorted by linear cell key; every occupied cell looks up its
     compatible neighbor cells with `searchsorted` on the sorted keys, and
-    the gathered candidate pairs go through the brute-force expression. The
-    zero offset contributes each cell's full ordered block (its diagonal is
-    out of band); a nonzero offset is one of a +-pair and counts twice.
+    the gathered candidate pairs go through the brute force's distance
+    kernel. The zero offset contributes each cell's full ordered block (its
+    diagonal is out of band); a nonzero offset is one of a +-pair and counts
+    twice.
     Queries go in blocks of `_CHUNK` offsets (at most `_CHUNK * n` keys)
     and candidate pairs in blocks of `_CHUNK * n // 4`, which keeps working
-    memory near or below the brute-force counter's `_CHUNK`-row block.
+    memory O(`_CHUNK` n).
 
     Requires eps < 0.1: the offset pruning certifies cell pairs only for
     bands well inside the cell geometry.
@@ -184,15 +191,15 @@ def count_unit_pairs_grid(P: PointSet) -> int:
         return 0
     side = 1.0 / math.sqrt(d)
     lo2, hi2 = _band_limits(P.eps)
-    offsets = np.vstack(
-        [np.zeros((1, d), dtype=np.int64), _compatible_offsets(d, side, P.eps)]
-    )
+    offsets = _compatible_offsets(d, side, P.eps)
     cells = np.floor(P.points / side).astype(np.int64)
     keys, okeys, exact = _linear_keys(cells, offsets)
-    order = np.argsort(keys, kind="stable")
-    keys, pts, cells = keys[order], P.points[order], cells[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    size = np.diff(np.r_[first, n])
+    order = keys.argsort(kind="stable")
+    keys, cells = keys[order], cells[order]
+    cols = np.ascontiguousarray(P.points[order].T)
+    # cell boundaries in the sorted keys, with n closing the last cell
+    bounds = np.concatenate([[True], keys[1:] != keys[:-1], [True]]).nonzero()[0]
+    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     ukeys = keys[first]
     pair_block = _CHUNK * n // 4  # >= n, so a segment always fits
 
@@ -200,29 +207,28 @@ def count_unit_pairs_grid(P: PointSet) -> int:
     for o0 in range(0, okeys.size, _CHUNK):
         # offset-major layout: each offset's queries arrive sorted
         tgt = (okeys[o0 : o0 + _CHUNK, None] + ukeys[None, :]).ravel()
-        pos = np.minimum(np.searchsorted(ukeys, tgt), ukeys.size - 1)
-        hit = np.flatnonzero(ukeys[pos] == tgt)
+        pos = np.minimum(ukeys.searchsorted(tgt), ukeys.size - 1)
+        hit = (ukeys[pos] == tgt).nonzero()[0]
         a, b = hit % ukeys.size, pos[hit]
         # one segment per point of cell a: that point against the
         # contiguous run of cell b's points
-        seg = np.repeat(np.arange(hit.size), size[a])
+        seg = np.arange(hit.size).repeat(size[a])
         row = _ranges(first[a], size[a])
         run, length = first[b][seg], size[b][seg]
         off = (o0 + hit // ukeys.size)[seg]
-        end = np.cumsum(length)
+        end = length.cumsum()
         s0 = 0
         while s0 < seg.size:
-            s1 = int(np.searchsorted(end, end[s0] - length[s0] + pair_block, "right"))
+            s1 = int(end.searchsorted(end[s0] - length[s0] + pair_block, "right"))
             L = length[s0:s1]
-            i = np.repeat(row[s0:s1], L)
+            i = row[s0:s1].repeat(L)
             j = _ranges(run[s0:s1], L)
-            # np.take gathers the same rows as pts[i], several times faster
-            d2 = ((np.take(pts, i, axis=0) - np.take(pts, j, axis=0)) ** 2).sum(-1)
+            d2 = _sq_dist(cols.take(i, axis=1), cols.take(j, axis=1))
             inband = (d2 >= lo2) & (d2 <= hi2)
             if not exact:
-                o = np.repeat(off[s0:s1], L)
+                o = off[s0:s1].repeat(L)
                 inband &= (cells[j] - cells[i] == offsets[o]).all(axis=1)
-            twice = np.repeat(off[s0:s1] > 0, L)
+            twice = (off[s0:s1] > 0).repeat(L)
             total += int(np.count_nonzero(inband) + np.count_nonzero(inband & twice))
             s0 = s1
     return total

@@ -6,16 +6,22 @@ geometric identities are checked to absolute 1e-9; rank decisions use a
 caller-supplied singular-value threshold (default 1e-9); the tangency case
 r0 == 1 is classified with 1e-12 so it only fires on constructed inputs.
 
-Every affine-independence decision goes through `_min_singular_batch`. A
-frame of d-1 steps in R^d is factored by one full SVD, which gives its rank
-test, its circumcenter and its unit normal; d = 1 is the frame with no rows.
+`_min_singular_batch` (an SVD) is the only code that can call an index tuple
+affinely dependent. `_first_bad` puts a certified screen in front of it:
+modified Gram-Schmidt heights give a lower bound on each tuple's smallest
+singular value, and a tuple whose bound clears the threshold by a rounding
+margin is independent without an SVD; every other tuple goes to the SVD, so
+every decision equals the SVD-only one. A stack of frames of d-1 steps in R^d
+is factored by one batched full SVD, which gives each frame's rank test,
+circumcenter and unit normal; d = 1 is the frame with no rows. Squared
+distances are summed one axis at a time by `_sq_dist`.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +32,8 @@ __all__ = [
     "circumsphere_through_origin",
     "SphereSection",
     "TupleSolution",
+    "FrameBatch",
+    "unit_frame_batch",
     "unit_frame_solutions",
     "Annulus",
     "TripleAnnulusReport",
@@ -56,6 +64,33 @@ def _coords(P) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError(f"expected an (n, d) array of points, got {pts.shape}")
     return pts
+
+
+def _sq_dist(x, y) -> np.ndarray:
+    """sum_k (x[k] - y[k])^2 over per-axis arrays x[k], y[k] that broadcast.
+
+    One 2-D pass per axis, so no (..., d) temporary is built. The terms are
+    added in the order NumPy's `((x - y)**2).sum(-1)` adds them on stacked
+    coordinates: left to right for up to 7 axes, and for 8 axes as the
+    balanced tree ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) of its
+    pairwise summation. Every caller's distances are therefore bit-identical
+    to that expression.
+    """
+    if len(x) == 8:
+        lo, hi = _sq_dist(x[:2], y[:2]), _sq_dist(x[2:4], y[2:4])
+        lo += hi
+        hi = _sq_dist(x[4:6], y[4:6])
+        hi += _sq_dist(x[6:], y[6:])
+        lo += hi
+        return lo
+    acc = np.subtract(x[0], y[0])
+    acc *= acc
+    buf = np.empty_like(acc)
+    for xk, yk in zip(x[1:], y[1:]):
+        np.subtract(xk, yk, out=buf)
+        buf *= buf
+        acc += buf
+    return acc
 
 
 def affinely_independent(points: Sequence, tol: float = 1e-9) -> bool:
@@ -138,38 +173,108 @@ def general_position_check(
     return GeneralPositionReport(bad is None, bad, mode, sample_count)
 
 
+_SCREEN_MARGIN = 2.0**-30  # relative rounding margin of `_independent_screen`
+_SCREEN_FLOOR = 2.0**-400  # keeps the screen's squares and heights normal
+
+
+def _independent_screen(pts: np.ndarray, combos: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of index tuples certified affinely independent without an SVD.
+
+    D is the tuple's (d-1) x d difference matrix, formed with the same float
+    subtractions as in `_min_singular_batch`. Modified Gram-Schmidt on its
+    rows gives heights h_1..h_{d-1}, the distance of each row from the span
+    of the earlier ones, and prod h_k = prod sigma_k. With F = |D|_F >=
+    sigma_max, sigma_min >= prod h_k / F^(d-2), computed as
+    B = F prod (h_k / F) so that no product overflows (for d = 2, B = h_1 =
+    sigma_min). A tuple passes when
+
+        B (1 - m) > max(tol, 2^-400) + m F,   m = 2^-30,
+
+    and the SVD then finds sigma_min > tol too. Rounding, with u = 2^-53:
+
+    - The computed R factor of MGS is backward stable (Bjorck & Paige,
+      SIAM J. Matrix Anal. Appl. 13, 1992): D + E = Q R with Q exactly
+      orthonormal and |E| <= c1 u |D|_F. So the computed h_k bound the
+      singular values of D + E, which are within |E| of those of D.
+    - F and B are evaluated with relative error below 8 d^2 u.
+    - LAPACK's computed sigma_min is within c2 u sigma_max of the exact one.
+
+    For d <= 8 the constants c1 and c2 are a few hundred at most, far below
+    m / u = 2^23, so the relative part m B covers the first two items and
+    m F covers |E| and the SVD's own error. The 2^-400 floor keeps F^2 and
+    each h_k^2 in the normal range, where the analysis holds. Overflow
+    (F = inf) and zero heights give NaN or 0, which never pass.
+    """
+    cols = pts.T[:, combos.T]  # (axis, point, tuple)
+    rows = np.moveaxis(cols[:, 1:] - cols[:, :1], 1, 0)  # (row, axis, tuple)
+    fro = np.sqrt(np.einsum("rkm,rkm->m", rows, rows))
+    bound = fro.copy()
+    basis = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row in rows:
+            v = row.copy()
+            for q in basis:
+                v -= np.einsum("km,km->m", v, q) * q
+            h = np.sqrt(np.einsum("km,km->m", v, v))
+            basis.append(v / h)
+            bound *= h / fro
+        return bound * (1.0 - _SCREEN_MARGIN) > (
+            max(tol, _SCREEN_FLOOR) + _SCREEN_MARGIN * fro
+        )
+
+
 def _first_bad(pts, combos, tol) -> tuple[int, ...] | None:
-    """First index tuple in `combos` whose points are affinely dependent."""
+    """First index tuple in `combos` whose points are affinely dependent.
+
+    Tuples the screen cannot certify go to `_min_singular_batch`, which alone
+    decides dependence; the witness is the first such tuple it rejects.
+    """
     combos = np.asarray(combos, dtype=np.intp)
-    bad = np.nonzero(_min_singular_batch(pts, combos) <= tol)[0]
+    rest = np.flatnonzero(~_independent_screen(pts, combos, tol))
+    bad = rest[_min_singular_batch(pts, combos[rest]) <= tol]
     if bad.size:
         return tuple(int(i) for i in combos[bad[0]])
     return None
 
 
-def _frame(a: Sequence, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows A, circumcenter c0 and unit normal v of a frame, from one SVD.
-
-    A = U S Vt. The rank test is min S > tol. c0 is the minimum-norm solution
-    of 2 c . a_j = |a_j|^2, namely Vt[:-1]^T ((U^T rhs) / S) with
-    rhs_j = |a_j|^2 / 2, so it lies in span(a). v = Vt[-1], signed so that
-    its first nonzero coordinate is positive. With no rows (d = 1) S is
-    empty, Vt = [[1]] and c0 = [0].
-    """
-    rows = [_vec(x) for x in a]
-    A = np.stack(rows) if rows else np.zeros((0, 1))
+def _frame_rows(a: Sequence) -> np.ndarray:
+    """The (d-1, d) step matrix of one frame given as a sequence of vectors."""
+    A = np.asarray(a, dtype=np.float64)
+    if A.shape == (0,):
+        A = A.reshape(0, 1)
+    if A.ndim != 2:
+        raise ValueError(f"expected a sequence of vectors, got shape {A.shape}")
     d = A.shape[1]
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension {d} outside 1..{MAX_DIM}")
     if A.shape[0] != d - 1:
         raise ValueError(f"need d-1={d - 1} vectors in R^{d}, got {A.shape[0]}")
+    if not np.isfinite(A).all():
+        raise ValueError("vector has non-finite coordinates")
+    return A
+
+
+_DEPENDENT = "input vectors are linearly dependent"
+
+
+def _frame(A: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank mask, circumcenters c0 and unit normals v of a stack of frames
+    A (m, d-1, d), from one batched full SVD.
+
+    A = U S Vt per frame. The rank test is min S > tol. c0 is the
+    minimum-norm solution of 2 c . a_j = |a_j|^2, namely
+    Vt[:-1]^T ((U^T rhs) / S) with rhs_j = |a_j|^2 / 2, so it lies in
+    span(a). v = Vt[-1], not yet signed (`_branches` signs it). With no
+    rows (d = 1) S is empty, Vt = [[1]] and c0 = [0]. A frame that fails
+    the rank test divides by S = inf instead, so its c0 is 0 rather than inf
+    or NaN.
+    """
     u, sv, vt = np.linalg.svd(A, full_matrices=True)
-    if sv.min(initial=np.inf) <= tol:
-        raise ValueError("input vectors are linearly dependent")
-    rhs = 0.5 * np.einsum("ij,ij->i", A, A)
-    c0 = vt[:-1].T @ ((u.T @ rhs) / sv)
-    v = vt[-1]
-    if v[np.argmax(np.abs(v) > 1e-12)] < 0:
-        v = -v
-    return A, c0, v
+    ok = np.logical_and.reduce(sv > tol, axis=1)
+    rhs = 0.5 * np.add.reduce(A * A, axis=2)
+    sv = np.where(ok[:, None], sv, np.inf)
+    c0 = (((rhs[:, None] @ u) / sv[:, None]) @ vt[:, :-1])[:, 0]
+    return ok, c0, vt[:, -1]
 
 
 def circumsphere_through_origin(
@@ -182,8 +287,10 @@ def circumsphere_through_origin(
     the minimum-norm least-squares solution lands in the row space, which
     is exactly span(a). Raises on linearly dependent input.
     """
-    _, c0, _ = _frame(a, tol)
-    return c0, float(np.linalg.norm(c0))
+    ok, c0, _ = _frame(_frame_rows(a)[None], tol)
+    if not ok[0]:
+        raise ValueError(_DEPENDENT)
+    return c0[0], float(np.linalg.norm(c0[0]))
 
 
 @dataclass(frozen=True)
@@ -209,6 +316,66 @@ class TupleSolution:
     section: SphereSection
 
 
+class FrameBatch(NamedTuple):
+    """Solutions of a stack of m frames in R^d. Entries past a frame's
+    solution count are NaN."""
+
+    count: np.ndarray        # (m,) 0, 1 or 2; -1 for a linearly dependent frame
+    t: np.ndarray            # (m, 2) signed heights of b_1 over span(a), +t first
+    b: np.ndarray            # (m, 2, d, d), row j-1 of b[i, k] is b_j
+
+
+# A frame's case: 0 two solutions, 1 tangent, 2 none, 3 dependent. |r0 - 1|
+# <= TANGENT_TOL exactly when r0 - 1 lies in [_TANGENT_EDGES[0],
+# _TANGENT_EDGES[1]). Each case's solution count, and the factors of
+# s = sqrt(1 - r0^2) that give its t (+t first, NaN past the count).
+_TANGENT_EDGES = np.array([-TANGENT_TOL, np.nextafter(TANGENT_TOL, np.inf)])
+_CASE_COUNT = np.array([2, 1, 0, -1])
+_CASE_T = np.array([[1.0, -1.0], [0.0, np.nan], [np.nan, np.nan], [np.nan, np.nan]])
+
+
+def _classify(A: np.ndarray, tol: float):
+    """Case of each frame of a validated stack A (m, d-1, d), with its
+    circumcenter c0, radius r0 = |c0| and unsigned normal v."""
+    ok, c0, v = _frame(A, tol)
+    r0 = np.sqrt(np.add.reduce(c0 * c0, axis=1))
+    case = np.where(ok, _TANGENT_EDGES.searchsorted(r0 - 1.0, side="right"), 3)
+    return case, c0, r0, v
+
+
+def _branches(case, c0, r0, v, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, the unit rows b and the signed normal v of every frame: b_1 =
+    t v - c0, b_{j+1} = b_1 + a_j, with t = +-sqrt(1 - r0^2), +t first.
+    v is signed so that its first coordinate above 1e-12 in magnitude is
+    positive."""
+    lead = v[np.arange(v.shape[0]), (np.abs(v) > 1e-12).argmax(axis=1)]
+    v = v * np.sign(lead)[:, None]
+    # |1 - r0^2| keeps s finite for tangent frames, whose factor is 0
+    t = np.sqrt(np.abs(1.0 - r0 * r0))[:, None] * _CASE_T[case]
+    b = np.empty((A.shape[0], 2, A.shape[2], A.shape[2]))
+    np.subtract(t[:, :, None] * v[:, None], c0[:, None], out=b[:, :, 0])
+    np.add(b[:, :, :1], A[:, None], out=b[:, :, 1:])
+    return t, b, v
+
+
+def unit_frame_batch(A, tol: float = 1e-9) -> FrameBatch:
+    """`unit_frame_solutions` for a stack A of m frames, shape (m, d-1, d).
+
+    One batched SVD solves every frame. A dependent frame (smallest singular
+    value <= tol) gets count -1 instead of raising.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] - 1 or not 1 <= A.shape[2] <= MAX_DIM:
+        raise ValueError(
+            f"expected an (m, d-1, d) stack with d in 1..{MAX_DIM}, got {A.shape}"
+        )
+    if not np.isfinite(A).all():
+        raise ValueError("frames have non-finite coordinates")
+    case, c0, r0, v = _classify(A, tol)
+    t, b, _ = _branches(case, c0, r0, v, A)
+    return FrameBatch(_CASE_COUNT[case], t, b)
+
+
 def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
     """All tuples (b_1, ..., b_d) of unit vectors with b_j = b_1 + a_j.
 
@@ -219,30 +386,22 @@ def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
     none for r0 > 1, one at tangency (|r0 - 1| <= 1e-12), else two,
     returned with the +t branch first.
 
-    One full SVD of the (d-1) x d step matrix gives the rank test, c0 and v.
-    d = 1 is the frame with no steps: b_1 = ±1.
+    This is `unit_frame_batch` on a stack of one frame. d = 1 is the frame
+    with no steps: b_1 = ±1.
     """
-    A, c0, v = _frame(a, tol)
-    r0 = float(np.linalg.norm(c0))
-    if abs(r0 - 1.0) <= TANGENT_TOL:
-        ts = [0.0]
-    elif r0 > 1.0:
+    A = _frame_rows(a)[None]
+    case, c0, r0, v = _classify(A, tol)
+    count = _CASE_COUNT[case[0]]
+    if count < 0:
+        raise ValueError(_DEPENDENT)
+    if count == 0:
         return []
-    else:
-        s = math.sqrt(1.0 - r0 * r0)
-        ts = [s, -s]
-
-    out = []
-    for t in ts:
-        b1 = t * v - c0
-        out.append(
-            TupleSolution(
-                b=np.vstack([b1, b1 + A]),
-                t=t,
-                section=SphereSection(t, v, math.sqrt(max(0.0, 1.0 - t * t))),
-            )
-        )
-    return out
+    t, b, v = _branches(case, c0, r0, v, A)
+    v = v[0]
+    return [
+        TupleSolution(bk, tk, SphereSection(tk, v, math.sqrt(1.0 - tk * tk)))
+        for tk, bk in zip(t[0, :count].tolist(), b[0])
+    ]
 
 
 @dataclass(frozen=True)
@@ -292,16 +451,31 @@ def _sphere_directions(m: int) -> np.ndarray:
 def _cloud_diameter(hits: np.ndarray) -> float:
     if hits.shape[0] < 2:
         return 0.0
-    if hits.shape[0] <= 4096:
-        d2 = ((hits[:, None, :] - hits[None, :, :]) ** 2).sum(-1)
-        return float(np.sqrt(d2.max()))
-    # extreme points along fixed directions, then exact max among candidates
-    dirs = _sphere_directions(96)
-    proj = hits @ dirs.T
-    cand_idx = np.unique(np.concatenate([proj.argmax(0), proj.argmin(0)]))
-    cand = hits[cand_idx]
-    d2 = ((cand[:, None, :] - cand[None, :, :]) ** 2).sum(-1)
-    return float(np.sqrt(d2.max()))
+    if hits.shape[0] > 4096:
+        # extreme points along fixed directions, then exact max among them
+        proj = hits @ _sphere_directions(96).T
+        hits = hits[np.unique(np.concatenate([proj.argmax(0), proj.argmin(0)]))]
+    cols = hits.T
+    return float(np.sqrt(_sq_dist(cols[:, :, None], cols[:, None, :]).max()))
+
+
+def _squared_limits(lo: float, hi: float) -> tuple[float, float]:
+    """The doubles lo2, hi2 with lo2 <= s <= hi2 exactly when
+    lo <= sqrt(s) <= hi, for every double s >= 0.
+
+    sqrt is correctly rounded, hence monotone, so both sets are intervals;
+    the ends are found by stepping from the rounded squares.
+    """
+    lo2, hi2 = lo * lo, hi * hi
+    while math.sqrt(lo2) >= lo:
+        lo2 = math.nextafter(lo2, 0.0)
+    while math.sqrt(lo2) < lo:
+        lo2 = math.nextafter(lo2, math.inf)
+    while math.sqrt(hi2) <= hi:
+        hi2 = math.nextafter(hi2, math.inf)
+    while math.sqrt(hi2) > hi:
+        hi2 = math.nextafter(hi2, 0.0)
+    return lo2, hi2
 
 
 def triple_annulus_diameter(
@@ -377,13 +551,14 @@ def triple_annulus_diameter(
         q1 = rng.uniform(xi1 - e_xi1, xi1 + e_xi1, samples)
         q2 = rng.uniform(xi2 - e_xi2, xi2 + e_xi2, samples)
         z = rng.uniform(-z_hi if merged else z_lo, z_hi, samples)
-        pts = p1 + q1[:, None] * e1 + q2[:, None] * e2 + z[:, None] * n_hat
-        lo_b, hi_b = 1.0 - half_band, 1.0 + half_band
+        xs = [p1[k] + q1 * e1[k] + q2 * e2[k] + z * n_hat[k] for k in range(3)]
+        # |x - c| in [1 - 6 delta, 1 + 6 delta], decided on squared distances
+        lo2, hi2 = _squared_limits(1.0 - half_band, 1.0 + half_band)
         mask = np.ones(samples, dtype=bool)
         for c in (p1, p2, p3):
-            r = np.linalg.norm(pts - c, axis=1)
-            mask &= (r >= lo_b) & (r <= hi_b)
-        hits = pts[mask]
+            r2 = _sq_dist(xs, c)
+            mask &= (r2 >= lo2) & (r2 <= hi2)
+        hits = np.stack([x[mask] for x in xs], axis=1)
 
     s_min = min(s12, s13)
     bound = c_geo * math.sqrt(delta / (s_min * sin_theta))

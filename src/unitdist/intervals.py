@@ -93,8 +93,8 @@ def _dyadic_parts(nums: np.ndarray, exp: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + l) over the pairs (s, l)."""
-    shift = start - np.cumsum(length) + length
-    return np.arange(int(length.sum())) + np.repeat(shift, length)
+    shift = start - length.cumsum() + length
+    return np.arange(int(length.sum())) + shift.repeat(length)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,15 +66,14 @@ def test_frames_residual_checks_every_step(tmp_path, monkeypatch):
     # must fail the residual gate
     import unitdist.cli as cli
 
-    solve = cli.unit_frame_solutions
+    solve = cli.unit_frame_batch
 
-    def last_row_off(a):
-        sols = solve(a)
-        for s in sols:
-            s.b[-1] *= 1.0 + 1e-6
+    def last_row_off(A):
+        sols = solve(A)
+        sols.b[:, :, -1] *= 1.0 + 1e-6  # NaN past each frame's count stays NaN
         return sols
 
-    monkeypatch.setattr(cli, "unit_frame_solutions", last_row_off)
+    monkeypatch.setattr(cli, "unit_frame_batch", last_row_off)
     cfg = _write(tmp_path / "f.json", {"kind": "frames", "d": 3, "count": 50})
     out = tmp_path / "run"
     assert main(["frames", "--config", cfg, "--out", str(out)]) == 2

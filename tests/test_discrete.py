@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitdist.discrete import (
     PointSet,
@@ -15,6 +16,7 @@ from unitdist.discrete import (
     two_circles_r4,
     unit_step_census,
 )
+from unitdist.geom import _sq_dist
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -203,3 +205,50 @@ def test_compatible_offsets_are_cached_read_only():
     P = PointSet(pts, eps=1e-3)
     assert count_unit_pairs_grid(P) == count_unit_pairs_bruteforce(P)
     np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, side, 1e-3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    a=st.integers(1, 40),
+    b=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_sq_dist_matches_the_stacked_expression(d, a, b, seed, spread):
+    # the per-axis kernel adds its terms in NumPy's order for the stacked
+    # (..., d) expression, so both give the same bits
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(a, d)) * spread, rng.normal(size=(b, d)) * spread
+    want = ((x[:, None, :] - y[None, :, :]) ** 2).sum(-1)
+    got = _sq_dist(x.T[:, :, None], y.T[:, None, :])
+    assert got.tobytes() == want.tobytes()
+    # gathered pairs, as in the grid counter
+    i, j = rng.integers(0, a, 50), rng.integers(0, b, 50)
+    want = ((x[i] - y[j]) ** 2).sum(-1)
+    assert _sq_dist(x.T[:, i], y.T[:, j]).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]),
+)
+def test_counters_agree_in_every_dimension(d, n, seed, eps):
+    # half-lattice points realize distance 1 exactly (four half steps),
+    # the rest are uniform at about unit spacing
+    if d == 8:
+        eps = 1e-3  # one 51 MB offset table for R^8 is enough
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, np.sqrt(6.0 / d), (n, d))
+    pts[: n // 2] = rng.integers(0, 3, (n // 2, d)) / 2.0
+    _grid_equals_brute(pts, eps)
+
+
+@pytest.mark.parametrize("N", [1, 7, 40])
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_counters_agree_on_two_circles(N, eps):
+    P = two_circles_r4(N, seed=N)
+    assert _grid_equals_brute(P.points, eps) >= 2 * N * N

@@ -5,6 +5,7 @@ the classic equilateral configurations, and against a brute mesh search over
 the unit sphere that knows nothing about the solver's linear algebra.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,14 @@ from hypothesis import given, settings, strategies as st
 from unitdist.geom import (
     TANGENT_TOL,
     Annulus,
+    _first_bad,
+    _independent_screen,
+    _squared_limits,
     affinely_independent,
     circumsphere_through_origin,
     general_position_check,
     triple_annulus_diameter,
+    unit_frame_batch,
     unit_frame_solutions,
 )
 
@@ -333,3 +338,125 @@ def test_triple_annulus_degenerate_triples_rejected():
         triple_annulus_diameter(a1, a2, np.array([2.0, 0.0, 0.0]), delta)
     with pytest.raises(ValueError):
         triple_annulus_diameter(a1, a2, a2, delta)
+
+
+def _svd_first_bad(pts, combos, tol=1e-9):
+    """SVD-only oracle for `_first_bad`: the first tuple whose difference
+    matrix has smallest singular value <= tol."""
+    sub = pts[combos]
+    sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
+    bad = np.flatnonzero(sv.min(axis=1, initial=np.inf) <= tol)
+    return tuple(int(i) for i in combos[bad[0]]) if bad.size else None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "collinear", "coplanar", "repeated"]),
+    shift_exp=st.sampled_from([None, -12, -11, -10, -9, -8, -7, -6]),
+)
+def test_screened_check_finds_the_svd_witness(d, seed, kind, shift_exp):
+    # three points on a line, or four on a plane, or a repeated point, then
+    # everything moved by 10^shift_exp (or not at all)
+    rng = np.random.default_rng(seed)
+    n = d + 5
+    pts = rng.uniform(0.0, 3.0, (n, d))
+    i = rng.permutation(n)
+    if kind == "collinear":
+        pts[i[2]] = pts[i[0]] + rng.uniform(-2, 2) * (pts[i[1]] - pts[i[0]])
+    elif kind == "coplanar":
+        lam = rng.uniform(-2, 2, 2)
+        pts[i[3]] = pts[i[0]] + lam @ (pts[i[1:3]] - pts[i[0]])
+    elif kind == "repeated":
+        pts[i[1]] = pts[i[0]]
+    if shift_exp is not None:
+        pts += rng.normal(size=pts.shape) * 10.0**shift_exp
+    combos = np.array(list(itertools.combinations(range(n), d)))
+    assert _first_bad(pts, combos, 1e-9) == _svd_first_bad(pts, combos)
+    rng.shuffle(combos)
+    assert _first_bad(pts, combos, 1e-9) == _svd_first_bad(pts, combos)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_tuples_near_the_threshold_reach_the_svd(d):
+    # the difference rows sigma e_1, e_2, ..., e_{d-1} have smallest singular
+    # value sigma; for d <= 3 the screen's bound is sigma up to rounding
+    tol = 1e-9
+    pts = np.vstack([np.zeros(d), np.eye(d)[: d - 1]])
+    combo = np.arange(d)[None]
+    for sigma in (tol * (1 + 2.0**-31), tol * (1 - 2.0**-31), tol):
+        pts[1, 0] = sigma
+        # within the screen's margin of tol: the SVD decides
+        assert not _independent_screen(pts, combo, tol)[0]
+        want = None if sigma > tol else (tuple(range(d)))
+        assert _first_bad(pts, combo, tol) == want == _svd_first_bad(pts, combo, tol)
+    # past the margin m (tol + m |D|_F) the bound alone decides, for d <= 3
+    pts[1, 0] = 2.0 * (tol + 2.0**-30)
+    assert _independent_screen(pts, combo, tol)[0] == (d <= 3)
+    pts[1, 0] = 0.5
+    assert _independent_screen(pts, combo, tol)[0]
+
+
+def _mixed_stack(d, rng):
+    """Frames in R^d with two solutions, one (tangent), none, and a
+    dependent one, then random frames."""
+    frames = [np.eye(d)[: d - 1] * 0.6]
+    # circumcenter e_1 at distance 1: the steps 2 e_1 and e_1 + e_k
+    tangent = np.eye(d)[: d - 1].copy()
+    tangent[:, 0] = 1.0
+    tangent[0, 0] = 2.0
+    frames.append(tangent)
+    frames.append(np.eye(d)[: d - 1] * 3.0)
+    dep = np.zeros((d - 1, d))
+    dep[:, 0] = np.arange(1, d) * (d > 2)  # parallel steps, or a zero step
+    frames.append(dep)
+    frames += [rng.normal(size=(d - 1, d)) * s for s in (0.1, 0.6, 1.5, 2.5)]
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_batch_equals_frame_by_frame(d):
+    A = _mixed_stack(d, np.random.default_rng(d))
+    got = unit_frame_batch(A)
+    counts = []
+    for a, k, t, b in zip(A, *got):
+        try:
+            sols = unit_frame_solutions(a)
+        except ValueError as e:
+            assert str(e) == "input vectors are linearly dependent"
+            counts.append(-1)
+            assert np.isnan(t).all() and np.isnan(b).all()
+            continue
+        counts.append(len(sols))
+        assert k == len(sols)
+        for s, tk, bk in zip(sols, t, b):
+            assert s.t == tk
+            np.testing.assert_array_equal(s.b, bk)
+        assert np.isnan(t[k:]).all() and np.isnan(b[k:]).all()
+    # the stack has every case: dependent, none, tangent, two solutions
+    assert set(counts) == {-1, 0, 1, 2}
+    assert got.count.tolist() == counts
+
+
+def test_frame_batch_validates_its_stack():
+    for bad in (np.zeros((2, 3)), np.zeros((1, 3, 3)), np.zeros((1, 8, 9))):
+        with pytest.raises(ValueError):
+            unit_frame_batch(bad)
+    with pytest.raises(ValueError):
+        unit_frame_batch(np.full((1, 1, 2), np.nan))
+    assert unit_frame_batch(np.zeros((0, 2, 3))).b.shape == (0, 2, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1 - 6e-3, 1 + 6e-3), (0.3, 0.30000000000000004), (2.5, 7.0)]
+)
+def test_squared_limits_decide_like_the_square_root(lo, hi):
+    lo2, hi2 = _squared_limits(lo, hi)
+    for end in (lo * lo, hi * hi):
+        s = end
+        for _ in range(40):
+            s = math.nextafter(s, 0.0)
+        for _ in range(80):
+            assert (lo2 <= s <= hi2) == (lo <= math.sqrt(s) <= hi)
+            s = math.nextafter(s, math.inf)
