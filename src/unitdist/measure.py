@@ -8,8 +8,9 @@ Three independent computations of the same quantity live here on purpose:
   certified [inner, outer] bracket (slack +-sqrt(d)*cell on the band);
 * `pair_band_measure_product` ("dense") integrates the exact formula
   |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice.
-  The lattice correlograms are exact: FFT overlap counts after certified
-  rounding to integers;
+  The lattice correlograms are exact: FFT overlap counts on the coarsest
+  lattice holding the endpoints, certified-rounded to integers and
+  expanded to the sample spacing by exact integer interpolation;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
   delta = 2^-26. Both autocorrelations are exact piecewise-linear functions
@@ -154,15 +155,18 @@ _EXACT_BLOCK_CAP = 64
 def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlogram:
     """Correlogram of an interval union.
 
-    The fast path samples per-cell coverage exactly and squares its FFT.
-    When every endpoint lies on the spacing lattice (our constructions and
-    every CLI path), each cell is empty or full and the FFT returns whole-cell
-    overlap counts plus float noise. These are rounded to integers, certified
-    (each within 0.25 of its integer, else FloatingPointError) and scaled by
-    the spacing, so the lattice correlogram is exact and does not depend on
-    the transform length. Other coverage keeps the unrounded FFT, within
-    2*spacing*|A| of corr. The reference path evaluates the block-pair
-    trapezoids directly and is capped at 64 blocks.
+    When every endpoint of a positive-length interval lies on the spacing
+    lattice (our constructions and every CLI path), the fast path returns
+    counts on the endpoint lattice, expanded exactly to the spacing. The
+    FFT of the 0/1 cells of the coarsest lattice holding those endpoints
+    gives whole-cell overlap counts plus float noise; these are rounded to
+    integers and certified (each within 0.25 of its integer, else
+    FloatingPointError). The counts at the spacing are linear between them,
+    are interpolated in int64 and scaled by the spacing once, so the
+    lattice correlogram is exact and does not depend on the transform
+    length. Other input squares the FFT of the exact per-cell coverage,
+    unrounded, within 2*spacing*|A| of corr. The reference path evaluates
+    the block-pair trapezoids directly and is capped at 64 blocks.
     """
     spacing_q = Fraction(spacing)
     if spacing_q <= 0:
@@ -200,12 +204,12 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    covered, step = _coverage(A, spacing_q)
-    full = covered == step
-    if np.all(full | (covered == 0)):
-        # lattice-aligned: the raw correlation counts whole overlapping cells
-        corr = _certified_counts(_fft_autocorrelation(full.astype(np.float64))) * h
+    lo, hi, step, n = _cells(A, spacing_q)
+    counts = _lattice_counts(lo, hi, step, n)
+    if counts is not None:
+        corr = counts * h
     else:
+        covered = _coverage(lo, hi, step, n)
         corr = _fft_autocorrelation(float_quotients(covered, step)) * h
         corr = np.maximum(corr, 0.0)
         corr[0] = mass
@@ -230,20 +234,60 @@ def _certified_counts(raw: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _coverage(A: IntervalUnion, spacing: Fraction) -> tuple[np.ndarray, int]:
-    """Per-cell covered lengths of A on the spacing lattice, as exact
-    integers in 1/den units, and the spacing in the same units.
-
-    Cells run from the lattice point at or below A's start. A cell strictly
-    inside one interval is covered whole; the covered parts of the cells
-    holding an endpoint are summed as exact integers.
-    """
+def _cells(
+    A: IntervalUnion, spacing: Fraction
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """A's endpoints as exact integers in 1/den units, measured from the
+    spacing-lattice point at or below A's start; the spacing in the same
+    units; and the number of cells up to A's end (at least one)."""
     den = math.lcm(A.den, spacing.denominator)
     lo, hi = A.numerators(den)
     step = spacing.numerator * (den // spacing.denominator)  # in 1/den units
     origin = int(lo[0]) // step * step
     lo, hi = lo - origin, hi - origin
-    n = max(-(-int(hi[-1]) // step), 1)
+    return lo, hi, step, max(-(-int(hi[-1]) // step), 1)
+
+
+def _lattice_counts(
+    lo: np.ndarray, hi: np.ndarray, step: int, n: int
+) -> np.ndarray | None:
+    """counts[k] = number of cell pairs (i, i + k), both inside A, at the
+    n lags of `_cells`, as int64; None if a positive-length interval has
+    an endpoint off the cell lattice.
+
+    The FFT runs on the coarsest lattice g = m * step that holds every
+    positive-length endpoint, measured from the first. Points cover no
+    cell, so they do not shrink g. Each coarse cell is m cells, so the
+    counts are linear between multiples of m:
+    counts[m j + r] = (m - r) c[j] + r c[j + 1], with c read as 0 past its
+    end.
+    """
+    solid = hi > lo
+    ends = np.column_stack([lo[solid], hi[solid]]).ravel()
+    counts = np.zeros(n, dtype=np.int64)
+    if ends.size == 0:
+        return counts
+    runs = np.diff(ends)
+    g = int(np.gcd.reduce(runs))
+    if ends[0] % step or g % step:
+        return None
+    m = g // step
+    # alternating runs of full and empty coarse cells
+    cells = np.repeat(1.0 - np.arange(runs.size) % 2, runs // g)
+    c = np.append(_certified_counts(_fft_autocorrelation(cells)), 0)
+    r = np.arange(m)[:, None]
+    fine = counts[: m * cells.size].reshape(cells.size, m)
+    fine.T[:] = (m - r) * c[:-1] + r * c[1:]  # row r holds lags m j + r
+    return counts
+
+
+def _coverage(lo: np.ndarray, hi: np.ndarray, step: int, n: int) -> np.ndarray:
+    """Per-cell covered lengths of the n cells of `_cells`, as exact
+    integers in the same units.
+
+    A cell strictly inside one interval is covered whole; the covered parts
+    of the cells holding an endpoint are summed as exact integers.
+    """
     first, stop = lo // step, -(-hi // step)  # cells [first, stop) meet [lo, hi]
     one = stop - first == 1
     many = stop - first > 1
@@ -255,7 +299,7 @@ def _coverage(A: IntervalUnion, spacing: Fraction) -> tuple[np.ndarray, int]:
     np.add.at(covered, first[one], hi[one] - lo[one])
     np.add.at(covered, first[many], (first[many] + 1) * step - lo[many])
     np.add.at(covered, stop[many] - 1, hi[many] - (stop[many] - 1) * step)
-    return covered, step
+    return covered
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
 from unitdist.intervals import IntervalUnion, dyadic
@@ -118,22 +118,32 @@ def test_autocorrelation_spacing_guard():
         autocorrelation(A, Fraction(1, 64))  # spacing must resolve the blocks
 
 
+_Q = Fraction
+
+
 @st.composite
 def _aligned_unions(draw):
-    """A few disjoint intervals on a 1/L lattice and a spacing 1/(L 2^j)
-    that resolves them, so every sample cell is empty or full."""
-    L = draw(st.sampled_from([1, 3, 4, 6, 12, 40]))
+    """A few disjoint intervals on a 1/L lattice, a few points on or off it,
+    and a spacing 1/(L m) that resolves the intervals, so every sample cell
+    is empty or full."""
+    L = draw(st.sampled_from([1, 3, 4, 5, 6, 12, 24, 40, 96]))
+    m = draw(st.sampled_from([1, 2, 3, 5, 8]))
     ends = sorted(draw(st.lists(st.integers(-60, 60), min_size=2, max_size=14, unique=True)))
     if len(ends) % 2:
         ends = ends[:-1]
+    assume(m > 1 or min(np.diff(ends)[::2]) >= 2)  # spacing <= half a block
     pairs = [(Fraction(a, L), Fraction(b, L)) for a, b in zip(ends[::2], ends[1::2])]
-    spacing = Fraction(1, L * 2 ** draw(st.integers(1, 4)))
-    return IntervalUnion.from_pairs(pairs), spacing
+    points = draw(
+        st.lists(st.fractions(-70, 70, max_denominator=3 * L * m), max_size=3)
+    )
+    A = IntervalUnion.from_pairs(pairs + [(x, x) for x in points])
+    return A, Fraction(1, L * m)
 
 
 def _lattice_overlaps(A, spacing):
     """int64 overlap counts of A's 0/1 cell coverage at lags 0, 1, ...,
-    by direct correlation."""
+    by direct correlation. Cells run from the lattice point at or below A's
+    first endpoint to the one at or above its last, points included."""
     cells = [(a / spacing, b / spacing) for a, b in A.intervals]
     origin = math.floor(cells[0][0])
     cov = np.zeros(math.ceil(cells[-1][1]) - origin, dtype=np.int64)
@@ -146,30 +156,104 @@ def _power_of_two_length(m):
     return 1 << m.bit_length()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_aligned_unions())
 def test_lattice_correlogram_is_exact_for_any_transform_length(case):
     A, spacing = case
     got = autocorrelation(A, spacing, method="fft").values
-    h = float(spacing)
-    np.testing.assert_array_equal(got, h * _lattice_overlaps(A, spacing))
+    want = _lattice_overlaps(A, spacing)
+    assert got.size == want.size
+    np.testing.assert_array_equal(got, float(spacing) * want)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(unitdist.measure, "fft_length", _power_of_two_length)
         again = autocorrelation(A, spacing, method="fft").values
+    assert again.size == got.size
     np.testing.assert_array_equal(again, got)
 
 
+def _fft_input_sizes(mp):
+    """Patch `_fft_autocorrelation` to record the length of every input."""
+    sizes = []
+    inner = unitdist.measure._fft_autocorrelation
+
+    def recording(x):
+        sizes.append(x.size)
+        return inner(x)
+
+    mp.setattr(unitdist.measure, "_fft_autocorrelation", recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "pairs, spacing, fft_size, counts",
+    [
+        # one interval: a single coarse cell, m = 4
+        ([(0, 1)], _Q(1, 4), 1, [4, 3, 2, 1]),
+        # lengths 2 and 2 with a gap of 1 cell: g is the spacing, m = 1
+        ([(0, _Q(2, 8)), (_Q(3, 8), _Q(5, 8))], _Q(1, 8), 5, [4, 2, 1, 2, 1]),
+        # negative endpoints: g = 1/4 from -1/2, m = 2
+        ([(_Q(-1, 2), _Q(-1, 4)), (0, _Q(1, 4))], _Q(1, 8), 3,
+         [4, 2, 0, 1, 2, 1]),
+        # points on the cell lattice, off the coarse one, first and inside
+        ([(_Q(-3, 8), _Q(-3, 8)), (0, _Q(1, 2)), (_Q(3, 4), _Q(3, 4)), (1, _Q(3, 2))],
+         _Q(1, 8), 3, None),
+        # points off the cell lattice, first and last
+        ([(_Q(-7, 5), _Q(-7, 5)), (0, _Q(1, 2)), (1, _Q(3, 2)), (_Q(9, 7), _Q(9, 7))],
+         _Q(1, 8), 3, None),
+        ([(_Q(1, 3), _Q(1, 3)), (0, _Q(1, 2)), (1, _Q(3, 2)), (_Q(15, 7), _Q(15, 7))],
+         _Q(1, 8), 3, None),
+        # points only: nothing to transform, every count is 0
+        ([(_Q(-1, 3), _Q(-1, 3)), (_Q(5, 7), _Q(5, 7))], _Q(1, 8), None, None),
+    ],
+)
+def test_coarse_lattice_edge_cases(pairs, spacing, fft_size, counts):
+    A = IntervalUnion.from_pairs(pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _fft_input_sizes(mp)
+        got = autocorrelation(A, spacing, method="fft").values
+    # points cover no cell and never shrink the coarse lattice
+    assert sizes == ([] if fft_size is None else [fft_size])
+    want = _lattice_overlaps(A, spacing)
+    assert got.size == want.size
+    np.testing.assert_array_equal(got, float(spacing) * want)
+    if counts is not None:
+        np.testing.assert_array_equal(want, counts)
+
+
+def test_dense_correlogram_transforms_the_endpoint_lattice():
+    # at the dense route's spacing delta/4 every endpoint of a C(1,2)
+    # neighborhood is on the 1/den = delta lattice, and merged siblings put
+    # them 6 delta apart: the FFT runs on cells of g >= 4 spacings, never
+    # on the n fine cells
+    delta = Fraction(1, 2**10)
+    spec = CantorSpec(1, 2)
+    A = cantor_stage(spec, stage_for_scale(spec, delta)).neighborhood(delta)
+    ends = [x - A.span[0] for pair in A.intervals for x in pair]
+    g = Fraction(math.gcd(*(int(x * A.den) for x in ends)), A.den)
+    assert A.den == 1 / delta and g == 6 * delta
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _fft_input_sizes(mp)
+        corr = autocorrelation(A, delta / 4, method="fft")
+    n = corr.values.size
+    assert n == (A.span[1] - A.span[0]) / (delta / 4)
+    assert sizes == [n // 24]
+
+
 def test_unaligned_correlogram_within_documented_error():
-    # endpoints at thirds and sevenths sit off the 1/256 sample lattice
-    A = IntervalUnion.from_pairs(
-        [(0, Fraction(1, 3)), (Fraction(3, 7), Fraction(2, 3)), (Fraction(5, 7), 1)]
-    )
-    h = Fraction(1, 256)
-    fft = autocorrelation(A, h, method="fft").values
-    exact = autocorrelation(A, h, method="exact").values
-    n = min(fft.size, exact.size)
-    gap = np.abs(fft[:n] - exact[:n]).max()
-    assert 0 < gap <= 2 * float(h) * float(A.total_length)
+    cases = [
+        # endpoints at thirds and sevenths sit off the 1/256 sample lattice
+        ([(0, _Q(1, 3)), (_Q(3, 7), _Q(2, 3)), (_Q(5, 7), 1)], _Q(1, 256)),
+        # every endpoint is off the 1/8 lattice by 1/16, though their
+        # differences are on it
+        ([(_Q(1, 16), _Q(9, 16)), (_Q(11, 16), _Q(15, 16))], _Q(1, 8)),
+    ]
+    for pairs, h in cases:
+        A = IntervalUnion.from_pairs(pairs)
+        fft = autocorrelation(A, h, method="fft").values
+        exact = autocorrelation(A, h, method="exact").values
+        n = min(fft.size, exact.size)
+        gap = np.abs(fft[:n] - exact[:n]).max()
+        assert 0 < gap <= 2 * float(h) * float(A.total_length)
 
 
 def test_certified_counts_refuse_far_from_integer_values():
