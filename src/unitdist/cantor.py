@@ -13,7 +13,6 @@ p=2, q=3). Stage j therefore lives on the integer lattice
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +25,6 @@ __all__ = [
     "cantor_stage",
     "stage_for_scale",
     "shift_union",
-    "BandMassRow",
-    "BandMassTable",
-    "band_mass_table",
 ]
 
 # Refinement depth guard: stage * q <= MAX_DEPTH keeps interval lengths at or
@@ -51,9 +47,6 @@ class CantorSpec:
 
     def dimension(self) -> float:
         return self.p / self.q
-
-    def dimension_exact(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 def cantor_stage(spec: CantorSpec, stage: int) -> IntervalUnion:
@@ -110,88 +103,3 @@ def shift_union(A: IntervalUnion, s) -> IntervalUnion:
     """
     return A.union(A.shift(Fraction(s)))
 
-
-@dataclass(frozen=True)
-class BandMassRow:
-    n: int
-    delta: float
-    near_mass: float  # |{(x1,x2) in A_d^2 : 2 delta <= |x1-x2| <= 5 delta/2}|
-    near_reference: float  # delta^(2-beta)
-    far_mass: float  # |{(t1,t2) in B_d^2 : sqrt(7 delta/2) <= |t1-t2| <= 2 sqrt(delta)}|
-    far_reference: float  # delta^(2-3 gamma/2)
-
-    @property
-    def near_ratio(self) -> float:
-        return self.near_mass / self.near_reference
-
-    @property
-    def far_ratio(self) -> float:
-        return self.far_mass / self.far_reference
-
-
-@dataclass(frozen=True)
-class BandMassTable:
-    """Measured band masses of fattened Cantor pairs against their
-    power-law references, along the scale ladder
-    delta_n = 2^(-2 q1 q2 n - 2)."""
-
-    rows: tuple[BandMassRow, ...]
-    beta: float
-    gamma: float
-
-    @property
-    def near_constant(self) -> float:
-        """Largest c with near_mass >= c * delta^(2-beta) on every row."""
-        return min(r.near_ratio for r in self.rows)
-
-    @property
-    def far_constant(self) -> float:
-        return min(r.far_ratio for r in self.rows)
-
-
-def band_mass_table(
-    a: CantorSpec | None,
-    b: CantorSpec,
-    n_range,
-) -> BandMassTable:
-    """Pair-mass table behind the planted-distance lower bound.
-
-    For each n, both factors are realized at the stage whose interval length
-    is at most delta_n and fattened by delta_n. The horizontal factor A (or
-    [0,1] when `a` is None) is tested in the near band [2 delta, 5 delta/2];
-    the vertical factor B in the far band [sqrt(7 delta/2), 2 sqrt(delta)].
-    A positive returned constant for all n is the measured content of the
-    estimates; the references carry exponents 2 - beta and 2 - 3 gamma / 2.
-    """
-    from .measure import pair_band_mass
-
-    q1 = a.q if a is not None else 1
-    beta = a.dimension() if a is not None else 1.0
-    gamma = b.dimension()
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_range must contain integers >= 1")
-    rows = []
-    for n in ns:
-        delta = Fraction(1, 1 << (2 * q1 * b.q * n + 2))
-        if a is None:
-            A = IntervalUnion.single(0, 1)
-        else:
-            A = cantor_stage(a, stage_for_scale(a, delta))
-        B = cantor_stage(b, stage_for_scale(b, delta))
-        A_d = A.neighborhood(delta)
-        B_d = B.neighborhood(delta)
-        df = float(delta)
-        near = pair_band_mass(A_d, A_d, 2 * df, 2.5 * df)
-        far = pair_band_mass(B_d, B_d, math.sqrt(3.5 * df), 2 * math.sqrt(df))
-        rows.append(
-            BandMassRow(
-                n=n,
-                delta=df,
-                near_mass=near,
-                near_reference=df ** (2 - beta),
-                far_mass=far,
-                far_reference=df ** (2 - 1.5 * gamma),
-            )
-        )
-    return BandMassTable(rows=tuple(rows), beta=beta, gamma=gamma)

@@ -75,12 +75,31 @@ class ConfigError(Exception):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _take(cfg: dict, field: str, *, required: bool = False, default=None, where: str = "config"):
-    if field in cfg:
-        return cfg.pop(field)
-    if required:
-        raise ConfigError(f"missing required field '{field}' in {where}")
-    return default
+def _take(
+    cfg: dict,
+    field: str,
+    *,
+    required: bool = False,
+    default=None,
+    where: str = "config",
+    cast=None,
+):
+    """Pop `field` from cfg; an optional field set to null counts as absent.
+    `cast` converts a given value (not the default); a value it rejects is
+    a ConfigError naming the field."""
+    if field not in cfg:
+        if required:
+            raise ConfigError(f"missing required field '{field}' in {where}")
+        return default
+    value = cfg.pop(field)
+    if value is None and not required:
+        return default
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"field '{field}' in {where}: {exc}") from exc
 
 
 def _done(cfg: dict, where: str = "config") -> None:
@@ -88,19 +107,25 @@ def _done(cfg: dict, where: str = "config") -> None:
         raise ConfigError(f"unknown field '{next(iter(cfg))}' in {where}")
 
 
-def _parse_scale(x, where: str):
+def _scale(x) -> Fraction:
     """Accept 0.015625, "1/64", or "2^-6" as exact scales."""
-    if isinstance(x, str):
-        m = x.strip()
-        if "^" in m:
-            base, _, exp = m.partition("^")
-            if base.strip() != "2":
-                raise ConfigError(f"bad scale '{x}' in {where}")
-            return Fraction(2) ** int(exp)
-        return Fraction(m)
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise ConfigError(f"bad scale '{x}' in {where}")
+    try:
+        if isinstance(x, str):
+            base, caret, exp = x.partition("^")
+            if not caret:
+                return Fraction(base)
+            if base.strip() == "2":
+                return Fraction(2) ** int(exp)
+        elif isinstance(x, (int, float)):
+            return Fraction(x)
+    except (ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"bad scale {x!r}")
+
+
+def _each(convert):
+    """A cast that converts every entry of a list, into a tuple."""
+    return lambda xs: tuple(convert(x) for x in xs)
 
 
 def _axis_from_config(spec, where: str):
@@ -109,20 +134,20 @@ def _axis_from_config(spec, where: str):
     spec = dict(spec)
     kind = _take(spec, "kind", required=True, where=where)
     if kind == "cantor":
-        p = _take(spec, "p", required=True, where=where)
-        q = _take(spec, "q", required=True, where=where)
-        shift = _take(spec, "shift", where=where)
+        p = _take(spec, "p", required=True, where=where, cast=int)
+        q = _take(spec, "q", required=True, where=where, cast=int)
+        shift = _take(spec, "shift", where=where, cast=_scale)
         _done(spec, where)
-        return CantorAxis(int(p), int(q), None if shift is None else _parse_scale(shift, where))
+        return CantorAxis(p, q, shift)
     if kind == "interval":
-        lo = _take(spec, "lo", required=True, where=where)
-        hi = _take(spec, "hi", required=True, where=where)
+        lo = _take(spec, "lo", required=True, where=where, cast=_scale)
+        hi = _take(spec, "hi", required=True, where=where, cast=_scale)
         _done(spec, where)
-        return IntervalAxis(_parse_scale(lo, where), _parse_scale(hi, where))
+        return IntervalAxis(lo, hi)
     if kind == "points":
-        at = _take(spec, "at", required=True, where=where)
+        at = _take(spec, "at", required=True, where=where, cast=_each(_scale))
         _done(spec, where)
-        return PointsAxis(tuple(_parse_scale(x, where) for x in at))
+        return PointsAxis(at)
     raise ConfigError(f"unknown axis kind '{kind}' in {where}")
 
 
@@ -200,8 +225,8 @@ _BUILTIN_SETS = {
 def _run_count(cfg: dict, run: _Run) -> int:
     where = "count config"
     spec = _take(cfg, "set", required=True, where=where)
-    eps = float(_take(cfg, "eps", default=1e-9, where=where))
-    census = bool(_take(cfg, "census", default=False, where=where))
+    eps = _take(cfg, "eps", default=1e-9, where=where, cast=float)
+    census = _take(cfg, "census", default=False, where=where, cast=bool)
     _done(cfg, where)
 
     spec = dict(spec if isinstance(spec, dict) else {"kind": spec})
@@ -210,16 +235,16 @@ def _run_count(cfg: dict, run: _Run) -> int:
         _done(spec, "count.set")
         P = PointSet(np.array(_BUILTIN_SETS[kind]), eps=eps, label=kind)
     elif kind == "two_circles":
-        n = int(_take(spec, "n", required=True, where="count.set"))
-        seed = int(_take(spec, "seed", default=0, where="count.set"))
+        n = _take(spec, "n", required=True, where="count.set", cast=int)
+        seed = _take(spec, "seed", default=0, where="count.set", cast=int)
         _done(spec, "count.set")
         P = two_circles_r4(n, seed=seed)
         if eps != 1e-9:
             P = PointSet(P.points, eps=eps, label=P.label)
     elif kind == "random":
-        n = int(_take(spec, "n", required=True, where="count.set"))
-        d = int(_take(spec, "d", required=True, where="count.set"))
-        seed = int(_take(spec, "seed", default=0, where="count.set"))
+        n = _take(spec, "n", required=True, where="count.set", cast=int)
+        d = _take(spec, "d", required=True, where="count.set", cast=int)
+        seed = _take(spec, "seed", default=0, where="count.set", cast=int)
         _done(spec, "count.set")
         P = random_general_position(n, d, seed=seed)
         if eps != 1e-9:
@@ -252,9 +277,9 @@ def _run_count(cfg: dict, run: _Run) -> int:
 
 def _run_frames(cfg: dict, run: _Run) -> int:
     where = "frames config"
-    d = int(_take(cfg, "d", required=True, where=where))
-    count = int(_take(cfg, "count", default=1000, where=where))
-    seed = int(_take(cfg, "seed", default=0, where=where))
+    d = _take(cfg, "d", required=True, where=where, cast=int)
+    count = _take(cfg, "count", default=1000, where=where, cast=int)
+    seed = _take(cfg, "seed", default=0, where=where, cast=int)
     _done(cfg, where)
     if not 2 <= d <= 8:
         raise ConfigError("'d' must be in [2, 8] in frames config")
@@ -297,10 +322,10 @@ def _run_frames(cfg: dict, run: _Run) -> int:
 
 def _run_cantor(cfg: dict, run: _Run) -> int:
     where = "cantor config"
-    p = int(_take(cfg, "p", required=True, where=where))
-    q = int(_take(cfg, "q", required=True, where=where))
-    stage = int(_take(cfg, "stage", required=True, where=where))
-    delta = _take(cfg, "delta", where=where)
+    p = _take(cfg, "p", required=True, where=where, cast=int)
+    q = _take(cfg, "q", required=True, where=where, cast=int)
+    stage = _take(cfg, "stage", required=True, where=where, cast=int)
+    delta = _take(cfg, "delta", where=where, cast=_scale)
     _done(cfg, where)
 
     spec = CantorSpec(p, q)
@@ -315,7 +340,7 @@ def _run_cantor(cfg: dict, run: _Run) -> int:
     }
     run.path("intervals.txt").write_text(U.to_text())
     if delta is not None:
-        fat = U.neighborhood(_parse_scale(delta, where))
+        fat = U.neighborhood(delta)
         run.path("fattened.txt").write_text(fat.to_text())
         stats["fattened_intervals"] = fat.n_intervals
         stats["fattened_length"] = str(fat.total_length)
@@ -354,12 +379,12 @@ _SCALING_SCHEMA = ["label", "d", "alpha", "delta", "value", "value_low", "value_
 def _run_sweep(cfg: dict, run: _Run) -> int:
     where = "sweep config"
     axes_cfg = _take(cfg, "axes", required=True, where=where)
-    deltas = _take(cfg, "deltas", required=True, where=where)
+    deltas = _take(cfg, "deltas", required=True, where=where, cast=_each(_scale))
     method = _take(cfg, "method", default="grid", where=where)
-    widthm = float(_take(cfg, "width_multiplier", default=2.0, where=where))
-    tol = float(_take(cfg, "tol", default=0.2, where=where))
-    label = str(_take(cfg, "label", default="sweep", where=where))
-    alpha_cfg = _take(cfg, "alpha", where=where)
+    widthm = _take(cfg, "width_multiplier", default=2.0, where=where, cast=float)
+    tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
+    label = _take(cfg, "label", default="sweep", where=where, cast=str)
+    alpha_cfg = _take(cfg, "alpha", where=where, cast=float)
     _done(cfg, where)
 
     axes = [
@@ -367,14 +392,13 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
     ]
     d = len(axes)
     alpha = (
-        float(alpha_cfg)
+        alpha_cfg
         if alpha_cfg is not None
         else min(float(d), sum(ax.dimension for ax in axes))
     )
-    delta_list = [_parse_scale(x, "sweep.deltas") for x in deltas]
     try:
         series = sweep(
-            axes, delta_list, method=method, width_multiplier=widthm, label=label
+            axes, deltas, method=method, width_multiplier=widthm, label=label
         )
         fit = fit_exponent(series)
     except ValueError as exc:
@@ -394,19 +418,19 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
 
 def _run_alpha_verify(cfg: dict, run: _Run) -> int:
     where = "alpha-verify config"
-    p = int(_take(cfg, "p", required=True, where=where))
-    q = int(_take(cfg, "q", required=True, where=where))
-    delta = _parse_scale(_take(cfg, "delta", required=True, where=where), where)
-    alpha = float(_take(cfg, "alpha", default=p / q, where=where))
-    cell = _take(cfg, "cell", where=where)
-    samples = int(_take(cfg, "samples", default=10_000, where=where))
-    seed = int(_take(cfg, "seed", default=0, where=where))
-    max_ratio = _take(cfg, "max_ratio", where=where)
+    p = _take(cfg, "p", required=True, where=where, cast=int)
+    q = _take(cfg, "q", required=True, where=where, cast=int)
+    delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
+    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
+    cell = _take(cfg, "cell", where=where, cast=_scale)
+    samples = _take(cfg, "samples", default=10_000, where=where, cast=int)
+    seed = _take(cfg, "seed", default=0, where=where, cast=int)
+    max_ratio = _take(cfg, "max_ratio", where=where, cast=float)
     _done(cfg, where)
 
     spec = CantorSpec(p, q)
     U = cantor_stage(spec, stage_for_scale(spec, delta))
-    cell_q = delta / 2 if cell is None else _parse_scale(cell, where)
+    cell_q = delta / 2 if cell is None else cell
     G = rasterize([U], delta, cell_q, alpha=alpha, label=f"C({p},{q})")
     rep = alpha_set_verify(G, alpha, samples, seed=seed)
     _write_json(
@@ -420,33 +444,33 @@ def _run_alpha_verify(cfg: dict, run: _Run) -> int:
             "delta": float(delta),
         },
     )
-    if max_ratio is not None and rep.sup_ratio > float(max_ratio):
+    if max_ratio is not None and rep.sup_ratio > max_ratio:
         return 2
     return 0
 
 
 def _run_spectral(cfg: dict, run: _Run) -> int:
     where = "spectral config"
-    p = int(_take(cfg, "p", required=True, where=where))
-    q = int(_take(cfg, "q", required=True, where=where))
-    alpha = float(_take(cfg, "alpha", default=p / q, where=where))
-    delta_exps = _take(cfg, "delta_exps", required=True, where=where)
-    r_exps = _take(cfg, "r_exps", where=where)
-    max_abs_slope = _take(cfg, "max_abs_slope", where=where)
+    p = _take(cfg, "p", required=True, where=where, cast=int)
+    q = _take(cfg, "q", required=True, where=where, cast=int)
+    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
+    delta_exps = _take(cfg, "delta_exps", required=True, where=where, cast=_each(int))
+    r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(int))
+    max_abs_slope = _take(cfg, "max_abs_slope", where=where, cast=float)
     _done(cfg, where)
 
     spec = CantorSpec(p, q)
     energy_rows = []
     conv_rows = []
     for e in delta_exps:
-        delta = Fraction(1, 1 << int(e))
+        delta = Fraction(1, 1 << e)
         U = cantor_stage(spec, stage_for_scale(spec, delta))
         G = rasterize([U], delta, delta / 4, alpha=alpha)
         S = mollify_transform(G)
         rep = weighted_energy(S, 1, alpha, float(delta))
         energy_rows.append([float(delta), rep.energy, rep.reference, rep.ratio])
-        for re_ in r_exps or []:
-            r = 2.0 ** -int(re_)
+        for re_ in r_exps:
+            r = 2.0 ** -re_
             if r < float(delta):
                 continue
             conv = ball_convolution_l2(G, r)
@@ -469,7 +493,7 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
         run.path("summary.json"),
         {"alpha": alpha, "ratio_log_slope": slope, "scales": len(energy_rows)},
     )
-    if max_abs_slope is not None and abs(slope) > float(max_abs_slope):
+    if max_abs_slope is not None and abs(slope) > max_abs_slope:
         return 2
     return 0
 
@@ -477,23 +501,23 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
 def _run_incidence(cfg: dict, run: _Run) -> int:
     where = "incidence config"
     axes_cfg = _take(cfg, "axes", required=True, where=where)
-    delta = _parse_scale(_take(cfg, "delta", required=True, where=where), where)
-    cell = _take(cfg, "cell", where=where)
-    lam = _take(cfg, "lam", where=where)
-    c = float(_take(cfg, "c", default=0.1, where=where))
-    alpha_cfg = _take(cfg, "alpha", where=where)
+    delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
+    cell = _take(cfg, "cell", where=where, cast=_scale)
+    lam = _take(cfg, "lam", where=where, cast=float)
+    c = _take(cfg, "c", default=0.1, where=where, cast=float)
+    alpha_cfg = _take(cfg, "alpha", where=where, cast=float)
     _done(cfg, where)
 
     axes = [
         _axis_from_config(a, f"incidence.axes[{i}]") for i, a in enumerate(axes_cfg)
     ]
     alpha = (
-        float(alpha_cfg)
+        alpha_cfg
         if alpha_cfg is not None
         else sum(ax.dimension for ax in axes)
     )
     sets = [ax.at_scale(delta) for ax in axes]
-    cell_q = delta / 2 if cell is None else _parse_scale(cell, where)
+    cell_q = delta / 2 if cell is None else cell
     G = rasterize(sets, delta, cell_q, alpha=alpha)
     hist = section_histogram(G)
     emit_csv(
@@ -504,7 +528,7 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
             for m in range(len(hist.counts))
         ],
     )
-    lam_val = hist.top_threshold() if lam is None else float(lam)
+    lam_val = hist.top_threshold() if lam is None else lam
     census = incidence_census(G, lam_val, c=c)
     _write_json(
         run.path("incidence.json"),
@@ -525,9 +549,9 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
 def _run_report(cfg: dict, run: _Run) -> int:
     where = "report config"
     series_csv = _take(cfg, "series_csv", required=True, where=where)
-    d = int(_take(cfg, "d", required=True, where=where))
-    alpha = float(_take(cfg, "alpha", required=True, where=where))
-    tol = float(_take(cfg, "tol", default=0.2, where=where))
+    d = _take(cfg, "d", required=True, where=where, cast=int)
+    alpha = _take(cfg, "alpha", required=True, where=where, cast=float)
+    tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
     _done(cfg, where)
 
     try:

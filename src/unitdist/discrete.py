@@ -32,7 +32,6 @@ __all__ = [
     "random_general_position",
     "UnitPairReport",
     "unit_step_census",
-    "normalized_pair_count",
 ]
 
 _CHUNK = 256  # offsets per query block in the grid counter
@@ -364,10 +363,3 @@ def unit_step_census(P: PointSet) -> UnitPairReport:
 def normalized_pair_count_value(count: int, n: int, d: int) -> float:
     return count / n ** ((2 * d - 1) / d)
 
-
-def normalized_pair_count(P: PointSet) -> float:
-    """Ordered unit-pair count over n^((2d-1)/d), the scale at which the
-    count of a general-position set is conjectured to stay bounded."""
-    if P.n < 2:
-        raise ValueError("need at least 2 points")
-    return normalized_pair_count_value(count_unit_pairs_bruteforce(P), P.n, P.d)

@@ -1,5 +1,5 @@
-"""Core geometry: affine independence, circumspheres through the origin,
-unit-step frames, annuli, and the triple-annulus diameter experiment.
+"""Core geometry: general-position checks, unit-step frames, and the
+triple-annulus diameter experiment.
 
 Vectors are plain float64 numpy arrays of dimension 1..8. Tolerance policy:
 geometric identities are checked to absolute 1e-9; rank decisions use a
@@ -26,24 +26,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "affinely_independent",
     "general_position_check",
     "GeneralPositionReport",
-    "circumsphere_through_origin",
     "SphereSection",
     "TupleSolution",
     "FrameBatch",
     "unit_frame_batch",
     "unit_frame_solutions",
-    "Annulus",
     "TripleAnnulusReport",
     "triple_annulus_diameter",
 ]
 
 MAX_DIM = 8
-IDENTITY_TOL = 1e-9       # |b_j| = 1 etc.
 TANGENT_TOL = 1e-12       # r0 == 1 classification
-BOUNDARY_SLACK = 1e-12    # closed-band membership, absorbs 1-ulp rounding
 
 
 def _vec(x) -> np.ndarray:
@@ -91,20 +86,6 @@ def _sq_dist(x, y) -> np.ndarray:
         buf *= buf
         acc += buf
     return acc
-
-
-def affinely_independent(points: Sequence, tol: float = 1e-9) -> bool:
-    """Do d points in R^d span a (d-1)-flat?
-
-    Equivalent to the d-1 difference vectors being linearly independent,
-    decided by the smallest singular value exceeding `tol`. A single point
-    (d=1) is vacuously independent.
-    """
-    pts = np.stack([_vec(p) for p in points])
-    n, d = pts.shape
-    if n != d:
-        raise ValueError(f"need exactly d={d} points, got {n}")
-    return _first_bad(pts, [tuple(range(d))], tol) is None
 
 
 @dataclass(frozen=True)
@@ -277,22 +258,6 @@ def _frame(A: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return ok, c0, vt[:, -1]
 
 
-def circumsphere_through_origin(
-    a: Sequence, tol: float = 1e-9
-) -> tuple[np.ndarray, float]:
-    """Center and radius of the sphere through 0 and the d-1 points a_j,
-    with the center constrained to span(a).
-
-    The center solves 2 c . a_j = |a_j|^2 (equidistance from 0 and a_j);
-    the minimum-norm least-squares solution lands in the row space, which
-    is exactly span(a). Raises on linearly dependent input.
-    """
-    ok, c0, _ = _frame(_frame_rows(a)[None], tol)
-    if not ok[0]:
-        raise ValueError(_DEPENDENT)
-    return c0[0], float(np.linalg.norm(c0[0]))
-
-
 @dataclass(frozen=True)
 class SphereSection:
     """Unit-sphere slice {|x| = 1, x . normal = offset}: a (d-2)-sphere."""
@@ -402,32 +367,6 @@ def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
         TupleSolution(bk, tk, SphereSection(tk, v, math.sqrt(1.0 - tk * tk)))
         for tk, bk in zip(t[0, :count].tolist(), b[0])
     ]
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Points whose distance to `center` lies in 1 ± width_multiplier*delta."""
-
-    center: np.ndarray
-    delta: float
-    width_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _vec(self.center))
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.width_multiplier * self.delta >= 1:
-            raise ValueError("band is wider than the unit distance itself")
-
-    @property
-    def band(self) -> tuple[float, float]:
-        w = self.width_multiplier * self.delta
-        return 1.0 - w, 1.0 + w
-
-    def contains(self, x) -> bool:
-        lo, hi = self.band
-        r = float(np.linalg.norm(_vec(x) - self.center))
-        return lo - BOUNDARY_SLACK <= r <= hi + BOUNDARY_SLACK
 
 
 @dataclass(frozen=True)

@@ -128,15 +128,10 @@ def _axis_occupancy(
     """
     if fattened.is_empty:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), Fraction(0)
-    den = math.lcm(fattened.den, cell.denominator)
-    lo, hi = fattened.numerators(den)
-    step = cell.numerator * (den // cell.denominator)  # the cell in 1/den units
-    base = int(lo[0]) // step
-    lo, hi = lo - base * step, hi - base * step
-    n = -(-int(hi[-1]) // step)
+    lo, hi, step, n, origin = fattened._cells(cell)
     outer = _cover(lo // step, -(-hi // step), n)
     inner = _cover(-(-lo // step), hi // step, n)
-    return outer, inner, Fraction(base * step, den)
+    return outer, inner, origin
 
 
 def _cover(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:

@@ -237,6 +237,25 @@ class IntervalUnion:
             return self.lo, self.hi
         return self.lo * factor, self.hi * factor
 
+    def _cells(
+        self, size: Fraction
+    ) -> tuple[np.ndarray, np.ndarray, int, int, Fraction]:
+        """This non-empty union on the grid of cells of width `size` that
+        has a grid line at 0.
+
+        Returns (lo, hi, step, n, origin): the endpoints as integer
+        numerators over lcm(den, size.denominator), measured from `origin`,
+        the grid line at or below the union's start; the cell width in the
+        same units; and the number of cells from `origin` up to the union's
+        end (at least one).
+        """
+        den = math.lcm(self.den, size.denominator)
+        lo, hi = self.numerators(den)
+        step = size.numerator * (den // size.denominator)
+        base = int(lo[0]) // step * step
+        n = max(-((base - int(hi[-1])) // step), 1)
+        return lo - base, hi - base, step, n, Fraction(base, den)
+
     def contains_point(self, x) -> bool:
         t = _as_rational(x) * self.den
         # lo[k] <= t iff lo[k] <= floor(t); clamping keeps the key in int64

@@ -42,19 +42,10 @@ class MollifierSpec:
     """
 
     scale: float
-    kind: str = "gauss8"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("mollifier scale must be positive")
-        if self.kind != "gauss8":
-            raise ValueError(f"unknown mollifier family {self.kind!r}")
-
-    def profile(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        s = self.scale
-        vals = np.exp(-(x * x) / (2 * s * s)) / (s * math.sqrt(2 * math.pi))
-        return np.where(np.abs(x) <= SUPPORT_RADIUS * s, vals, 0.0)
 
     def mass(self) -> float:
         """Exact integral of the truncated kernel."""

@@ -1,20 +1,15 @@
-"""Cantor-with-gaps stage constructions and the two-band mass tables."""
+"""Cantor-with-gaps stage constructions, covering stages and shifted unions."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
 from unitdist.cantor import (
-    BandMassTable,
     CantorSpec,
-    band_mass_table,
     cantor_stage,
     shift_union,
     stage_for_scale,
 )
-from unitdist.intervals import IntervalUnion
-from unitdist.measure import pair_band_mass
 
 
 def test_first_stages_of_half_dimensional_set():
@@ -89,6 +84,9 @@ def test_stage_for_scale():
     assert stage_for_scale(spec, Fraction(1, 63)) == 3
     assert stage_for_scale(spec, Fraction(1, 65)) == 4
     assert stage_for_scale(CantorSpec(1, 3), Fraction(1, 8)) == 1
+    # 2^-42 needs stage 21 of the q = 2 set, past the exact lattice
+    with pytest.raises(ValueError, match="depth"):
+        stage_for_scale(spec, Fraction(1, 2**42))
 
 
 def test_shift_union_overlays_translate():
@@ -99,42 +97,3 @@ def test_shift_union_overlays_translate():
     assert F.contains_union(A.shift(1))
     # shifting by less than a block length makes the copies overlap
     assert shift_union(A, Fraction(1, 32)).total_length < 2 * A.total_length
-
-
-def test_band_mass_rows_have_positive_entries():
-    table = band_mass_table(None, CantorSpec(1, 2), range(1, 3))
-    assert isinstance(table, BandMassTable)
-    assert len(table.rows) == 2
-    for row in table.rows:
-        assert row.near_mass > 0
-        assert row.far_mass > 0
-        assert row.near_reference > 0
-        assert row.far_reference > 0
-    assert table.beta == 1.0
-    assert table.gamma == 0.5
-
-
-def test_band_mass_near_ratio_tracks_full_interval_oracle():
-    # With the left factor defaulting to [0, 1] the near-band mass can be
-    # cross-checked against the exact two-set band computation at the same
-    # fattening scale.
-    spec = CantorSpec(1, 2)
-    table = band_mass_table(None, spec, range(1, 2))
-    row = table.rows[0]
-    delta = Fraction(1, 2 ** (2 * spec.q * 1 + 2))  # reproduce delta_1
-    assert row.delta == float(delta)
-    A = IntervalUnion.single(0, 1).neighborhood(delta)
-    oracle = pair_band_mass(A, A, 2 * float(delta), 2.5 * float(delta))
-    assert math.isclose(row.near_mass, oracle, rel_tol=1e-12)
-
-
-def test_band_mass_constants_are_min_ratios():
-    table = band_mass_table(None, CantorSpec(1, 2), range(1, 3))
-    assert table.near_constant == min(r.near_ratio for r in table.rows)
-    assert table.far_constant == min(r.far_ratio for r in table.rows)
-
-
-def test_band_mass_depth_error_names_the_limit():
-    # delta_10 = 2^-42 needs stage 21 of the q=2 set, past the exact lattice
-    with pytest.raises(ValueError):
-        band_mass_table(None, CantorSpec(1, 2), range(10, 11))

@@ -10,7 +10,6 @@ from unitdist.discrete import (
     PointSet,
     count_unit_pairs_bruteforce,
     count_unit_pairs_grid,
-    normalized_pair_count,
     normalized_pair_count_value,
     random_general_position,
     two_circles_r4,
@@ -142,9 +141,7 @@ def test_two_circles_quadratic_configuration():
 
 
 def test_normalized_count_matches_direct_formula():
-    P = PointSet(TRIANGLE)
-    got = normalized_pair_count(P)
-    assert got == pytest.approx(normalized_pair_count_value(6, 3, 2))
+    assert count_unit_pairs_bruteforce(PointSet(TRIANGLE)) == 6
     assert normalized_pair_count_value(6, 3, 2) == pytest.approx(
         6 / 3 ** (1 + 1 / 2)
     )

@@ -1,4 +1,4 @@
-"""Unit-frame solving and annulus geometry.
+"""Unit-frame solving, general-position checks and triple-annulus geometry.
 
 The frame solver is checked two ways: against hand-derived closed forms for
 the classic equilateral configurations, and against a brute mesh search over
@@ -14,12 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from unitdist.geom import (
     TANGENT_TOL,
-    Annulus,
     _first_bad,
     _independent_screen,
     _squared_limits,
-    affinely_independent,
-    circumsphere_through_origin,
     general_position_check,
     triple_annulus_diameter,
     unit_frame_batch,
@@ -63,29 +60,6 @@ def test_tangent_configuration_has_single_solution():
 
 def test_distant_configuration_has_no_solution():
     assert unit_frame_solutions([np.array([3.0, 0.0])]) == []
-
-
-def test_circumsphere_through_origin():
-    # chord from the origin to (1, 0): nearest valid center is (1/2, 0)
-    c, r = circumsphere_through_origin([np.array([1.0, 0.0])])
-    np.testing.assert_allclose(c, [0.5, 0.0], atol=1e-12)
-    assert abs(r - 0.5) < 1e-12
-    # origin, (1,0,0), (0,1,0): circumcenter of that triangle is (1/2, 1/2, 0)
-    c3, r3 = circumsphere_through_origin(
-        [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    )
-    np.testing.assert_allclose(c3, [0.5, 0.5, 0.0], atol=1e-12)
-    assert abs(r3 - SQRT2_2) < 1e-12
-
-
-def test_affine_independence():
-    assert affinely_independent([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    # any two distinct points are affinely independent...
-    assert affinely_independent([np.array([1.0, 1.0]), np.array([2.0, 2.0])])
-    # ...but three collinear ones are not
-    assert not affinely_independent(
-        [np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0])]
-    )
 
 
 def _three_call_frame_solutions(a, tol=1e-9):
@@ -153,7 +127,6 @@ def test_empty_frame_is_the_one_dimensional_case():
     assert [s.t for s in sols] == [1.0, -1.0]
     assert [s.b.tolist() for s in sols] == [[[1.0]], [[-1.0]]]
     assert all(s.section.normal.tolist() == [1.0] for s in sols)
-    assert circumsphere_through_origin([])[1] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -167,10 +140,9 @@ def test_empty_frame_is_the_one_dimensional_case():
 def test_dependent_frames_raise_the_oracle_message(a):
     with pytest.raises(ValueError) as want:
         _three_call_frame_solutions(np.array(a))
-    for solve in (unit_frame_solutions, circumsphere_through_origin):
-        with pytest.raises(ValueError) as got:
-            solve(np.array(a))
-        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as got:
+        unit_frame_solutions(np.array(a))
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -188,7 +160,11 @@ def test_affinely_independent_equals_exhaustive_check(d, seed, degenerate, lam):
         # it repeats point 0)
         pts[-1] = pts[0] + lam * (pts[-2] - pts[0])
     rep = general_position_check(pts, mode="exhaustive")
-    assert affinely_independent(list(pts)) == rep.ok
+    # the one d-tuple is independent iff its difference vectors have full
+    # rank (a single point, d = 1, vacuously)
+    diffs = pts[1:] - pts[0]
+    full_rank = diffs.size == 0 or np.linalg.svd(diffs, compute_uv=False).min() > 1e-9
+    assert rep.ok == full_rank
     assert rep.subsets_tested == 1
     if degenerate:
         assert not rep.ok and rep.witness == tuple(range(d))
@@ -307,14 +283,6 @@ def test_points_on_a_line_are_in_general_position(mode):
     assert rep.ok
     assert rep.witness is None
     assert rep.subsets_tested == (6 if mode == "exhaustive" else 40)
-
-
-def test_annulus_membership():
-    A = Annulus(np.zeros(2), 0.05)
-    assert A.contains(np.array([1.0, 0.0]))
-    assert A.contains(np.array([0.0, 1.09]))
-    assert not A.contains(np.array([0.0, 1.11]))
-    assert not A.contains(np.array([0.5, 0.0]))
 
 
 def test_triple_annulus_diameter_obeys_prediction():
