@@ -123,6 +123,23 @@ def _scale(x) -> Fraction:
     raise ValueError(f"bad scale {x!r}")
 
 
+def _integer(x) -> int:
+    """A JSON integer: an int or an integral float, never a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    if x != math.floor(x):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _exponent(x) -> int:
+    """A nonnegative integer exponent of a dyadic scale 2^-x."""
+    e = _integer(x)
+    if e < 0:
+        raise ValueError(f"expected a nonnegative exponent, got {x!r}")
+    return e
+
+
 def _each(convert):
     """A cast that converts every entry of a list, into a tuple."""
     return lambda xs: tuple(convert(x) for x in xs)
@@ -134,8 +151,8 @@ def _axis_from_config(spec, where: str):
     spec = dict(spec)
     kind = _take(spec, "kind", required=True, where=where)
     if kind == "cantor":
-        p = _take(spec, "p", required=True, where=where, cast=int)
-        q = _take(spec, "q", required=True, where=where, cast=int)
+        p = _take(spec, "p", required=True, where=where, cast=_integer)
+        q = _take(spec, "q", required=True, where=where, cast=_integer)
         shift = _take(spec, "shift", where=where, cast=_scale)
         _done(spec, where)
         return CantorAxis(p, q, shift)
@@ -235,16 +252,16 @@ def _run_count(cfg: dict, run: _Run) -> int:
         _done(spec, "count.set")
         P = PointSet(np.array(_BUILTIN_SETS[kind]), eps=eps, label=kind)
     elif kind == "two_circles":
-        n = _take(spec, "n", required=True, where="count.set", cast=int)
-        seed = _take(spec, "seed", default=0, where="count.set", cast=int)
+        n = _take(spec, "n", required=True, where="count.set", cast=_integer)
+        seed = _take(spec, "seed", default=0, where="count.set", cast=_integer)
         _done(spec, "count.set")
         P = two_circles_r4(n, seed=seed)
         if eps != 1e-9:
             P = PointSet(P.points, eps=eps, label=P.label)
     elif kind == "random":
-        n = _take(spec, "n", required=True, where="count.set", cast=int)
-        d = _take(spec, "d", required=True, where="count.set", cast=int)
-        seed = _take(spec, "seed", default=0, where="count.set", cast=int)
+        n = _take(spec, "n", required=True, where="count.set", cast=_integer)
+        d = _take(spec, "d", required=True, where="count.set", cast=_integer)
+        seed = _take(spec, "seed", default=0, where="count.set", cast=_integer)
         _done(spec, "count.set")
         P = random_general_position(n, d, seed=seed)
         if eps != 1e-9:
@@ -277,9 +294,9 @@ def _run_count(cfg: dict, run: _Run) -> int:
 
 def _run_frames(cfg: dict, run: _Run) -> int:
     where = "frames config"
-    d = _take(cfg, "d", required=True, where=where, cast=int)
-    count = _take(cfg, "count", default=1000, where=where, cast=int)
-    seed = _take(cfg, "seed", default=0, where=where, cast=int)
+    d = _take(cfg, "d", required=True, where=where, cast=_integer)
+    count = _take(cfg, "count", default=1000, where=where, cast=_integer)
+    seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
     _done(cfg, where)
     if not 2 <= d <= 8:
         raise ConfigError("'d' must be in [2, 8] in frames config")
@@ -322,9 +339,9 @@ def _run_frames(cfg: dict, run: _Run) -> int:
 
 def _run_cantor(cfg: dict, run: _Run) -> int:
     where = "cantor config"
-    p = _take(cfg, "p", required=True, where=where, cast=int)
-    q = _take(cfg, "q", required=True, where=where, cast=int)
-    stage = _take(cfg, "stage", required=True, where=where, cast=int)
+    p = _take(cfg, "p", required=True, where=where, cast=_integer)
+    q = _take(cfg, "q", required=True, where=where, cast=_integer)
+    stage = _take(cfg, "stage", required=True, where=where, cast=_integer)
     delta = _take(cfg, "delta", where=where, cast=_scale)
     _done(cfg, where)
 
@@ -418,13 +435,13 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
 
 def _run_alpha_verify(cfg: dict, run: _Run) -> int:
     where = "alpha-verify config"
-    p = _take(cfg, "p", required=True, where=where, cast=int)
-    q = _take(cfg, "q", required=True, where=where, cast=int)
+    p = _take(cfg, "p", required=True, where=where, cast=_integer)
+    q = _take(cfg, "q", required=True, where=where, cast=_integer)
     delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
     alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
     cell = _take(cfg, "cell", where=where, cast=_scale)
-    samples = _take(cfg, "samples", default=10_000, where=where, cast=int)
-    seed = _take(cfg, "seed", default=0, where=where, cast=int)
+    samples = _take(cfg, "samples", default=10_000, where=where, cast=_integer)
+    seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
     max_ratio = _take(cfg, "max_ratio", where=where, cast=float)
     _done(cfg, where)
 
@@ -451,11 +468,11 @@ def _run_alpha_verify(cfg: dict, run: _Run) -> int:
 
 def _run_spectral(cfg: dict, run: _Run) -> int:
     where = "spectral config"
-    p = _take(cfg, "p", required=True, where=where, cast=int)
-    q = _take(cfg, "q", required=True, where=where, cast=int)
+    p = _take(cfg, "p", required=True, where=where, cast=_integer)
+    q = _take(cfg, "q", required=True, where=where, cast=_integer)
     alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
-    delta_exps = _take(cfg, "delta_exps", required=True, where=where, cast=_each(int))
-    r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(int))
+    delta_exps = _take(cfg, "delta_exps", required=True, where=where, cast=_each(_exponent))
+    r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(_exponent))
     max_abs_slope = _take(cfg, "max_abs_slope", where=where, cast=float)
     _done(cfg, where)
 
@@ -529,7 +546,7 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
         ],
     )
     lam_val = hist.top_threshold() if lam is None else lam
-    census = incidence_census(G, lam_val, c=c)
+    census = incidence_census(hist, lam_val, c=c)
     _write_json(
         run.path("incidence.json"),
         {
@@ -549,7 +566,7 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
 def _run_report(cfg: dict, run: _Run) -> int:
     where = "report config"
     series_csv = _take(cfg, "series_csv", required=True, where=where)
-    d = _take(cfg, "d", required=True, where=where, cast=int)
+    d = _take(cfg, "d", required=True, where=where, cast=_integer)
     alpha = _take(cfg, "alpha", required=True, where=where, cast=float)
     tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
     _done(cfg, where)

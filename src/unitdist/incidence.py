@@ -100,6 +100,18 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
 
     Every selected pair is at distance >= r and every rejected point is
     within r of some selected one (so the selection is also an r-net).
+
+    The selection is a sweep over a neighbor graph. The points are bucketed
+    into cubes of side r (keys floor(p / r)), each cube key is encoded as
+    one int64, and the codes are sorted once. For the zero offset and one of
+    each +-pair of the other 3^d - 1 neighboring-cube offsets, a searchsorted
+    pair lists the candidate pairs, and a pair is an edge when its squared
+    distance is below r * r. One pass in row order over each point's later
+    neighbors then keeps every point that no earlier kept point has blocked.
+    The cost is a sort of n codes plus (3^d + 1) / 2 array passes over about
+    n times the cube occupancy candidate pairs, one offset's worth in memory
+    at a time; the pass in row order is pure Python, over the kept points'
+    edges only.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2:
@@ -107,28 +119,50 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
     if not (r > 0):
         raise ValueError("r must be positive")
     n, d = pts.shape
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    offsets = [
-        np.array(off)
-        for off in np.ndindex(*([3] * d))
-    ]
-    kept: list[int] = []
-    r2 = r * r
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
     keys = np.floor(pts / r).astype(np.int64)
+    # radix max + 2: key - 1 = -1 and key + 1 = max + 1 both land on the
+    # one empty cube past the end, so no neighbor code aliases a point's
+    keys -= keys.min(axis=0)
+    span = keys.max(axis=0) + 2
+    if math.prod(span.tolist()) > np.iinfo(np.int64).max:
+        raise ValueError("points span too many r-cubes for int64 cube codes")
+    strides = np.cumprod(np.concatenate([[1], span[:-1]]))
+    codes = keys @ strides
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+
+    r2 = r * r
+    rows = np.arange(n)
+    firsts, seconds = [], []
+    # the zero offset and the offsets after it in ndindex order: every
+    # unordered pair of neighboring cubes is visited once
+    for off in list(np.ndindex(*([3] * d)))[3**d // 2 :]:
+        target = codes + (np.array(off) - 1) @ strides
+        lo = np.searchsorted(sorted_codes, target, side="left")
+        cnt = np.searchsorted(sorted_codes, target, side="right") - lo
+        # point p's matches sit at sorted positions lo[p] ... lo[p] + cnt[p] - 1
+        p = np.repeat(rows, cnt)
+        q = order[np.arange(p.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
+        if off == (1,) * d:  # same cube: each pair once
+            p, q = p[p < q], q[p < q]
+        diff = pts[q] - pts[p]
+        near = np.einsum("ij,ij->i", diff, diff) < r2
+        firsts.append(np.minimum(p, q)[near])
+        seconds.append(np.maximum(p, q)[near])
+    first = np.concatenate(firsts)
+    by_first = np.argsort(first)
+    starts = np.searchsorted(first[by_first], np.arange(n + 1)).tolist()
+    later = np.concatenate(seconds)[by_first].tolist()
+
+    blocked = bytearray(n)
+    kept: list[int] = []
     for i in range(n):
-        key = keys[i]
-        ok = True
-        for off in offsets:
-            cand = buckets.get(tuple(key + off - 1))
-            if not cand:
-                continue
-            diff = pts[cand] - pts[i]
-            if (np.einsum("ij,ij->i", diff, diff) < r2).any():
-                ok = False
-                break
-        if ok:
+        if not blocked[i]:
             kept.append(i)
-            buckets.setdefault(tuple(key), []).append(i)
+            for j in later[starts[i] : starts[i + 1]]:
+                blocked[j] = 1
     return np.array(kept, dtype=np.int64)
 
 
@@ -171,9 +205,12 @@ class SectionHistogram:
     counts: np.ndarray  # occupied cells with lambda in [e_m, e_{m+1})
     underflow_count: int  # occupied cells with lambda < e_0
     representatives: tuple  # first (row-major) cell center per bin, or None
+    centers: np.ndarray  # occupied cell centers in row-major order, (n, d)
+    values: np.ndarray  # lambda at each of those cells
     delta: float
     cell: float
     d: int
+    alpha: float  # the grid's dimension, nan if it carries none
 
     def top_threshold(self) -> float:
         """Lower edge of the highest populated bin (the lambda ladder rung)."""
@@ -187,7 +224,9 @@ def section_histogram(G: GridIndicator) -> SectionHistogram:
     """Dyadic histogram of the section measures over occupied cells.
 
     Bins double from the floor delta^d upward; cells below the floor land in
-    the underflow count. The bin count is at most 4 log2(1/delta).
+    the underflow count. The bin count is at most 4 log2(1/delta). The
+    histogram keeps the occupied centers and their section measures, so
+    the census reuses this one `section_measures` convolution.
     """
     lam_map = section_measures(G)
     mask = G.dense_mask("outer")
@@ -210,7 +249,8 @@ def section_histogram(G: GridIndicator) -> SectionHistogram:
     idx = np.minimum(idx, M - 1)
     counts = np.bincount(idx[above], minlength=M)
 
-    centers = _occupied_centers(G)
+    occupied = np.argwhere(mask)  # row-major (C) order
+    centers = np.stack([G.axis_centers(a)[occupied[:, a]] for a in range(G.d)], axis=1)
     reps: list[tuple[float, ...] | None] = [None] * M
     first = np.full(M, vals.size, dtype=np.int64)
     if above.any():
@@ -218,25 +258,20 @@ def section_histogram(G: GridIndicator) -> SectionHistogram:
     for m in range(M):
         if counts[m]:
             reps[m] = tuple(float(x) for x in centers[first[m]])
-    counts.setflags(write=False)
-    edges.setflags(write=False)
+    for arr in (counts, edges, centers, vals):
+        arr.setflags(write=False)
     return SectionHistogram(
         edges=edges,
         counts=counts,
         underflow_count=underflow,
         representatives=tuple(reps),
+        centers=centers,
+        values=vals,
         delta=delta,
         cell=float(G.cell),
         d=G.d,
+        alpha=G.alpha,
     )
-
-
-def _occupied_centers(G: GridIndicator) -> np.ndarray:
-    """Centers of occupied cells in row-major (C) order, shape (n, d)."""
-    mask = G.dense_mask("outer")
-    idx = np.argwhere(mask)
-    cols = [G.axis_centers(a)[idx[:, a]] for a in range(G.d)]
-    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +291,19 @@ class IncidenceCensus:
     delta: float
 
 
-def incidence_census(G: GridIndicator, lam: float, c: float = 0.1) -> IncidenceCensus:
+def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> IncidenceCensus:
     """Count well-separated pairs (d=2) or triples (d=3) of net points on a
     common annular section.
 
-    J is a maximal delta-separated subset of the occupied cell centers.
-    Centers are heavy cells (section measure >= lam) thinned to mutual
-    distance 2 delta. For each center c, S_c = J intersected with the shell
-    1 +- 3 delta around c, and the census counts ordered tuples from S_c
-    with all pairwise distances >= c * (lam / delta^(d - alpha))^(1/alpha).
+    `hist` is the grid's `section_histogram`: the census reads its occupied
+    centers and section measures, so a run convolves once. J is a maximal
+    delta-separated subset of the occupied cell centers. Centers are heavy
+    cells (section measure >= lam) thinned to mutual distance 2 delta. Both
+    nets come from `separated_subset`, whose neighbor-graph sweep costs a
+    sort and a few array passes over the candidate pairs plus one Python
+    pass in row order. For each center c, S_c = J intersected with the
+    shell 1 +- 3 delta around c, and the census counts ordered tuples from
+    S_c with all pairwise distances >= c * (lam / delta^(d - alpha))^(1/alpha).
     The projection fiber of a tuple is the number of centers it serves.
 
     Each section's far pairs come from one distance matrix, and its triples
@@ -273,25 +312,18 @@ def incidence_census(G: GridIndicator, lam: float, c: float = 0.1) -> IncidenceC
     indices, and max_projection_fiber is the largest count of one
     np.unique over all sections' keys.
     """
-    d = G.d
-    if d not in (2, 3):
-        raise ValueError("incidence census needs a 2-D or 3-D grid")
-    if not math.isfinite(G.alpha):
+    d, alpha, delta = hist.d, hist.alpha, hist.delta
+    if not math.isfinite(alpha):
         raise ValueError("grid carries no alpha (needed for the threshold)")
     if lam <= 0 or c <= 0:
         raise ValueError("lam and c must be positive")
-    delta = float(G.delta)
 
-    centers_all = _occupied_centers(G)
-    j_idx = separated_subset(centers_all, delta)
-    j_points = centers_all[j_idx]
-
-    lam_map = section_measures(G)
-    heavy_vals = lam_map[G.dense_mask("outer")]
-    heavy = centers_all[heavy_vals >= lam]
+    centers_all = hist.centers
+    j_points = centers_all[separated_subset(centers_all, delta)]
+    heavy = centers_all[hist.values >= lam]
     centers = heavy[separated_subset(heavy, 2 * delta)]
 
-    threshold = c * (lam / delta ** (d - G.alpha)) ** (1.0 / G.alpha)
+    threshold = c * (lam / delta ** (d - alpha)) ** (1.0 / alpha)
 
     sizes = np.zeros(centers.shape[0], dtype=np.int64)
     sections: list[np.ndarray] = []

@@ -47,10 +47,6 @@ class MollifierSpec:
         if self.scale <= 0:
             raise ValueError("mollifier scale must be positive")
 
-    def mass(self) -> float:
-        """Exact integral of the truncated kernel."""
-        return math.erf(SUPPORT_RADIUS / math.sqrt(2))
-
     def fourier(self, xi: np.ndarray) -> np.ndarray:
         s = self.scale
         return np.exp(-2 * math.pi**2 * s * s * np.asarray(xi) ** 2)

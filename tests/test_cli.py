@@ -448,6 +448,54 @@ def test_bad_values_name_the_field(tmp_path, capsys, kind, cfg, field, where):
     assert capsys.readouterr().err.startswith(f"error: field '{field}' in {where}: ")
 
 
+_SPECTRAL = {"p": 1, "q": 2, "delta_exps": [6, 7]}
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, field, where",
+    [
+        ("cantor", {"p": 1, "q": 2, "stage": 2.9}, "stage", "cantor config"),
+        ("cantor", {"p": True, "q": 2, "stage": 2}, "p", "cantor config"),
+        ("cantor", {"p": 1, "q": "2", "stage": 2}, "q", "cantor config"),
+        ("count", {"set": {"kind": "random", "n": 10.5, "d": 2}}, "n", "count.set"),
+        (
+            "count",
+            {"set": {"kind": "random", "n": 10, "d": 2, "seed": 0.5}},
+            "seed",
+            "count.set",
+        ),
+        ("frames", {"d": 2, "count": False}, "count", "frames config"),
+        (
+            "alpha-verify",
+            {"p": 1, "q": 2, "delta": "2^-6", "samples": 99.5},
+            "samples",
+            "alpha-verify config",
+        ),
+        ("spectral", {**_SPECTRAL, "delta_exps": [6, -7]}, "delta_exps", "spectral config"),
+        ("spectral", {**_SPECTRAL, "delta_exps": [6.5]}, "delta_exps", "spectral config"),
+        ("spectral", {**_SPECTRAL, "r_exps": [4, -1]}, "r_exps", "spectral config"),
+        ("spectral", {**_SPECTRAL, "r_exps": [True]}, "r_exps", "spectral config"),
+    ],
+)
+def test_integer_fields_refuse_fractions_booleans_and_negative_exponents(
+    tmp_path, capsys, kind, cfg, field, where
+):
+    path = _write(tmp_path / "c.json", cfg)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: field '{field}' in {where}: ")
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    outs = []
+    for stage in (2, 2.0):
+        cfg = _write(tmp_path / "c.json", {"p": 1, "q": 2, "stage": stage})
+        outs.append(tmp_path / f"r{stage!r}")
+        assert main(["cantor", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert _manifest(outs[1])["config"]["stage"] == 2.0
+    a, b = ((out / "intervals.txt").read_bytes() for out in outs)
+    assert a == b
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage
 from unitdist.grids import rasterize
@@ -107,6 +108,57 @@ def test_separated_subset_greedy_row_order():
     assert list(idx) == [0, 2]  # first point always wins its neighborhood
 
 
+def _greedy_net_oracle(pts, r):
+    """Greedy r-separated subset in row order, each point tested against
+    every kept one with the same squared-distance comparison."""
+    kept = []
+    for i in range(pts.shape[0]):
+        diff = pts[kept] - pts[i]
+        if not (np.einsum("ij,ij->i", diff, diff) < r * r).any():
+            kept.append(i)
+    return kept
+
+
+@st.composite
+def _net_cases(draw):
+    """(points, r): random floats of either sign, or dyadic lattice points
+    with a pair at exactly distance r, with duplicated rows mixed in."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        coord = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+        rows = [draw(st.tuples(*[coord] * d)) for _ in range(n)]
+        r = draw(st.floats(0.05, 2.0))
+    else:
+        coord = st.integers(-16, 16).map(lambda k: k / 8)
+        rows = [draw(st.tuples(*[coord] * d)) for _ in range(n)]
+        r = draw(st.sampled_from([0.125, 0.25, 0.5, 0.625, 1.5]))
+        if rows:
+            # a partner at distance exactly r, which must not count as near
+            base = draw(st.sampled_from(rows))
+            if d >= 2 and r == 0.625 and draw(st.booleans()):
+                step = (0.375, 0.5) + (0.0,) * (d - 2)  # 3-4-5 in eighths
+            else:
+                step = tuple(r * (a == 0) for a in range(d))
+            rows.append(tuple(b + s for b, s in zip(base, step)))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=len(rows)))
+        rows = draw(st.permutations(rows))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_net_cases())
+@example((np.zeros((0, 2)), 0.5))
+@example((np.zeros((0, 3)), 1.0))
+@example((np.array([[0.0, -0.25], [0.25, -0.25], [0.125, 0.0]]), 0.25))
+def test_separated_subset_matches_greedy_oracle(case):
+    pts, r = case
+    got = separated_subset(pts, r)
+    assert got.dtype == np.int64
+    assert got.tolist() == _greedy_net_oracle(pts, r)
+
+
 # ---- section measures ------------------------------------------------------
 
 def _cross_grid(delta, cell):
@@ -176,7 +228,7 @@ def test_top_threshold_is_attained():
 def test_census_counts_and_separations():
     G = _cross_grid(Fraction(1, 64), Fraction(1, 256))
     hist = section_histogram(G)
-    census = incidence_census(G, lam=hist.top_threshold())
+    census = incidence_census(hist, lam=hist.top_threshold())
     d = float(G.delta)
 
     # J is delta-separated
@@ -210,8 +262,9 @@ def test_census_counts_and_separations():
 
 def test_census_threshold_scales_with_lam():
     G = _cross_grid(Fraction(1, 64), Fraction(1, 256))
-    a = incidence_census(G, lam=1e-4)
-    b = incidence_census(G, lam=4e-4)
+    hist = section_histogram(G)
+    a = incidence_census(hist, lam=1e-4)
+    b = incidence_census(hist, lam=4e-4)
     # threshold ~ c (lam / delta^{d-alpha})^{1/alpha}: monotone in lam
     assert b.separation_threshold > a.separation_threshold
 
@@ -220,7 +273,7 @@ def test_census_requires_finite_alpha():
     A = cantor_stage(CantorSpec(1, 2), 3)
     G = rasterize([A, A], Fraction(1, 64), Fraction(1, 256))  # alpha defaults to nan
     with pytest.raises(ValueError):
-        incidence_census(G, lam=1e-4)
+        incidence_census(section_histogram(G), lam=1e-4)
 
 
 def _census_dict_oracle(census, d):
@@ -267,7 +320,8 @@ def test_census_tuples_and_fibers_match_dict_oracle(axes, k, c):
     delta = Fraction(1, 2**k)
     sets = [cantor_stage(CantorSpec(p, q), s) for p, q, s in axes]
     G = rasterize(sets, delta, delta / 2, alpha=sum(p / q for p, q, _ in axes))
-    census = incidence_census(G, section_histogram(G).top_threshold(), c=c)
+    hist = section_histogram(G)
+    census = incidence_census(hist, hist.top_threshold(), c=c)
     assert census.tuple_count > 0
     want = _census_dict_oracle(census, G.d)
     assert (census.tuple_count, census.max_projection_fiber) == want
