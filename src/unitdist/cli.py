@@ -250,24 +250,21 @@ def _run_count(cfg: dict, run: _Run) -> int:
     kind = _take(spec, "kind", required=True, where="count.set")
     if kind in _BUILTIN_SETS:
         _done(spec, "count.set")
-        P = PointSet(np.array(_BUILTIN_SETS[kind]), eps=eps, label=kind)
+        P = PointSet(np.array(_BUILTIN_SETS[kind]), label=kind)
     elif kind == "two_circles":
         n = _take(spec, "n", required=True, where="count.set", cast=_integer)
         seed = _take(spec, "seed", default=0, where="count.set", cast=_integer)
         _done(spec, "count.set")
         P = two_circles_r4(n, seed=seed)
-        if eps != 1e-9:
-            P = PointSet(P.points, eps=eps, label=P.label)
     elif kind == "random":
         n = _take(spec, "n", required=True, where="count.set", cast=_integer)
         d = _take(spec, "d", required=True, where="count.set", cast=_integer)
         seed = _take(spec, "seed", default=0, where="count.set", cast=_integer)
         _done(spec, "count.set")
         P = random_general_position(n, d, seed=seed)
-        if eps != 1e-9:
-            P = PointSet(P.points, eps=eps, label=P.label)
     else:
         raise ConfigError(f"unknown set kind '{kind}' in count.set")
+    P = PointSet(P.points, eps=eps, label=P.label)
 
     brute = count_unit_pairs_bruteforce(P)
     grid = count_unit_pairs_grid(P)

@@ -4,16 +4,12 @@ Ordered-pair convention throughout: the count is over ordered pairs
 (p1, p2), p1 != p2, with | |p1 - p2| - 1 | <= eps. The literature often
 reports unordered edges; ordered counts here are exactly twice those.
 
-The grid counter assigns points to a uniform grid of cell side 1/sqrt(d),
-sorts them by a linear cell key, and finds the candidate pairs of every
-compatible cell offset with `searchsorted` on the sorted keys. Both counters
-take squared distances from the one kernel `geom._sq_dist`, which sums
-(x_k - y_k)^2 one axis at a time over per-axis coordinate arrays, so the two
-agree bit-for-bit, not just approximately.
+The grid counter runs the package's one near-pair search, `geom._near_pairs`,
+on cells of side 1/sqrt(d). Both counters take squared distances from the one
+kernel `geom._sq_dist`, so the two agree bit-for-bit, not just approximately.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,8 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import _sq_dist, general_position_check
-from .intervals import _ranges
+from .geom import _compatible_offsets, _near_pairs, _sq_dist, general_position_check
 
 __all__ = [
     "PointSet",
@@ -34,7 +29,6 @@ __all__ = [
     "unit_step_census",
 ]
 
-_CHUNK = 256  # offsets per query block in the grid counter
 _BLOCK_PAIRS = 1 << 15  # pairs per in-band block: a float block stays in cache
 
 
@@ -104,133 +98,23 @@ def count_unit_pairs_bruteforce(P: PointSet) -> int:
     return sum(int(np.count_nonzero(inband)) for inband in _inband_blocks(P))
 
 
-@functools.lru_cache(maxsize=16)
-def _compatible_offsets(d: int, side: float, eps: float) -> np.ndarray:
-    """Integer cell offsets that can realize a distance in 1 +- eps: the zero
-    offset, then the nonzero ones.
-
-    For offset Delta the distance between points of cells k and k + Delta
-    lies in [side*sqrt(sum max(0,|Di|-1)^2), side*sqrt(sum (|Di|+1)^2)];
-    keep offsets whose range meets the band. Only the lexicographically
-    positive half is kept (each unordered cell pair is visited once).
-
-    Returned as a (k, d) int64 array, nonzero rows in lexicographic order.
-    The cube is built one axis at a time, dropping a prefix once its near
-    bound exceeds the band (the bound only grows with more axes) or its
-    first nonzero step is negative.
-
-    Memoized per (d, side, eps), since every count at the same dimension
-    and band rebuilds the same table; the shared array is read-only. The
-    cache is bounded because a d = 8 table alone holds 51 MB.
-    """
-    reach = int(math.ceil((1.0 + eps) / side)) + 1
-    lo, hi = 1.0 - eps, 1.0 + eps
-    steps = np.arange(-reach, reach + 1)
-    out = np.zeros((1, 0), dtype=np.int8)
-    near2 = far2 = lead = np.zeros(1, dtype=np.int64)
-    for _ in range(d):
-        k = out.shape[0]
-        out = np.column_stack(
-            [np.repeat(out, steps.size, axis=0), np.tile(steps.astype(np.int8), k)]
-        )
-        near2 = (near2[:, None] + np.maximum(0, np.abs(steps) - 1) ** 2).ravel()
-        far2 = (far2[:, None] + (np.abs(steps) + 1) ** 2).ravel()
-        # sign of the first nonzero step so far
-        lead = np.where(lead[:, None] != 0, lead[:, None], np.sign(steps)).ravel()
-        keep = (side * np.sqrt(near2) <= hi) & (lead >= 0)
-        out, near2, far2, lead = out[keep], near2[keep], far2[keep], lead[keep]
-    keep = (side * np.sqrt(far2) >= lo) & (lead > 0)
-    out = np.concatenate([np.zeros((1, d), dtype=np.int64), out[keep]])
-    out.setflags(write=False)
-    return out
-
-
-def _linear_keys(
-    cells: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """uint64 keys of cells and of offsets with key(k + D) = key(k) + key(D).
-
-    Mixed-radix over the occupied box padded by the largest offset, so a
-    neighbor cell never wraps into another row. The keys are exact (one key
-    per cell) when the padded box has at most 2^64 cells; otherwise they
-    wrap modulo 2^64, the additive identity still holds, and the returned
-    flag tells the caller to check candidate pairs' cells.
-    """
-    pad = int(np.abs(offsets).max(initial=0))
-    base = cells.min(axis=0) - pad
-    spans = [int(s) + pad + 1 for s in cells.max(axis=0) - base]
-    strides = [math.prod(spans[:i]) for i in range(len(spans))]
-    exact = math.prod(spans) <= 2**64
-    radix = np.array([s % 2**64 for s in strides], dtype=np.uint64)
-    keys = ((cells - base).astype(np.uint64) * radix).sum(axis=1, dtype=np.uint64)
-    okeys = (offsets.astype(np.uint64) * radix).sum(axis=1, dtype=np.uint64)
-    return keys, okeys, exact
-
-
 def count_unit_pairs_grid(P: PointSet) -> int:
     """Cell-grid count, exactly equal to the brute-force count.
 
-    Points are sorted by linear cell key; every occupied cell looks up its
-    compatible neighbor cells with `searchsorted` on the sorted keys, and
-    the gathered candidate pairs go through the brute force's distance
-    kernel. The zero offset contributes each cell's full ordered block (its
-    diagonal is out of band); a nonzero offset is one of a +-pair and counts
-    twice.
-    Queries go in blocks of `_CHUNK` offsets (at most `_CHUNK * n` keys)
-    and candidate pairs in blocks of `_CHUNK * n // 4`, which keeps working
-    memory O(`_CHUNK` n).
+    Twice the number of unordered pairs that `geom._near_pairs` finds in
+    the band on cells of side 1/sqrt(d); the brute force's diagonal is out
+    of band.
 
     Requires eps < 0.1: the offset pruning certifies cell pairs only for
     bands well inside the cell geometry.
     """
     if P.eps >= 0.1:
         raise ValueError("grid counter requires eps < 0.1")
-    n, d = P.n, P.d
-    if n == 0:
-        return 0
-    side = 1.0 / math.sqrt(d)
-    lo2, hi2 = _band_limits(P.eps)
-    offsets = _compatible_offsets(d, side, P.eps)
-    cells = np.floor(P.points / side).astype(np.int64)
-    keys, okeys, exact = _linear_keys(cells, offsets)
-    order = keys.argsort(kind="stable")
-    keys, cells = keys[order], cells[order]
-    cols = np.ascontiguousarray(P.points[order].T)
-    # cell boundaries in the sorted keys, with n closing the last cell
-    bounds = np.concatenate([[True], keys[1:] != keys[:-1], [True]]).nonzero()[0]
-    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
-    ukeys = keys[first]
-    pair_block = _CHUNK * n // 4  # >= n, so a segment always fits
-
-    total = 0
-    for o0 in range(0, okeys.size, _CHUNK):
-        # offset-major layout: each offset's queries arrive sorted
-        tgt = (okeys[o0 : o0 + _CHUNK, None] + ukeys[None, :]).ravel()
-        pos = np.minimum(ukeys.searchsorted(tgt), ukeys.size - 1)
-        hit = (ukeys[pos] == tgt).nonzero()[0]
-        a, b = hit % ukeys.size, pos[hit]
-        # one segment per point of cell a: that point against the
-        # contiguous run of cell b's points
-        seg = np.arange(hit.size).repeat(size[a])
-        row = _ranges(first[a], size[a])
-        run, length = first[b][seg], size[b][seg]
-        off = (o0 + hit // ukeys.size)[seg]
-        end = length.cumsum()
-        s0 = 0
-        while s0 < seg.size:
-            s1 = int(end.searchsorted(end[s0] - length[s0] + pair_block, "right"))
-            L = length[s0:s1]
-            i = row[s0:s1].repeat(L)
-            j = _ranges(run[s0:s1], L)
-            d2 = _sq_dist(cols.take(i, axis=1), cols.take(j, axis=1))
-            inband = (d2 >= lo2) & (d2 <= hi2)
-            if not exact:
-                o = off[s0:s1].repeat(L)
-                inband &= (cells[j] - cells[i] == offsets[o]).all(axis=1)
-            twice = (off[s0:s1] > 0).repeat(L)
-            total += int(np.count_nonzero(inband) + np.count_nonzero(inband & twice))
-            s0 = s1
-    return total
+    root = math.sqrt(P.d)
+    # the band 1 +- eps measured in cell sides
+    offsets = _compatible_offsets(P.d, (1.0 - P.eps) * root, (1.0 + P.eps) * root)
+    pairs = _near_pairs(P.points, 1.0 / root, offsets, *_band_limits(P.eps))
+    return 2 * sum(i.size for i, _ in pairs)
 
 
 def two_circles_r4(N: int, seed: int = 0) -> PointSet:
@@ -290,8 +174,7 @@ class UnitPairReport:
     """Census of unit steps: pairs, d-tuples of steps, and the endpoint map.
 
     edge_count is the number of ordered pairs (p, p+b) at unit distance,
-    i.e. of unit steps (p, b); it always equals ordered_pair_count (the two
-    countings are a bijection). tuple_count counts tuples (p, b_1..b_d) with
+    i.e. of unit steps (p, b). tuple_count counts tuples (p, b_1..b_d) with
     every (p, b_j) a unit step and repetitions allowed;
     distinct_tuple_count restricts to pairwise-distinct b_j.
     holder_lhs = edge_count^d / n^(d-1), which power-mean arithmetic forces
@@ -301,13 +184,11 @@ class UnitPairReport:
 
     n_points: int
     d: int
-    ordered_pair_count: int
     edge_count: int
     tuple_count: int
     distinct_tuple_count: int
     holder_lhs: float
     max_endpoint_fiber: int
-    normalized_count: float
 
 
 def _unit_neighbor_lists(P: PointSet) -> list[np.ndarray]:
@@ -323,7 +204,7 @@ def unit_step_census(P: PointSet) -> UnitPairReport:
     if P.d >= 3 and P.n > 2000:
         raise ValueError("census capped at 2000 points for d >= 3")
     if P.n == 0:
-        return UnitPairReport(0, P.d, 0, 0, 0, 0, 0.0, 0, 0.0)
+        return UnitPairReport(0, P.d, 0, 0, 0, 0.0, 0)
     neighbors = _unit_neighbor_lists(P)
     degs = np.array([len(nb) for nb in neighbors], dtype=np.int64)
     d = P.d
@@ -350,13 +231,11 @@ def unit_step_census(P: PointSet) -> UnitPairReport:
     return UnitPairReport(
         n_points=P.n,
         d=d,
-        ordered_pair_count=edge_count,
         edge_count=edge_count,
         tuple_count=tuple_count,
         distinct_tuple_count=distinct_tuple_count,
         holder_lhs=holder_lhs,
         max_endpoint_fiber=max_fiber,
-        normalized_count=normalized_pair_count_value(edge_count, P.n, d),
     )
 
 

@@ -13,17 +13,26 @@ singular value, and a tuple whose bound clears the threshold by a rounding
 margin is independent without an SVD; every other tuple goes to the SVD, so
 every decision equals the SVD-only one. A stack of frames of d-1 steps in R^d
 is factored by one batched full SVD, which gives each frame's rank test,
-circumcenter and unit normal; d = 1 is the frame with no rows. Squared
-distances are summed one axis at a time by `_sq_dist`.
+circumcenter and unit normal; d = 1 is the frame with no rows.
+
+The squared distances between point arrays in `discrete`, `geom` and
+`incidence` are all summed one axis at a time by the one kernel `_sq_dist`.
+`_near_pairs` is the package's one near-pair search: the unordered pairs of a
+point array whose squared distance lies in a closed band, found through
+sorted linear cell keys and a memoized table of compatible cell offsets. The
+grid unit-pair counter and the separated nets both run on it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .intervals import _ranges
 
 __all__ = [
     "general_position_check",
@@ -39,6 +48,7 @@ __all__ = [
 
 MAX_DIM = 8
 TANGENT_TOL = 1e-12       # r0 == 1 classification
+_CHUNK = 256              # cell offsets per query block of the near-pair search
 
 
 def _vec(x) -> np.ndarray:
@@ -86,6 +96,137 @@ def _sq_dist(x, y) -> np.ndarray:
         buf *= buf
         acc += buf
     return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _compatible_offsets(d: int, lo: float, hi: float) -> np.ndarray:
+    """Integer cell offsets that can realize a distance in [lo, hi], measured
+    in cell sides: the zero offset, then the nonzero ones.
+
+    For offset Delta the distance between points of cells k and k + Delta
+    lies in [sqrt(sum max(0,|Di|-1)^2), sqrt(sum (|Di|+1)^2)]; keep offsets
+    whose range meets the band. Only the lexicographically positive half is
+    kept (each unordered cell pair is visited once).
+
+    Returned as a (k, d) int64 array, nonzero rows in lexicographic order.
+    The cube is built one axis at a time, dropping a prefix once its near
+    bound exceeds the band (the bound only grows with more axes) or its
+    first nonzero step is negative.
+
+    Memoized per (d, lo, hi), since every search at the same dimension and
+    band rebuilds the same table; the shared array is read-only. The cache
+    is bounded because a d = 8 table for a unit band alone holds 51 MB.
+    """
+    reach = int(math.ceil(hi)) + 1
+    steps = np.arange(-reach, reach + 1)
+    out = np.zeros((1, 0), dtype=np.int8)
+    near2 = far2 = lead = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        k = out.shape[0]
+        out = np.column_stack(
+            [np.repeat(out, steps.size, axis=0), np.tile(steps.astype(np.int8), k)]
+        )
+        near2 = (near2[:, None] + np.maximum(0, np.abs(steps) - 1) ** 2).ravel()
+        far2 = (far2[:, None] + (np.abs(steps) + 1) ** 2).ravel()
+        # sign of the first nonzero step so far
+        lead = np.where(lead[:, None] != 0, lead[:, None], np.sign(steps)).ravel()
+        keep = (np.sqrt(near2) <= hi) & (lead >= 0)
+        out, near2, far2, lead = out[keep], near2[keep], far2[keep], lead[keep]
+    keep = (np.sqrt(far2) >= lo) & (lead > 0)
+    out = np.concatenate([np.zeros((1, d), dtype=np.int64), out[keep]])
+    out.setflags(write=False)
+    return out
+
+
+def _linear_keys(
+    cells: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """uint64 keys of cells and of offsets with key(k + D) = key(k) + key(D).
+
+    Mixed-radix over the occupied box padded by the largest offset, so a
+    neighbor cell never wraps into another row. The keys are exact (one key
+    per cell) when the padded box has at most 2^64 cells; otherwise they
+    wrap modulo 2^64, the additive identity still holds, and the returned
+    flag tells the caller to check candidate pairs' cells.
+    """
+    pad = int(np.abs(offsets).max(initial=0))
+    base = cells.min(axis=0) - pad
+    spans = [s + pad + 1 for s in (cells.max(axis=0) - base).tolist()]
+    strides = [math.prod(spans[:i]) for i in range(len(spans))]
+    exact = math.prod(spans) <= 2**64
+    radix = np.array([s % 2**64 for s in strides], dtype=np.uint64)
+    # uint64 products and sums wrap modulo 2^64
+    keys = (cells - base).astype(np.uint64) @ radix
+    okeys = offsets.astype(np.uint64) @ radix
+    return keys, okeys, exact
+
+
+def _near_pairs(
+    pts: np.ndarray, side: float, offsets: np.ndarray, lo2: float, hi2: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (i, j) of the unordered pairs of rows of `pts`, i != j, whose
+    `_sq_dist` lies in the closed band [lo2, hi2]; each pair appears once.
+
+    Rows go to cells of side `side` (floor(p / side)) and are sorted by
+    linear cell key. Every occupied cell looks up its neighbors at
+    `offsets` (a `_compatible_offsets` table covering the band in cell
+    units) with `searchsorted` on the sorted keys; when the keys wrap, a
+    candidate pair is kept only if its cells differ by its offset. Inside
+    one cell (the zero offset) each pair is taken once, with i < j; a
+    nonzero offset is one of a +-pair, so its pairs are unordered already.
+    Queries go in blocks of `_CHUNK` offsets (at most `_CHUNK * n` keys)
+    and candidate pairs in blocks of `_CHUNK * n // 4`, which keeps working
+    memory O(`_CHUNK` n).
+    """
+    n = pts.shape[0]
+    if n == 0:
+        return
+    cells = np.floor(pts / side).astype(np.int64)
+    keys, okeys, exact = _linear_keys(cells, offsets)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    cols = np.ascontiguousarray(pts[order].T)
+    # cell boundaries in the sorted keys, with n closing the last cell
+    cut = np.ones(n + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=cut[1:n])
+    bounds = cut.nonzero()[0]
+    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    ukeys = keys[first]
+    pair_block = _CHUNK * n // 4  # >= n, so a segment always fits
+
+    for o0 in range(0, okeys.size, _CHUNK):
+        # offset-major layout: each offset's queries arrive sorted
+        tgt = (okeys[o0 : o0 + _CHUNK, None] + ukeys[None, :]).ravel()
+        pos = np.minimum(ukeys.searchsorted(tgt), ukeys.size - 1)
+        hit = (ukeys[pos] == tgt).nonzero()[0]
+        a, b = hit % ukeys.size, pos[hit]
+        # one segment per point of cell a: that point against the
+        # contiguous run of cell b's points
+        sa = size[a]
+        seg = np.arange(hit.size).repeat(sa)
+        row = _ranges(first[a], sa)
+        run, length = first[b][seg], size[b][seg]
+        if o0 == 0:
+            # the zero offset's segments come first, one per point in
+            # sorted order (row[:n] = 0..n-1): inside its cell, a point
+            # meets only the points after it
+            length[:n] += run[:n]
+            run[:n] = row[:n] + 1
+            length[:n] -= run[:n]
+        end = length.cumsum()
+        s0 = 0
+        while s0 < seg.size:
+            s1 = int(end.searchsorted(end[s0] - length[s0] + pair_block, "right"))
+            L = length[s0:s1]
+            i = row[s0:s1].repeat(L)
+            j = _ranges(run[s0:s1], L)
+            d2 = _sq_dist(cols.take(i, axis=1), cols.take(j, axis=1))
+            near = (d2 >= lo2) & (d2 <= hi2)
+            if not exact:
+                o = (o0 + hit[seg[s0:s1]] // ukeys.size).repeat(L)
+                near &= (cells[order[j]] - cells[order[i]] == offsets[o]).all(axis=1)
+            yield order[i[near]], order[j[near]]
+            s0 = s1
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ lambda(k) = |{y : 1 - 2 delta <= |y| <= 1 + 2 delta, k + y in K_delta}|.
 The discrete objects are delta-separated nets of the rasterized set, the
 dyadic ladder of section sizes, and the census of well-separated tuples
 sitting on a common unit annulus -- the counting skeleton behind the
-pair-measure lower bounds.
+pair-measure lower bounds. The nets take their close pairs from the
+package's one near-pair search, `geom._near_pairs`, and the census its
+squared distances from the one kernel `geom._sq_dist`.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import _compatible_offsets, _near_pairs, _sq_dist
 from .grids import GridIndicator, fft_length
 
 __all__ = [
@@ -101,17 +104,12 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
     Every selected pair is at distance >= r and every rejected point is
     within r of some selected one (so the selection is also an r-net).
 
-    The selection is a sweep over a neighbor graph. The points are bucketed
-    into cubes of side r (keys floor(p / r)), each cube key is encoded as
-    one int64, and the codes are sorted once. For the zero offset and one of
-    each +-pair of the other 3^d - 1 neighboring-cube offsets, a searchsorted
-    pair lists the candidate pairs, and a pair is an edge when its squared
-    distance is below r * r. One pass in row order over each point's later
-    neighbors then keeps every point that no earlier kept point has blocked.
-    The cost is a sort of n codes plus (3^d + 1) / 2 array passes over about
-    n times the cube occupancy candidate pairs, one offset's worth in memory
-    at a time; the pass in row order is pure Python, over the kept points'
-    edges only.
+    The selection is a sweep over a neighbor graph: its edges are the pairs
+    whose squared distance is below r * r, found by `geom._near_pairs` on
+    cubes of side r, where only the zero offset and one of each +-pair of
+    neighboring cubes can hold them. One pass in row order over each
+    point's later neighbors then keeps every point that no earlier kept
+    point has blocked.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2:
@@ -121,40 +119,15 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
     n, d = pts.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    keys = np.floor(pts / r).astype(np.int64)
-    # radix max + 2: key - 1 = -1 and key + 1 = max + 1 both land on the
-    # one empty cube past the end, so no neighbor code aliases a point's
-    keys -= keys.min(axis=0)
-    span = keys.max(axis=0) + 2
-    if math.prod(span.tolist()) > np.iinfo(np.int64).max:
-        raise ValueError("points span too many r-cubes for int64 cube codes")
-    strides = np.cumprod(np.concatenate([[1], span[:-1]]))
-    codes = keys @ strides
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-
-    r2 = r * r
-    rows = np.arange(n)
-    firsts, seconds = [], []
-    # the zero offset and the offsets after it in ndindex order: every
-    # unordered pair of neighboring cubes is visited once
-    for off in list(np.ndindex(*([3] * d)))[3**d // 2 :]:
-        target = codes + (np.array(off) - 1) @ strides
-        lo = np.searchsorted(sorted_codes, target, side="left")
-        cnt = np.searchsorted(sorted_codes, target, side="right") - lo
-        # point p's matches sit at sorted positions lo[p] ... lo[p] + cnt[p] - 1
-        p = np.repeat(rows, cnt)
-        q = order[np.arange(p.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
-        if off == (1,) * d:  # same cube: each pair once
-            p, q = p[p < q], q[p < q]
-        diff = pts[q] - pts[p]
-        near = np.einsum("ij,ij->i", diff, diff) < r2
-        firsts.append(np.minimum(p, q)[near])
-        seconds.append(np.maximum(p, q)[near])
-    first = np.concatenate(firsts)
+    # closed bands just short of one cube side and of r * r: a pair is an
+    # edge exactly when its squared distance is below r * r
+    offsets = _compatible_offsets(d, 0.0, math.nextafter(1.0, 0.0))
+    pairs = list(_near_pairs(pts, r, offsets, 0.0, math.nextafter(r * r, 0.0)))
+    p, q = (np.concatenate(c) for c in zip(*pairs))
+    first = np.minimum(p, q)
     by_first = np.argsort(first)
     starts = np.searchsorted(first[by_first], np.arange(n + 1)).tolist()
-    later = np.concatenate(seconds)[by_first].tolist()
+    later = np.maximum(p, q)[by_first].tolist()
 
     blocked = bytearray(n)
     kept: list[int] = []
@@ -299,14 +272,12 @@ def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> Inci
     centers and section measures, so a run convolves once. J is a maximal
     delta-separated subset of the occupied cell centers. Centers are heavy
     cells (section measure >= lam) thinned to mutual distance 2 delta. Both
-    nets come from `separated_subset`, whose neighbor-graph sweep costs a
-    sort and a few array passes over the candidate pairs plus one Python
-    pass in row order. For each center c, S_c = J intersected with the
+    nets come from `separated_subset`. For each center c, S_c = J intersected with the
     shell 1 +- 3 delta around c, and the census counts ordered tuples from
     S_c with all pairwise distances >= c * (lam / delta^(d - alpha))^(1/alpha).
     The projection fiber of a tuple is the number of centers it serves.
 
-    Each section's far pairs come from one distance matrix, and its triples
+    Each section's far pairs come from one `_sq_dist` matrix, and its triples
     from extending the far pairs (i, j) by every k > j far from both, in
     blocks. Every unordered tuple is keyed as one int64 over the net's
     indices, and max_projection_fiber is the largest count of one
@@ -352,9 +323,8 @@ def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> Inci
     for sel in sections:
         if sel.size < arity:
             continue
-        pts = j_points[sel]
-        diff = pts[:, None, :] - pts[None, :, :]
-        far = np.einsum("ijk,ijk->ij", diff, diff) >= thr2
+        cols = j_points[sel].T
+        far = _sq_dist(cols[:, :, None], cols[:, None, :]) >= thr2
         np.fill_diagonal(far, False)
         ii, jj = np.nonzero(np.triu(far, 1))
         if arity == 2:

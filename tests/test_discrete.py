@@ -152,7 +152,6 @@ def test_census_on_triangle():
     assert rep.n_points == 3
     assert rep.d == 2
     assert rep.edge_count == 6  # ordered unit steps
-    assert rep.ordered_pair_count == 6
     # per vertex: 2 neighbors -> 2^2 step pairs, 2*1 with distinct endpoints
     assert rep.tuple_count == 12
     assert rep.distinct_tuple_count == 6
@@ -189,19 +188,20 @@ def test_random_general_position_is_reproducible():
 
 
 def test_compatible_offsets_are_cached_read_only():
-    from unitdist.discrete import _compatible_offsets
+    from unitdist.geom import _compatible_offsets
 
-    side = 1.0 / np.sqrt(3.0)
-    cached = _compatible_offsets(3, side, 1e-3)
-    assert _compatible_offsets(3, side, 1e-3) is cached
-    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, side, 1e-3))
+    # the counter's band 1 +- 1e-3 in R^3, in cell sides 1/sqrt(3)
+    band = ((1.0 - 1e-3) * np.sqrt(3.0), (1.0 + 1e-3) * np.sqrt(3.0))
+    cached = _compatible_offsets(3, *band)
+    assert _compatible_offsets(3, *band) is cached
+    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, *band))
     with pytest.raises(ValueError):
         cached[0, 0] = 7
     # counting reuses the table and leaves it as built
     pts = random_general_position(40, 3, seed=2).points
     P = PointSet(pts, eps=1e-3)
     assert count_unit_pairs_grid(P) == count_unit_pairs_bruteforce(P)
-    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, side, 1e-3))
+    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, *band))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -110,11 +110,11 @@ def test_separated_subset_greedy_row_order():
 
 def _greedy_net_oracle(pts, r):
     """Greedy r-separated subset in row order, each point tested against
-    every kept one with the same squared-distance comparison."""
+    every kept one with the same squared-distance comparison; the squares
+    are added as the package's distance kernel adds them."""
     kept = []
     for i in range(pts.shape[0]):
-        diff = pts[kept] - pts[i]
-        if not (np.einsum("ij,ij->i", diff, diff) < r * r).any():
+        if not (((pts[kept] - pts[i]) ** 2).sum(-1) < r * r).any():
             kept.append(i)
     return kept
 
@@ -152,11 +152,47 @@ def _net_cases(draw):
 @example((np.zeros((0, 2)), 0.5))
 @example((np.zeros((0, 3)), 1.0))
 @example((np.array([[0.0, -0.25], [0.25, -0.25], [0.125, 0.0]]), 0.25))
+# r * r equals the squares added as (s0 + s2) + s1, but s0 + s1 + s2 is
+# below it: the pair is closer than r, so only the first point is kept
+@example(
+    (
+        np.array(
+            [
+                [-0.5289670853876571, -0.3604306913634274, 0.5997590521099068],
+                [0.014136277846782619, 0.012770002843141892, -0.527611743208273],
+            ]
+        ),
+        1.3058349556698083,
+    )
+)
 def test_separated_subset_matches_greedy_oracle(case):
     pts, r = case
     got = separated_subset(pts, r)
     assert got.dtype == np.int64
     assert got.tolist() == _greedy_net_oracle(pts, r)
+
+
+def test_separated_subset_when_cube_keys_wrap():
+    # The far points put the cube box (cubes of side 0.5) about 2^32 cubes
+    # wide on two axes, so its linear cube keys wrap modulo 2^64; the scan
+    # passes the padding, so at one width a layer of the third axis holds
+    # exactly 2^64 cubes and the whole axis collapses to one key.
+    for k in range(1, 8):
+        far = (2.0**32 - k + 0.5) * 0.5
+        pts = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.25],
+                [far, 0.0, 0.0],
+                [0.0, far, 0.0],
+                [far, 0.0, 0.25],
+                [0.1, 0.1, 0.6],
+                [0.0, 0.0, 3.0],
+            ]
+        )
+        got = separated_subset(pts, 0.5)
+        assert got.tolist() == _greedy_net_oracle(pts, 0.5)
+        assert got.tolist() == [0, 2, 3, 5, 6]
 
 
 # ---- section measures ------------------------------------------------------
