@@ -39,7 +39,6 @@ from .discrete import (
 from .geom import unit_frame_batch
 from .grids import alpha_set_verify, rasterize
 from .incidence import incidence_census, section_histogram
-from .intervals import IntervalUnion
 from .scaling import (
     Bound,
     BoundTable,

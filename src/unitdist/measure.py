@@ -10,7 +10,8 @@ Three independent computations of the same quantity live here on purpose:
   |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice.
   The lattice correlograms are exact: FFT overlap counts on the coarsest
   lattice holding the endpoints, certified-rounded to integers and
-  expanded to the sample spacing by exact integer interpolation;
+  expanded to the sample spacing by exact integer interpolation. The band
+  kernel m(s) is evaluated only where corrF(s) is nonzero;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
   delta = 2^-26. Both autocorrelations are exact piecewise-linear functions
@@ -459,7 +460,9 @@ def _dense_band_integral(
     corr_f: np.ndarray, corr_b: np.ndarray, h: float, lo: float, hi: float
 ) -> float:
     """2 * int_{s>=0} corrF(s) * m(s) ds with m from the corrB running
-    integral; trapezoid rule on the shared lattice."""
+    integral; trapezoid rule on the shared lattice. m is evaluated only on
+    corrF's support: elsewhere the integrand is an exact 0 either way, so
+    the sum is bit for bit the one over the full lattice."""
     cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
     top = (corr_b.size - 1) * h
 
@@ -467,14 +470,17 @@ def _dense_band_integral(
         u = np.minimum(u, top)
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
         frac = u - k * h
-        cb = corr_b[k] + (corr_b[k + 1] - corr_b[k]) * (frac / h)
-        return cum[k] + (corr_b[k] + cb) * 0.5 * frac
+        b0 = corr_b[k]
+        cb = b0 + (corr_b[k + 1] - b0) * (frac / h)
+        return cum[k] + (b0 + cb) * 0.5 * frac
 
     K = min(corr_f.size, int(math.floor(hi / h)) + 2)
-    s = np.arange(K) * h
+    live = np.flatnonzero(corr_f[:K])
+    s = live * h
     u_hi = np.sqrt(np.maximum(0.0, hi * hi - s * s))
     u_lo = np.sqrt(np.maximum(0.0, lo * lo - s * s))
-    m = 2.0 * (cum_at(u_hi) - cum_at(u_lo))
+    m = np.zeros(K)
+    m[live] = 2.0 * (cum_at(u_hi) - cum_at(u_lo))
     integrand = corr_f[:K] * m
     one_sided = h * (integrand.sum() - 0.5 * integrand[0] - 0.5 * integrand[-1])
     return 2.0 * one_sided

@@ -335,6 +335,16 @@ GOLDEN_CASES = {
             "method": "product",
         },
     ),
+    # dense scales where most correlogram lags are zero (37% live at 2^-16)
+    "sweep_product_deep": (
+        "sweep",
+        {
+            "axes": [_cantor(1, 2, shift=1), _cantor(1, 2)],
+            "deltas": ["2^-14", "2^-16"],
+            "method": "product",
+            "width_multiplier": 2.5,
+        },
+    ),
     "alpha_verify": ("alpha-verify", {"p": 1, "q": 2, "delta": "2^-10", "samples": 500}),
     "incidence": ("incidence", {"axes": [_cantor(1, 2), _cantor(1, 2)], "delta": "2^-5"}),
     "sweep_grid_3d": (

@@ -7,6 +7,7 @@ of them.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,85 @@ def test_product_deep_scale_uses_atoms():
     assert r.method == "atoms"
     assert r.value > 0
     assert r.quadrature_error < 0.05 * r.value
+
+
+def _full_lattice_band_integral(corr_f, corr_b, h, lo, hi):
+    """Reference for `_dense_band_integral`: the same trapezoid sum, with
+    m(s) evaluated at every lattice lag instead of on corrF's support."""
+    cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
+    top = (corr_b.size - 1) * h
+
+    def cum_at(u):
+        u = np.minimum(u, top)
+        k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
+        frac = u - k * h
+        cb = corr_b[k] + (corr_b[k + 1] - corr_b[k]) * (frac / h)
+        return cum[k] + (corr_b[k] + cb) * 0.5 * frac
+
+    K = min(corr_f.size, int(math.floor(hi / h)) + 2)
+    s = np.arange(K) * h
+    u_hi = np.sqrt(np.maximum(0.0, hi * hi - s * s))
+    u_lo = np.sqrt(np.maximum(0.0, lo * lo - s * s))
+    m = 2.0 * (cum_at(u_hi) - cum_at(u_lo))
+    integrand = corr_f[:K] * m
+    one_sided = h * (integrand.sum() - 0.5 * integrand[0] - 0.5 * integrand[-1])
+    return 2.0 * one_sided
+
+
+def _lattice_with_zero_runs(rng, n, h):
+    """Integer counts times h, with runs of zeros of random lengths."""
+    counts = rng.integers(1, 1 << 20, size=n).astype(np.float64)
+    at = 0
+    while at < n:
+        at += int(rng.integers(1, 40))
+        run = int(rng.integers(1, 60))
+        counts[at : at + run] = 0.0
+        at += run
+    return counts * h
+
+
+def _dense_integral_cases():
+    rng = np.random.default_rng(14)
+    for k in range(4, 10):
+        h = 2.0**-k  # delta = 4h, as the dense route samples
+        for _ in range(6):
+            w = float(rng.choice([1.5, 2.0, 2.5])) * 4 * h
+            lo, hi = 1.0 - w, 1.0 + w
+            n_b = int(rng.integers(4, 3 / h))
+            corr_b = _lattice_with_zero_runs(rng, n_b, h)
+            # the band inside corrF, from lag 0, and past corrF's end
+            for n_f, band in [
+                (int(2.5 / h), (lo, hi)),
+                (int(2.5 / h), (0.0, hi)),
+                (int(rng.integers(2, 1 / h)), (lo, hi)),
+            ]:
+                corr_f = _lattice_with_zero_runs(rng, n_f, h)
+                yield corr_f, corr_b, h, *band
+                yield corr_f[::2], corr_b[::2], 2 * h, *band
+    # a points-only F: its correlogram is all zero
+    delta = Fraction(1, 64)
+    F = IntervalUnion.points([0, Fraction(13, 16), 1])
+    spec = CantorSpec(1, 2)
+    B = cantor_stage(spec, stage_for_scale(spec, delta)).neighborhood(delta)
+    spacing = delta / 4
+    corr_f = autocorrelation(F, spacing, method="fft").values
+    corr_b = autocorrelation(B, spacing, method="fft").values
+    assert not corr_f.any()
+    h = float(spacing)
+    for lo, hi in [(1 - 2 * float(delta), 1 + 2 * float(delta)), (0.0, 1.5)]:
+        yield corr_f, corr_b, h, lo, hi
+        yield corr_f[::2], corr_b[::2], 2 * h, lo, hi
+
+
+def test_dense_band_integral_is_bit_identical_to_the_full_lattice():
+    cases = 0
+    for corr_f, corr_b, h, lo, hi in _dense_integral_cases():
+        got = unitdist.measure._dense_band_integral(corr_f, corr_b, h, lo, hi)
+        want = _full_lattice_band_integral(corr_f, corr_b, h, lo, hi)
+        # bits, not ==: the sign of a zero result must match too
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+        cases += 1
+    assert cases == 6 * 6 * 3 * 2 + 4
 
 
 def test_product_dense_spacing_override_converges():
