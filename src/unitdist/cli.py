@@ -131,12 +131,24 @@ def _integer(x) -> int:
     return int(x)
 
 
-def _exponent(x) -> int:
-    """A nonnegative integer exponent of a dyadic scale 2^-x."""
-    e = _integer(x)
-    if e < 0:
-        raise ValueError(f"expected a nonnegative exponent, got {x!r}")
-    return e
+def _at_least(lo: int):
+    """A cast to an integer no smaller than `lo`."""
+
+    def cast(x) -> int:
+        n = _integer(x)
+        if n < lo:
+            raise ValueError(f"expected an integer >= {lo}, got {x!r}")
+        return n
+
+    return cast
+
+
+def _unit_open(x) -> float:
+    """A float strictly between 0 and 1; NaN is refused."""
+    v = float(x)
+    if not 0 < v < 1:
+        raise ValueError(f"expected a value in (0, 1), got {x!r}")
+    return v
 
 
 def _each(convert):
@@ -291,7 +303,7 @@ def _run_count(cfg: dict, run: _Run) -> int:
 def _run_frames(cfg: dict, run: _Run) -> int:
     where = "frames config"
     d = _take(cfg, "d", required=True, where=where, cast=_integer)
-    count = _take(cfg, "count", default=1000, where=where, cast=_integer)
+    count = _take(cfg, "count", default=1000, where=where, cast=_at_least(0))
     seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
     _done(cfg, where)
     if not 2 <= d <= 8:
@@ -394,6 +406,8 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
     axes_cfg = _take(cfg, "axes", required=True, where=where)
     deltas = _take(cfg, "deltas", required=True, where=where, cast=_each(_scale))
     method = _take(cfg, "method", default="grid", where=where)
+    if method not in ("grid", "product"):
+        raise ConfigError(f"field 'method' in {where}: unknown sweep method {method!r}")
     widthm = _take(cfg, "width_multiplier", default=2.0, where=where, cast=float)
     tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
     label = _take(cfg, "label", default="sweep", where=where, cast=str)
@@ -436,7 +450,7 @@ def _run_alpha_verify(cfg: dict, run: _Run) -> int:
     delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
     alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
     cell = _take(cfg, "cell", where=where, cast=_scale)
-    samples = _take(cfg, "samples", default=10_000, where=where, cast=_integer)
+    samples = _take(cfg, "samples", default=10_000, where=where, cast=_at_least(1))
     seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
     max_ratio = _take(cfg, "max_ratio", where=where, cast=float)
     _done(cfg, where)
@@ -466,9 +480,11 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
     where = "spectral config"
     p = _take(cfg, "p", required=True, where=where, cast=_integer)
     q = _take(cfg, "q", required=True, where=where, cast=_integer)
-    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
-    delta_exps = _take(cfg, "delta_exps", required=True, where=where, cast=_each(_exponent))
-    r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(_exponent))
+    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=_unit_open)
+    delta_exps = _take(
+        cfg, "delta_exps", required=True, where=where, cast=_each(_at_least(1))
+    )
+    r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(_at_least(0)))
     max_abs_slope = _take(cfg, "max_abs_slope", where=where, cast=float)
     _done(cfg, where)
 
@@ -479,8 +495,7 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
         delta = Fraction(1, 1 << e)
         U = cantor_stage(spec, stage_for_scale(spec, delta))
         G = rasterize([U], delta, delta / 4, alpha=alpha)
-        S = mollify_transform(G)
-        rep = weighted_energy(S, 1, alpha, float(delta))
+        rep = weighted_energy(mollify_transform(G))
         energy_rows.append([float(delta), rep.energy, rep.reference, rep.ratio])
         for re_ in r_exps:
             r = 2.0 ** -re_

@@ -103,16 +103,15 @@ class GridIndicator:
         o, c = float(self.origin[axis]), float(self.cell)
         return o + (np.arange(n) + 0.5) * c
 
-    def dense_mask(self, which: str = "outer") -> np.ndarray:
-        """Materialize the full d-dim boolean occupancy (size-capped)."""
+    def dense_mask(self) -> np.ndarray:
+        """Materialize the full d-dim boolean outer occupancy (size-capped)."""
         total = 1
         for n in self.dims:
             total *= n
         if total > DENSE_CAP:
             raise ValueError(f"dense mask of {total} cells exceeds cap {DENSE_CAP}")
-        masks = self.axis_masks if which == "outer" else self.axis_masks_inner
-        out = masks[0]
-        for m in masks[1:]:
+        out = self.axis_masks[0]
+        for m in self.axis_masks[1:]:
             out = np.multiply.outer(out, m)
         return out
 

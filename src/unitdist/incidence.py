@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import _compatible_offsets, _near_pairs, _sq_dist
+from .geom import _compatible_offsets, _near_pairs, _sq_dist, _squared_limits
 from .grids import GridIndicator, fft_length
 
 __all__ = [
@@ -160,7 +160,7 @@ def section_measures(G: GridIndicator) -> np.ndarray:
     1 +- 2 delta around each center, times cell^d (zero off the support)."""
     if G.d not in (2, 3):
         raise ValueError("section measures need a 2-D or 3-D grid")
-    mask = G.dense_mask("outer").astype(np.float64)
+    mask = G.dense_mask().astype(np.float64)
     cell = float(G.cell)
     delta = float(G.delta)
     R = int(math.ceil((1.0 + 2 * delta) / cell)) + 1
@@ -176,8 +176,6 @@ def section_measures(G: GridIndicator) -> np.ndarray:
 class SectionHistogram:
     edges: np.ndarray  # dyadic ladder e_0 < ... < e_M, e_0 = delta^d
     counts: np.ndarray  # occupied cells with lambda in [e_m, e_{m+1})
-    underflow_count: int  # occupied cells with lambda < e_0
-    representatives: tuple  # first (row-major) cell center per bin, or None
     centers: np.ndarray  # occupied cell centers in row-major order, (n, d)
     values: np.ndarray  # lambda at each of those cells
     delta: float
@@ -197,12 +195,12 @@ def section_histogram(G: GridIndicator) -> SectionHistogram:
     """Dyadic histogram of the section measures over occupied cells.
 
     Bins double from the floor delta^d upward; cells below the floor land in
-    the underflow count. The bin count is at most 4 log2(1/delta). The
-    histogram keeps the occupied centers and their section measures, so
-    the census reuses this one `section_measures` convolution.
+    no bin. The bin count is at most 4 log2(1/delta). The histogram keeps
+    the occupied centers and their section measures, so the census reuses
+    this one `section_measures` convolution.
     """
     lam_map = section_measures(G)
-    mask = G.dense_mask("outer")
+    mask = G.dense_mask()
     vals = lam_map[mask]
     delta = float(G.delta)
     floor = delta**G.d
@@ -217,27 +215,17 @@ def section_histogram(G: GridIndicator) -> SectionHistogram:
         raise AssertionError(f"bin count {M} exceeds the 4*log2(1/delta) cap {cap:.1f}")
     edges = floor * np.exp2(np.arange(M + 1))
     above = vals >= floor
-    underflow = int(vals.size - above.sum())
     idx = np.floor(np.log2(np.where(above, vals, floor) / floor)).astype(np.int64)
     idx = np.minimum(idx, M - 1)
     counts = np.bincount(idx[above], minlength=M)
 
     occupied = np.argwhere(mask)  # row-major (C) order
     centers = np.stack([G.axis_centers(a)[occupied[:, a]] for a in range(G.d)], axis=1)
-    reps: list[tuple[float, ...] | None] = [None] * M
-    first = np.full(M, vals.size, dtype=np.int64)
-    if above.any():
-        np.minimum.at(first, idx[above], np.flatnonzero(above))
-    for m in range(M):
-        if counts[m]:
-            reps[m] = tuple(float(x) for x in centers[first[m]])
     for arr in (counts, edges, centers, vals):
         arr.setflags(write=False)
     return SectionHistogram(
         edges=edges,
         counts=counts,
-        underflow_count=underflow,
-        representatives=tuple(reps),
         centers=centers,
         values=vals,
         delta=delta,
@@ -277,11 +265,12 @@ def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> Inci
     S_c with all pairwise distances >= c * (lam / delta^(d - alpha))^(1/alpha).
     The projection fiber of a tuple is the number of centers it serves.
 
-    Each section's far pairs come from one `_sq_dist` matrix, and its triples
-    from extending the far pairs (i, j) by every k > j far from both, in
-    blocks. Every unordered tuple is keyed as one int64 over the net's
-    indices, and max_projection_fiber is the largest count of one
-    np.unique over all sections' keys.
+    Each section is picked by `_sq_dist` against the squared shell limits
+    of `geom._squared_limits`. Its far pairs come from one `_sq_dist`
+    matrix, and its triples from extending the far pairs (i, j) by every
+    k > j far from both, in blocks. Every unordered tuple is keyed as one
+    int64 over the net's indices, and max_projection_fiber is the largest
+    count of one np.unique over all sections' keys.
     """
     d, alpha, delta = hist.d, hist.alpha, hist.delta
     if not math.isfinite(alpha):
@@ -296,11 +285,14 @@ def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> Inci
 
     threshold = c * (lam / delta ** (d - alpha)) ** (1.0 / alpha)
 
+    # 1 - 3 delta <= |y - ctr| <= 1 + 3 delta, decided on squared distances
+    lo2, hi2 = _squared_limits(1.0 - 3 * delta, 1.0 + 3 * delta)
+    j_axes = j_points.T
     sizes = np.zeros(centers.shape[0], dtype=np.int64)
     sections: list[np.ndarray] = []
     for i, ctr in enumerate(centers):
-        dist = np.linalg.norm(j_points - ctr, axis=1)
-        sel = np.flatnonzero((dist >= 1.0 - 3 * delta) & (dist <= 1.0 + 3 * delta))
+        sq = _sq_dist(j_axes, ctr)
+        sel = np.flatnonzero((sq >= lo2) & (sq <= hi2))
         sizes[i] = sel.size
         sections.append(sel)
 

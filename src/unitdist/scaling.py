@@ -123,12 +123,6 @@ class ScalingSeries:
             if not self.degenerate and s.value <= 0:
                 raise ValueError("nonpositive value in a non-degenerate series")
 
-    def deltas(self) -> np.ndarray:
-        return np.array([s.delta for s in self.samples])
-
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples])
-
 
 def _as_deltas(delta_list) -> list[Fraction]:
     out = [Fraction(d) for d in delta_list]

@@ -3,10 +3,11 @@
 The pipeline is: sample the indicator of the fattened set on its grid,
 mollify at scale delta by multiplying the transform with a truncated
 Gaussian kernel spectrum, then test two scalings -- the L2 norm of the
-ball convolution against r^((d+alpha)/2) * delta^(d-alpha), and the
-singular-weighted energy  integral |F|^2 |xi|^(alpha-d)  against
-log(1/delta) * delta^(2(d-alpha)).  Two-dimensional product sets factor
-through per-axis spectra (separability); nothing here needs a 2-D FFT.
+ball convolution against r^((1+alpha)/2) * delta^(1-alpha), and the
+singular-weighted energy  integral |F|^2 |xi|^(alpha-1)  against
+log(1/delta) * delta^(2(1-alpha)).  Everything here is one-dimensional: a
+grid of higher dimension is refused, and each estimate reads alpha and
+delta from the grid or spectrum it measures.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .grids import GridIndicator
 __all__ = [
     "MollifierSpec",
     "SpectrumGrid",
-    "ProductSpectrum",
     "mollify_transform",
     "BallConvolutionReport",
     "ball_convolution_l2",
@@ -100,19 +100,22 @@ class SpectrumGrid:
         return abs(s - self.norm_sq) / denom
 
 
-@dataclass(frozen=True)
-class ProductSpectrum:
-    """Spectra of the two factors of a product set (separability: the 2-D
-    transform of 1_{F_delta x B_delta} is the outer product)."""
-
-    axes: tuple[SpectrumGrid, SpectrumGrid]
-    delta: float
-    alpha: float
+def _require_line(G: GridIndicator) -> None:
+    if G.d != 1:
+        raise ValueError(f"spectra are one-dimensional; grid has d = {G.d}")
 
 
-def _axis_spectrum(
-    mask: np.ndarray, cell: float, delta: float, alpha: float
-) -> SpectrumGrid:
+def mollify_transform(G: GridIndicator) -> SpectrumGrid:
+    """Transform of the delta-mollified indicator of a rasterized line set.
+
+    Requires grid resolution at most delta/4 so the mollifier is resolved.
+    """
+    _require_line(G)
+    delta = float(G.delta)
+    cell = float(G.cell)
+    if cell > delta / 4 + 1e-15:
+        raise ValueError("grid resolution must be at most delta/4")
+    mask = np.asarray(G.axis_masks[0])
     sigma = delta
     extra = int(math.ceil(SUPPORT_RADIUS * sigma / cell)) + 1
     need = mask.size + 2 * extra
@@ -129,31 +132,9 @@ def _axis_spectrum(
         length=N,
         values=spec,
         delta=delta,
-        alpha=alpha,
+        alpha=G.alpha,
         norm_sq=norm_sq,
     )
-
-
-def mollify_transform(G: GridIndicator, delta=None):
-    """Transform of the delta-mollified indicator of the rasterized set.
-
-    Requires grid resolution at most delta/4 so the mollifier is resolved.
-    1-D grids give a SpectrumGrid; 2-D product grids give the pair of axis
-    spectra (their outer product is the full transform).
-    """
-    delta_f = float(G.delta) if delta is None else float(delta)
-    cell = float(G.cell)
-    if cell > delta_f / 4 + 1e-15:
-        raise ValueError("grid resolution must be at most delta/4")
-    if G.d == 1:
-        return _axis_spectrum(np.asarray(G.axis_masks[0]), cell, delta_f, G.alpha)
-    if G.d == 2:
-        ax = [
-            _axis_spectrum(np.asarray(m), cell, delta_f, math.nan)
-            for m in G.axis_masks
-        ]
-        return ProductSpectrum(axes=(ax[0], ax[1]), delta=delta_f, alpha=G.alpha)
-    raise ValueError("spectra implemented for d = 1 and product d = 2 only")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +144,7 @@ def mollify_transform(G: GridIndicator, delta=None):
 @dataclass(frozen=True)
 class BallConvolutionReport:
     l2_norm: float
-    ratio: float  # l2 / (r^((d+alpha)/2) * delta^(d-alpha))
+    ratio: float  # l2 / (r^((1+alpha)/2) * delta^(1-alpha))
     r: float
 
 
@@ -181,35 +162,23 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
     """|| 1_{K_delta} * 1_{B(0,r)} ||_2 on the grid, with its scaling ratio.
 
     The convolution value at x is the measure of K_delta within distance r
-    of x; its L2 norm obeys r^((d+alpha)/2) delta^(d-alpha) scaling exactly
+    of x; its L2 norm obeys r^((1+alpha)/2) delta^(1-alpha) scaling exactly
     when the set is a true alpha-set.
     """
+    _require_line(G)
     delta = float(G.delta)
     cell = float(G.cell)
     if r < delta:
         raise ValueError("need r >= delta")
     if not math.isfinite(G.alpha):
         raise ValueError("grid carries no alpha")
-    d = G.d
-    if d == 1:
-        mask = np.asarray(G.axis_masks[0], dtype=np.float64)
-        ker = _ball_kernel_1d(r, cell)
-        n = mask.size + ker.size - 1
-        size = 1 << (n - 1).bit_length()
-        conv = np.fft.irfft(np.fft.rfft(mask, size) * np.fft.rfft(ker, size), size)[:n]
-        l2 = math.sqrt(float((conv * conv).sum()) * cell)
-    else:
-        mask = G.dense_mask("outer").astype(np.float64)
-        K = int(math.ceil(r / cell))
-        axes = np.meshgrid(*([np.arange(-K, K + 1)] * d), indexing="ij")
-        ker = (sum((a * cell) ** 2 for a in axes) <= r * r).astype(np.float64)
-        ker *= cell**d
-        shape = [1 << (a + b - 1).bit_length() for a, b in zip(mask.shape, ker.shape)]
-        conv = np.fft.irfftn(
-            np.fft.rfftn(mask, shape) * np.fft.rfftn(ker, shape), shape
-        )
-        l2 = math.sqrt(float((conv * conv).sum()) * cell**d)
-    ref = r ** ((d + G.alpha) / 2) * delta ** (d - G.alpha)
+    mask = np.asarray(G.axis_masks[0], dtype=np.float64)
+    ker = _ball_kernel_1d(r, cell)
+    n = mask.size + ker.size - 1
+    size = 1 << (n - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(mask, size) * np.fft.rfft(ker, size), size)[:n]
+    l2 = math.sqrt(float((conv * conv).sum()) * cell)
+    ref = r ** ((1 + G.alpha) / 2) * delta ** (1 - G.alpha)
     return BallConvolutionReport(l2_norm=l2, ratio=l2 / ref, r=r)
 
 
@@ -220,68 +189,34 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
 @dataclass(frozen=True)
 class EnergyReport:
     energy: float
-    reference: float  # log(1/delta) * delta^(2(d-alpha))
+    reference: float  # log(1/delta) * delta^(2(1-alpha))
 
     @property
     def ratio(self) -> float:
         return self.energy / self.reference
 
 
-def _zero_cell_weight_1d(freq_spacing: float, alpha: float) -> float:
-    """Cell average of |xi|^(alpha-1) over the origin cell [-h/2, h/2]."""
-    half = freq_spacing / 2
-    return half ** (alpha - 1) / alpha
-
-
-def weighted_energy(S, d: int, alpha: float, delta: float) -> EnergyReport:
-    """integral of |F(1_{K_delta} * rho_delta)|^2 |xi|^(alpha-d) d xi.
+def weighted_energy(S: SpectrumGrid) -> EnergyReport:
+    """integral of |F(1_{K_delta} * rho_delta)|^2 |xi|^(alpha-1) d xi, with
+    alpha and delta read from the spectrum.
 
     The weight is singular at the origin; the zero-frequency cell gets the
-    exact cell average of the weight (1-D) or an equal-area-disc average
-    (2-D product), which is the discrete version of splitting off a bounded
-    low-frequency term. Rejected for alpha >= d, where the weight stops
-    being locally integrable in the intended sense.
+    exact cell average of the weight, which is the discrete version of
+    splitting off a bounded low-frequency term. Rejected for alpha >= 1,
+    where the weight stops being locally integrable in the intended sense.
     """
-    if not 0 < alpha < d:
-        raise ValueError("need 0 < alpha < d")
+    alpha, delta = S.alpha, S.delta
+    if not 0 < alpha < 1:
+        raise ValueError("need 0 < alpha < 1")
     if delta <= 0 or delta >= 1:
         raise ValueError("need 0 < delta < 1")
-    reference = math.log(1.0 / delta) * delta ** (2 * (d - alpha))
-
-    if isinstance(S, SpectrumGrid):
-        if d != 1:
-            raise ValueError("a single SpectrumGrid is one-dimensional")
-        if abs(S.delta - delta) > 1e-12 * max(delta, S.delta):
-            raise ValueError("spectrum was computed at a different delta")
-        h = S.frequency_spacing
-        xi = np.arange(S.values.size) * h
-        weight = np.empty_like(xi)
-        weight[0] = _zero_cell_weight_1d(h, alpha)
-        weight[1:] = xi[1:] ** (alpha - 1)
-        w = S._rfft_weights()
-        energy = float((w * np.abs(S.values) ** 2 * weight).sum() * h)
-        return EnergyReport(energy=energy, reference=reference)
-
-    if isinstance(S, ProductSpectrum):
-        if d != 2:
-            raise ValueError("a ProductSpectrum is two-dimensional")
-        if abs(S.delta - delta) > 1e-12 * max(delta, S.delta):
-            raise ValueError("spectrum was computed at a different delta")
-        sx, sy = S.axes
-        hx, hy = sx.frequency_spacing, sy.frequency_spacing
-        if sx.values.size * sy.values.size > 1 << 24:
-            raise ValueError("product spectrum too large for the energy sum")
-        px = sx._rfft_weights() * np.abs(sx.values) ** 2
-        py = sy._rfft_weights() * np.abs(sy.values) ** 2
-        xix = np.arange(px.size) * hx
-        xiy = np.arange(py.size) * hy
-        xi_sq = xix[:, None] ** 2 + xiy[None, :] ** 2
-        weight = np.zeros_like(xi_sq)
-        nz = xi_sq > 0
-        weight[nz] = xi_sq[nz] ** ((alpha - 2) / 2)
-        r_eq = math.sqrt(hx * hy / math.pi)  # equal-area disc for the 0 cell
-        weight[0, 0] = 2 * r_eq ** (alpha - 2) / alpha
-        energy = float((px[:, None] * py[None, :] * weight).sum() * hx * hy)
-        return EnergyReport(energy=energy, reference=reference)
-
-    raise TypeError("S must be a SpectrumGrid or ProductSpectrum")
+    reference = math.log(1.0 / delta) * delta ** (2 * (1 - alpha))
+    h = S.frequency_spacing
+    xi = np.arange(S.values.size) * h
+    weight = np.empty_like(xi)
+    half = h / 2  # the origin cell [-h/2, h/2] gets the weight's cell average
+    weight[0] = half ** (alpha - 1) / alpha
+    weight[1:] = xi[1:] ** (alpha - 1)
+    w = S._rfft_weights()
+    energy = float((w * np.abs(S.values) ** 2 * weight).sum() * h)
+    return EnergyReport(energy=energy, reference=reference)

@@ -296,7 +296,7 @@ def test_criterion_12_weighted_energy_ratio_is_flat():
         delta = Fraction(1, 2**e)
         U = cantor_stage(spec, stage_for_scale(spec, delta))
         G = rasterize([U], delta, delta / 4, alpha=0.5)
-        rep = weighted_energy(mollify_transform(G), 1, 0.5, float(delta))
+        rep = weighted_energy(mollify_transform(G))
         rows.append((float(delta), rep.ratio))
     slope = float(
         np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]

@@ -182,6 +182,18 @@ def test_spectral_run(tmp_path):
     assert (out / "convolution.csv").exists()
 
 
+def test_spectral_slope_escape_exits_2(tmp_path):
+    # at alpha = 0.3 the energy ratio of C(1,2) drifts with delta
+    cfg = _write(
+        tmp_path / "s.json",
+        {"p": 1, "q": 2, "alpha": 0.3, "delta_exps": [8, 10, 12], "max_abs_slope": 0.05},
+    )
+    out = tmp_path / "run"
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["ratio_log_slope"]) > 0.05
+
+
 def test_incidence_run(tmp_path):
     cfg = _write(
         tmp_path / "i.json",
@@ -345,7 +357,25 @@ GOLDEN_CASES = {
             "width_multiplier": 2.5,
         },
     ),
+    # one points axis: the exact one-axis pair_band_mass path
+    "sweep_points_product": (
+        "sweep",
+        {
+            "axes": [{"kind": "points", "at": [0, 1]}],
+            "deltas": ["2^-5", "2^-6", "2^-7", "2^-8"],
+            "method": "product",
+        },
+    ),
+    "count_two_circles": (
+        "count",
+        {"set": {"kind": "two_circles", "n": 6, "seed": 3}, "census": True},
+    ),
     "alpha_verify": ("alpha-verify", {"p": 1, "q": 2, "delta": "2^-10", "samples": 500}),
+    # r = 2^-20 is below every delta and is skipped
+    "spectral": (
+        "spectral",
+        {"p": 1, "q": 2, "delta_exps": [8, 10, 12], "r_exps": [4, 6, 8, 20]},
+    ),
     "incidence": ("incidence", {"axes": [_cantor(1, 2), _cantor(1, 2)], "delta": "2^-5"}),
     "sweep_grid_3d": (
         "sweep",
@@ -450,6 +480,21 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             "sweep.axes[0]",
         ),
         ("spectral", {"p": 1, "q": 2, "delta_exps": ["six"]}, "delta_exps", "spectral config"),
+        ("spectral", {"p": 1, "q": 2, "delta_exps": [0]}, "delta_exps", "spectral config"),
+        (
+            "spectral",
+            {"p": 1, "q": 2, "delta_exps": [6], "alpha": 1.5},
+            "alpha",
+            "spectral config",
+        ),
+        ("frames", {"d": 2, "count": -1}, "count", "frames config"),
+        (
+            "alpha-verify",
+            {"p": 1, "q": 2, "delta": "2^-6", "samples": 0},
+            "samples",
+            "alpha-verify config",
+        ),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-4"], "method": "foo"}, "method", "sweep config"),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, kind, cfg, field, where):

@@ -43,7 +43,7 @@ def test_rasterize_two_axes():
     assert G.d == 2
     assert G.occupied_count("outer") == 12 * 12
     assert float(G.occupied_measure("outer")) == pytest.approx((12 / 32) ** 2)
-    mask = G.dense_mask("outer")
+    mask = G.dense_mask()
     assert mask.shape == (12, 12)
     assert mask.all()
 

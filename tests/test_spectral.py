@@ -11,7 +11,6 @@ from unitdist.grids import rasterize
 from unitdist.intervals import IntervalUnion
 from unitdist.spectral import (
     MollifierSpec,
-    ProductSpectrum,
     ball_convolution_l2,
     mollify_transform,
     weighted_energy,
@@ -67,14 +66,15 @@ def test_parseval_identity_within_tolerance():
     assert S.spectral_norm_sq() == pytest.approx(S.norm_sq, rel=1e-6)
 
 
-def test_product_transform_returns_axis_pair():
+def test_product_grid_is_refused():
+    # spectra are one-dimensional: a product grid is refused, not split
     delta = Fraction(1, 128)
     A = cantor_stage(CantorSpec(1, 2), 3)
     G = rasterize([A, A], delta, delta / 4, alpha=1.0)
-    P = mollify_transform(G)
-    assert isinstance(P, ProductSpectrum)
-    assert len(P.axes) == 2
-    assert P.alpha == 1.0
+    with pytest.raises(ValueError, match="one-dimensional"):
+        mollify_transform(G)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ball_convolution_l2(G, 0.25)
 
 
 def test_cell_must_resolve_mollifier():
@@ -95,7 +95,7 @@ def test_weighted_energy_single_cell_closed_form():
     alpha = 0.5
     G = rasterize(IntervalUnion.points([0]), delta, delta / 4, alpha=alpha)
     S = mollify_transform(G)
-    rep = weighted_energy(S, 1, alpha, d)
+    rep = weighted_energy(S)
 
     mass = 2 * d
     h = S.frequency_spacing
@@ -121,20 +121,23 @@ def test_weighted_energy_ratio_is_scale_stable_for_matching_alpha():
         delta = Fraction(1, 2**k)
         A = cantor_stage(spec, k // 2)
         G = rasterize(A, delta, delta / 4, alpha=0.5)
-        rep = weighted_energy(mollify_transform(G), 1, 0.5, float(delta))
+        rep = weighted_energy(mollify_transform(G))
         ratios.append(rep.ratio)
     assert max(ratios) / min(ratios) < 4.0
 
 
 def test_weighted_energy_validates_exponent():
+    # alpha is read from the spectrum, which takes it from the grid
     delta = Fraction(1, 64)
-    S = mollify_transform(_line_grid(IntervalUnion.single(0, 1), delta))
-    with pytest.raises(ValueError):
-        weighted_energy(S, 1, 1.0, float(delta))  # needs alpha < d
-    with pytest.raises(ValueError):
-        weighted_energy(S, 1, -0.5, float(delta))
-    with pytest.raises(ValueError):
-        weighted_energy(S, 1, 0.5, float(delta) * 2)  # mismatched delta
+    U = IntervalUnion.single(0, 1)
+    for alpha in (1.0, -0.5, math.nan):  # needs 0 < alpha < 1
+        S = mollify_transform(_line_grid(U, delta, alpha=alpha))
+        with pytest.raises(ValueError, match="alpha"):
+            weighted_energy(S)
+    # and delta likewise: a scale of 1 is outside 0 < delta < 1
+    S = mollify_transform(_line_grid(U, Fraction(1), alpha=0.5))
+    with pytest.raises(ValueError, match="delta"):
+        weighted_energy(S)
 
 
 # ---- ball convolution ----------------------------------------------------------
