@@ -225,11 +225,15 @@ class _Run:
         self.artifacts.append(name)
         return self.out / name
 
-    def finish(self) -> None:
+    def finish(self, exit_code: int, error: str | None = None) -> None:
+        """Write the manifest, on every exit path that returns a code: the
+        artifacts written so far, the exit code and the error, if any."""
         manifest = {
             "kind": self.kind,
             "config": self.config_echo,
             "artifacts": sorted(self.artifacts),
+            "exit_code": exit_code,
+            "error": error,
             "versions": {
                 "unitdist": __version__,
                 "numpy": np.__version__,
@@ -514,14 +518,18 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
             ["delta", "r", "l2_norm", "ratio"],
             conv_rows,
         )
-    logs = np.log([row[0] for row in energy_rows])
-    ratios = np.log([row[3] for row in energy_rows])
-    slope = float(np.polyfit(logs, ratios, 1)[0]) if len(energy_rows) >= 2 else 0.0
+    # a slope needs two scales; with fewer there is no fit, and a slope
+    # gate cannot pass
+    slope = None
+    if len(energy_rows) >= 2:
+        logs = np.log([row[0] for row in energy_rows])
+        ratios = np.log([row[3] for row in energy_rows])
+        slope = float(np.polyfit(logs, ratios, 1)[0])
     _write_json(
         run.path("summary.json"),
         {"alpha": alpha, "ratio_log_slope": slope, "scales": len(energy_rows)},
     )
-    if max_abs_slope is not None and abs(slope) > max_abs_slope:
+    if max_abs_slope is not None and (slope is None or abs(slope) > max_abs_slope):
         return 2
     return 0
 
@@ -673,13 +681,11 @@ def run_config(
     run = _Run(kind, out, echo)
     try:
         code = _RUNNERS[kind](cfg, run)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        run.finish(1, str(exc))
         return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    run.finish()
+    run.finish(code)
     return code
 
 

@@ -10,14 +10,20 @@ Three independent computations of the same quantity live here on purpose:
   |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice.
   The lattice correlograms are exact: FFT overlap counts on the coarsest
   lattice holding the endpoints, certified-rounded to integers and
-  expanded to the sample spacing by exact integer interpolation. The band
-  kernel m(s) is evaluated only where corrF(s) is nonzero;
+  expanded to the sample spacing by exact integer interpolation, up to
+  the lags the integral reads. The band kernel m(s) is evaluated only
+  where corrF(s) is nonzero;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
-  delta = 2^-26. Both autocorrelations are exact piecewise-linear functions
-  with integer breakpoints on the quarter-unit lattice (slope jumps summed
-  in int64); the vertical band mass W(s) = 2 (G(u+) - G(u-)) comes from the
-  exactly piecewise-quadratic G = int_0 corrB. corrF and W are even in s,
+  delta = 2^-26. Where a union's blocks are a Minkowski sum of two-point
+  sets (a C(p, q) stage, its planted double and the fattenings a sweep
+  builds of them, once each block of up to twice the shortest length is
+  split into two shortest blocks minus their overlap), the differences are
+  a convolution of the factors; other unions take all N^2 differences.
+  Both autocorrelations are exact piecewise-linear functions with integer
+  breakpoints on the quarter-unit lattice (slope jumps summed in int64);
+  the vertical band mass W(s) = 2 (G(u+) - G(u-)) comes from the exactly
+  piecewise-quadratic G = int_0 corrB. corrF and W are even in s,
   so only s >= 0 is integrated. The s-line is cut wherever corrF or G
   changes segment, which leaves pieces on which the integrand is analytic;
   each piece gets a 4-point Gauss-Legendre rule with an a priori truncation
@@ -153,8 +159,11 @@ class Correlogram:
 _EXACT_BLOCK_CAP = 64
 
 
-def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlogram:
-    """Correlogram of an interval union.
+def autocorrelation(
+    A: IntervalUnion, spacing, method: str = "auto", lags: int | None = None
+) -> Correlogram:
+    """Correlogram of an interval union, at its first `lags` lags if given
+    (the values at those lags are the same either way).
 
     When every endpoint of a positive-length interval lies on the spacing
     lattice (our constructions and every CLI path), the fast path returns
@@ -189,7 +198,7 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
         span_lo, span_hi = A.span
         width = float(span_hi - span_lo)
         K = int(math.floor(width / h)) + 1
-        lags = np.arange(K) * h
+        at = np.arange(K) * h
         c, l = _blocks(A)
         vals = np.zeros(K)
         for i in range(c.size):
@@ -197,33 +206,36 @@ def autocorrelation(A: IntervalUnion, spacing, method: str = "auto") -> Correlog
             hh = (l[i] + l) / 2.0
             pl = np.abs(l[i] - l) / 2.0
             # trap value at each lattice lag, accumulated per block pair
-            x = lags[:, None] - D[None, :]
+            x = at[:, None] - D[None, :]
             vals += 0.5 * (
                 np.abs(x + hh) + np.abs(x - hh) - np.abs(x + pl) - np.abs(x - pl)
             ).sum(axis=1)
-        return Correlogram(sample_spacing=h, values=vals, total_mass=mass)
+        return Correlogram(sample_spacing=h, values=vals[:lags], total_mass=mass)
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
     lo, hi, step, n, _ = A._cells(spacing_q)
-    counts = _lattice_counts(lo, hi, step, n)
+    counts = _lattice_counts(lo, hi, step, n, n if lags is None else min(lags, n))
     if counts is not None:
         corr = counts * h
     else:
         covered = _coverage(lo, hi, step, n)
-        corr = _fft_autocorrelation(float_quotients(covered, step)) * h
+        # unrounded: the full transform length keeps these values as they were
+        corr = _fft_autocorrelation(float_quotients(covered, step))[:lags] * h
         corr = np.maximum(corr, 0.0)
         corr[0] = mass
     return Correlogram(sample_spacing=h, values=corr, total_mass=mass)
 
 
-def _fft_autocorrelation(x: np.ndarray) -> np.ndarray:
-    """raw[k] = sum_i x[i] x[i + k] for 0 <= k < x.size, from one real FFT
-    pair long enough that no lag wraps around."""
+def _fft_autocorrelation(x: np.ndarray, lags: int | None = None) -> np.ndarray:
+    """raw[k] = sum_i x[i] x[i + k] for 0 <= k < min(lags, x.size) (all
+    lags by default), from one real FFT pair long enough that none of these
+    lags wraps around."""
     n = x.size
-    size = fft_length(2 * n - 1)
+    k = n if lags is None else min(lags, n)
+    size = fft_length(n + k - 1)
     spec = np.fft.rfft(x, size)
-    return np.fft.irfft(spec * np.conj(spec), size)[:n]
+    return np.fft.irfft(spec * np.conj(spec), size)[:k]
 
 
 def _certified_counts(raw: np.ndarray) -> np.ndarray:
@@ -236,24 +248,25 @@ def _certified_counts(raw: np.ndarray) -> np.ndarray:
 
 
 def _lattice_counts(
-    lo: np.ndarray, hi: np.ndarray, step: int, n: int
+    lo: np.ndarray, hi: np.ndarray, step: int, n: int, lags: int
 ) -> np.ndarray | None:
     """counts[k] = number of cell pairs (i, i + k), both inside A, at the
-    n lags of `IntervalUnion._cells`, as int64; None if a positive-length
-    interval has an endpoint off the cell lattice.
+    first `lags` of the n lags of `IntervalUnion._cells`, as int64; None if
+    a positive-length interval has an endpoint off the cell lattice.
 
     The FFT runs on the coarsest lattice g = m * step that holds every
     positive-length endpoint, measured from the first. Points cover no
     cell, so they do not shrink g. Each coarse cell is m cells, so the
     counts are linear between multiples of m:
     counts[m j + r] = (m - r) c[j] + r c[j + 1], with c read as 0 past its
-    end.
+    end. Only the coarse lags those fine lags read are transformed, so a
+    shorter `lags` asks for a shorter FFT.
     """
     solid = hi > lo
     ends = np.column_stack([lo[solid], hi[solid]]).ravel()
     counts = np.zeros(n, dtype=np.int64)
     if ends.size == 0:
-        return counts
+        return counts[:lags]
     runs = np.diff(ends)
     g = int(np.gcd.reduce(runs))
     if ends[0] % step or g % step:
@@ -261,11 +274,12 @@ def _lattice_counts(
     m = g // step
     # alternating runs of full and empty coarse cells
     cells = np.repeat(1.0 - np.arange(runs.size) % 2, runs // g)
-    c = np.append(_certified_counts(_fft_autocorrelation(cells)), 0)
+    rows = min(cells.size, -(-lags // m))  # coarse lags j with m j < lags
+    c = np.append(_certified_counts(_fft_autocorrelation(cells, rows + 1)), 0)
     r = np.arange(m)[:, None]
-    fine = counts[: m * cells.size].reshape(cells.size, m)
-    fine.T[:] = (m - r) * c[:-1] + r * c[1:]  # row r holds lags m j + r
-    return counts
+    fine = counts[: m * rows].reshape(rows, m)
+    fine.T[:] = (m - r) * c[:rows] + r * c[1 : rows + 1]  # row r holds lags m j + r
+    return counts[:lags]
 
 
 def _coverage(lo: np.ndarray, hi: np.ndarray, step: int, n: int) -> np.ndarray:
@@ -509,41 +523,141 @@ def _merge_counts(
 _DIFF_BLOCK = 1 << 22  # center differences formed at once
 
 
+def _pair_differences(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ca[i] - cb[j] over all (i, j), with counts.
+
+    The differences are formed in blocks of whole rows, at most _DIFF_BLOCK
+    where a row fits, and the blocks' (values, counts) are merged in a
+    balanced pairwise tree: a stack holds the merges of 1, 2, 4, ... blocks,
+    so each value is merged about log2(blocks) times.
+    """
+    stack: list[tuple[np.ndarray, np.ndarray, int]] = []
+    rows = max(1, _DIFF_BLOCK // max(cb.size, 1))
+    for i0 in range(0, ca.size, rows):
+        diff = (ca[i0 : i0 + rows, None] - cb[None, :]).ravel()
+        vals, cnts = np.unique(diff, return_counts=True)
+        blocks = 1
+        while stack and stack[-1][2] == blocks:
+            v, c, b = stack.pop()
+            vals, cnts = _merge_counts(v, c, vals, cnts)
+            blocks += b
+        stack.append((vals, cnts, blocks))
+    vals, cnts, _ = stack.pop()
+    while stack:
+        v, c, _ = stack.pop()
+        vals, cnts = _merge_counts(v, c, vals, cnts)
+    return vals, cnts
+
+
 def _difference_atoms(
     centers: np.ndarray, lengths: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
     """Deduplicated signed center differences per ordered length-class pair.
 
     Returns (values, multiplicities, len_a, len_b) tuples; values are exact
-    integers on the shared lattice. The differences are formed in blocks of
-    whole rows, at most _DIFF_BLOCK where a row fits, and the blocks'
-    (values, counts) are merged in a balanced pairwise tree: a stack holds
-    the merges of 1, 2, 4, ... blocks, so each value is merged about
-    log2(blocks) times.
+    integers on the shared lattice. This is the generic path: it forms all
+    N^2 differences, whatever the union.
     """
-    out = []
-    classes = np.unique(lengths)
-    for la in classes:
-        ca = centers[lengths == la]
-        for lb in classes:
-            cb = centers[lengths == lb]
-            stack: list[tuple[np.ndarray, np.ndarray, int]] = []
-            rows = max(1, _DIFF_BLOCK // max(cb.size, 1))
-            for i0 in range(0, ca.size, rows):
-                diff = (ca[i0 : i0 + rows, None] - cb[None, :]).ravel()
-                vals, cnts = np.unique(diff, return_counts=True)
-                blocks = 1
-                while stack and stack[-1][2] == blocks:
-                    v, c, b = stack.pop()
-                    vals, cnts = _merge_counts(v, c, vals, cnts)
-                    blocks += b
-                stack.append((vals, cnts, blocks))
-            vals, cnts, _ = stack.pop()
-            while stack:
-                v, c, _ = stack.pop()
-                vals, cnts = _merge_counts(v, c, vals, cnts)
-            out.append((vals, cnts, int(la), int(lb)))
+    by_class = [(centers[lengths == la], int(la)) for la in np.unique(lengths)]
+    return [
+        (*_pair_differences(ca, cb), la, lb) for ca, la in by_class for cb, lb in by_class
+    ]
+
+
+def _translates(c: np.ndarray) -> list[int] | None:
+    """Translates t_k with c = c[0] + {0, t_1} + {0, t_2} + ... as multisets,
+    for sorted centers c; None if c is not such a Minkowski sum.
+
+    Repeated halving: if c[N/2:] - c[:N/2] is one constant t, c is its
+    first half plus {0, t}, and the test goes on with that half, so the
+    whole test costs O(N). Every C(p, q) stage passes (2^p evenly spaced
+    children are p nested two-point sets), and so does its union with a
+    translate that does not overlap it.
+    """
+    ts = []
+    while c.size > 1:
+        half = c.size // 2
+        if c.size % 2:
+            return None
+        t = c[half:] - c[:half]
+        if (t != t[0]).any():
+            return None
+        ts.append(int(t[0]))
+        c = c[:half]
+    return ts
+
+
+def _convolved_differences(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Values and multiplicities of the differences of {0} + {0, t_1} + ...:
+    the convolution of the factors {-t: 1, 0: 2, +t: 1}. The smallest t go
+    first; a factor whose t exceeds the span so far leaves three disjoint
+    sorted runs, and the others are merged by a stable sort of the runs."""
+    vals = np.zeros(1, dtype=np.int64)
+    cnts = np.ones(1, dtype=np.int64)
+    for t in sorted(ts):
+        overlap = t <= 2 * int(vals[-1])  # vals is symmetric about 0
+        vals = np.concatenate([vals - t, vals, vals + t])
+        cnts = np.concatenate([cnts, 2 * cnts, cnts])
+        if overlap:
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+            vals, cnts = vals[first], np.add.reduceat(cnts[order], first)
+    return vals, cnts
+
+
+def _translate_atoms(
+    centers: np.ndarray, lengths: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, int, int]] | None:
+    """Difference atoms of the same autocorrelation as `_difference_atoms`'s
+    (the two give one canonical breaklist), from the union's translate
+    structure; None where the union has none.
+
+    L is the shortest positive block length; points add nothing to an
+    autocorrelation and are dropped. A block of length in (L, 2L] is, as an
+    indicator function, two L-blocks flush with its ends minus their
+    overlap, so it is split into two +1 L-blocks and a -1 overlap block
+    (fattening merges two L-blocks this way at the planted seam). If the
+    sorted L-block centers are a Minkowski sum of two-point sets
+    (`_translates`), their differences are the convolution of the factors,
+    with no N^2 step; the few other class pairs take the generic
+    differences, with signed int64 multiplicities.
+    """
+    solid = lengths > 0
+    centers, lengths = centers[solid], lengths[solid]
+    if centers.size == 0:
+        return None
+    L = lengths.min()
+    split = (lengths > L) & (lengths <= 2 * L)
+    c, ell = centers[split], lengths[split]
+    off = (ell - L) // 2  # lengths are even: they arrive in half-units
+    unit = np.sort(np.concatenate([centers[lengths == L], c - off, c + off]))
+    ts = _translates(unit)
+    if ts is None:
+        return None
+    long = lengths > 2 * L
+    overlap = 2 * L - ell
+    cut = overlap > 0
+    classes = [(unit, int(L), 1)]
+    for cs, ls, sign in ((centers[long], lengths[long], 1), (c[cut], overlap[cut], -1)):
+        classes += [(cs[ls == la], int(la), sign) for la in np.unique(ls)]
+    out = [(*_convolved_differences(ts), int(L), int(L))]
+    for ca, la, sa in classes:
+        for cb, lb, sb in classes:
+            if la == lb == L:
+                continue
+            vals, cnts = _pair_differences(ca, cb)
+            out.append((vals, sa * sb * cnts, la, lb))
     return out
+
+
+def _union_atoms(
+    centers: np.ndarray, lengths: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Difference atoms from the translate structure where the union has
+    one, else from all N^2 differences."""
+    atoms = _translate_atoms(centers, lengths)
+    return _difference_atoms(centers, lengths) if atoms is None else atoms
 
 
 def _trapezoid_breaklist(
@@ -558,31 +672,41 @@ def _trapezoid_breaklist(
     clusters never materialize). The value is at most the measure of the
     set, so in quarter-units it stays below span * 4 * den, far inside
     int64 for every lattice the atoms path admits. The function is even, so
-    only x >= 0 is kept, starting at a breakpoint at 0.
+    only x >= 0 is kept, starting at a breakpoint at 0: each class pair's
+    values are sorted, so the bumps that end at or left of 0 are cut off
+    by one search, before any work.
+
+    The list is canonical: past 0 it keeps only the positions where the
+    slope changes, so a function has exactly one breaklist, whichever atoms
+    describe it.
     Returns int64 (positions, slope on [pos[k], pos[k+1]], value at pos[k]),
     positions and values in quarter-units.
     """
-    pos_parts, jump_parts = [], []
+    zero = np.zeros(1, dtype=np.int64)
+    pos_parts, jump_parts = [zero], [zero]  # a breakpoint at 0 in any case
     for vals, cnts, la, lb in atoms:
-        d4 = 2 * vals  # centers arrive in half-units
         h4 = la + lb  # lengths arrive in half-units; h = (la+lb)/4 units
+        live = np.searchsorted(vals, -h4 // 2, side="right")  # D + h > 0
+        d4 = 2 * vals[live:]  # centers arrive in half-units
+        cnts = cnts[live:]
         pl4 = abs(la - lb)
-        pos_parts.extend([d4 - h4, d4 - pl4, d4 + pl4, d4 + h4])
-        jump_parts.extend([cnts, -cnts, -cnts, cnts])
+        if pl4:
+            pos_parts.extend([d4 - h4, d4 - pl4, d4 + pl4, d4 + h4])
+            jump_parts.extend([cnts, -cnts, -cnts, cnts])
+        else:  # a triangle: both inner breakpoints sit at D
+            pos_parts.extend([d4 - h4, d4, d4 + h4])
+            jump_parts.extend([cnts, -2 * cnts, cnts])
     pos = np.concatenate(pos_parts)
-    order = np.argsort(pos)
+    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
     pos = pos[order]
     first = np.flatnonzero(np.concatenate([[True], pos[1:] != pos[:-1]]))
     pos = pos[first]
     slope = np.cumsum(np.add.reduceat(np.concatenate(jump_parts)[order], first))
     value = np.concatenate([[0], np.cumsum(slope[:-1] * np.diff(pos))])
-    k = np.searchsorted(pos, 0, side="right") - 1  # the segment holding 0
-    at0 = value[k] - slope[k] * pos[k]
-    return (
-        np.concatenate([[0], pos[k + 1 :]]),
-        slope[k:],
-        np.concatenate([[at0], value[k + 1 :]]),
-    )
+    k = np.searchsorted(pos, 0)
+    pos, slope, value = pos[k:], slope[k:], value[k:]
+    kink = np.concatenate([[True], slope[1:] != slope[:-1]])
+    return pos[kink], slope[kink], value[kink]
 
 
 @dataclass(frozen=True)
@@ -922,8 +1046,8 @@ def _band_integrand(
         [F, B], 1 << 40, "endpoint lattice too fine for the atoms path"
     )
     quarter = 1.0 / (4 * den)
-    cum_b = _PairCum.from_atoms(_difference_atoms(*_lattice_blocks(B, den)), quarter, hi)
-    pos, slope, value = _trapezoid_breaklist(_difference_atoms(*_lattice_blocks(F, den)))
+    cum_b = _PairCum.from_atoms(_union_atoms(*_lattice_blocks(B, den)), quarter, hi)
+    pos, slope, value = _trapezoid_breaklist(_union_atoms(*_lattice_blocks(F, den)))
     return _BandIntegrand(
         pos * quarter, value * quarter, slope.astype(np.float64), cum_b, lo, hi
     )
@@ -976,9 +1100,13 @@ def pair_band_measure_product(
       F = {0, 1/24, 5/4}, B = {0}, same delta and w, gives about 1e-20 at
       spacings delta/256 ... delta/4096, with an estimate small enough
       that value +- error excludes 0.
+    The dense correlograms are built only up to the lags both passes read.
     The atoms method evaluates the same integral from deduplicated block
-    differences and scales to delta = 2^-26: m(s) is exact (a piecewise
-    quadratic in u, evaluated locally per segment). The s-integral over
+    differences and scales to delta = 2^-26. It takes them from the union's
+    translate structure where it has one (`_translate_atoms`: O(N) to
+    recognize, a convolution of two-point factors to build), else from all
+    N^2 differences; both give the same canonical breaklist. m(s) is exact
+    (a piecewise quadratic in u, evaluated locally per segment). The s-integral over
     s >= 0 is cut at corrF's breakpoints, at lo and hi, and where u+-(s)
     crosses a breakpoint of corrB, so the integrand is analytic on every
     piece; next to the square-root knots s = lo, hi it runs in
@@ -1007,9 +1135,12 @@ def pair_band_measure_product(
         width_b = float(B.span[1] - B.span[0])
         lattice = (width_f + width_b) / float(spacing_q)
         if lattice <= _DENSE_LATTICE_CAP:
-            corr_f = autocorrelation(F, spacing_q, method="fft")
-            corr_b = autocorrelation(B, spacing_q, method="fft")
             h = float(spacing_q)
+            # both passes read lags below floor(hi / h) + 2; the coarse one,
+            # on every other lag, reads up to floor(hi / h) + 2 itself
+            lags = int(math.floor(hi / h)) + 3
+            corr_f = autocorrelation(F, spacing_q, method="fft", lags=lags)
+            corr_b = autocorrelation(B, spacing_q, method="fft", lags=lags)
             value = _dense_band_integral(corr_f.values, corr_b.values, h, lo, hi)
             coarse = _dense_band_integral(
                 corr_f.values[::2], corr_b.values[::2], 2 * h, lo, hi

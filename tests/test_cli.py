@@ -45,6 +45,7 @@ def test_count_triangle(tmp_path):
     assert man["config"]["set"] == {"kind": "triangle"}
     assert set(man["versions"]) == {"unitdist", "numpy", "python"}
     assert "threads" not in man
+    assert man["exit_code"] == 0 and man["error"] is None
     assert man["wall_time_s"] >= 0.0
 
 
@@ -192,6 +193,46 @@ def test_spectral_slope_escape_exits_2(tmp_path):
     assert main(["spectral", "--config", cfg, "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["ratio_log_slope"]) > 0.05
+
+
+@pytest.mark.parametrize("delta_exps", [[8], []])
+def test_spectral_with_fewer_than_two_scales_has_no_slope(tmp_path, delta_exps):
+    # no fit: the slope is null, and a slope gate fails instead of passing
+    spec = {"p": 1, "q": 2, "delta_exps": delta_exps}
+    plain = _write(tmp_path / "a.json", spec)
+    gated = _write(tmp_path / "b.json", {**spec, "max_abs_slope": 0.0})
+    assert main(["spectral", "--config", plain, "--out", str(tmp_path / "a")]) == 0
+    assert main(["spectral", "--config", gated, "--out", str(tmp_path / "b")]) == 2
+    for out in (tmp_path / "a", tmp_path / "b"):
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ratio_log_slope"] is None
+        assert summary["scales"] == len(delta_exps)
+
+
+def test_failing_run_leaves_a_manifest_with_its_error(tmp_path, capsys):
+    # counts.csv is written before the census hits its tuple cap
+    cfg = _write(
+        tmp_path / "c.json",
+        {"set": {"kind": "two_circles", "n": 40, "seed": 3}, "census": True},
+    )
+    out = tmp_path / "run"
+    assert main(["count", "--config", cfg, "--out", str(out)]) == 1
+    assert "exceeds cap" in capsys.readouterr().err
+    man = _manifest(out)
+    assert man["artifacts"] == ["counts.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["counts.csv", "manifest.json"]
+    assert man["exit_code"] == 1
+    assert "distinct-tuple enumeration" in man["error"]
+    assert "exceeds cap" in man["error"]
+
+
+def test_config_error_manifest_names_the_field(tmp_path):
+    cfg = _write(tmp_path / "c.json", {"p": 1, "stage": 3})
+    out = tmp_path / "run"
+    assert main(["cantor", "--config", cfg, "--out", str(out)]) == 1
+    man = _manifest(out)
+    assert man["artifacts"] == [] and man["exit_code"] == 1
+    assert "missing required field 'q'" in man["error"]
 
 
 def test_incidence_run(tmp_path):
@@ -355,6 +396,17 @@ GOLDEN_CASES = {
             "deltas": ["2^-14", "2^-16"],
             "method": "product",
             "width_multiplier": 2.5,
+        },
+    ),
+    # atoms-route scales: the structured difference atoms must reproduce
+    # the generic ones' values byte for byte
+    "sweep_product_atoms": (
+        "sweep",
+        {
+            "axes": [_cantor(1, 2, shift=1), _cantor(1, 2)],
+            "deltas": ["2^-18", "2^-22"],
+            "method": "product",
+            "width_multiplier": 2.0,
         },
     ),
     # one points axis: the exact one-axis pair_band_mass path

@@ -25,13 +25,16 @@ from unitdist.measure import (
     _band_integrand,
     _certified_counts,
     _common_denominator,
+    _convolved_differences,
     _difference_atoms,
     _gamma,
     _gauss_sums,
     _kink_free_pieces,
     _lattice_blocks,
     _trapezoid_breaklist,
+    _translate_atoms,
     _truncation_bound,
+    _union_atoms,
     autocorrelation,
     pair_band_mass,
     pair_band_measure_grid,
@@ -172,14 +175,58 @@ def test_lattice_correlogram_is_exact_for_any_transform_length(case):
     np.testing.assert_array_equal(again, got)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_aligned_unions(), st.integers(1, 300))
+def test_lag_limited_correlogram_is_the_prefix(case, lags):
+    A, spacing = case
+    full = autocorrelation(A, spacing, method="fft").values
+    got = autocorrelation(A, spacing, method="fft", lags=lags).values
+    np.testing.assert_array_equal(got, full[:lags])
+
+
+def test_lag_limit_on_the_unaligned_and_exact_paths():
+    A = IntervalUnion.from_pairs([(0, _Q(1, 3)), (_Q(3, 7), _Q(2, 3)), (_Q(5, 7), 1)])
+    for method in ("fft", "exact"):
+        full = autocorrelation(A, _Q(1, 256), method=method).values
+        for lags in (1, 40, full.size, full.size + 5):
+            got = autocorrelation(A, _Q(1, 256), method=method, lags=lags).values
+            np.testing.assert_array_equal(got, full[:lags])
+
+
+@pytest.mark.parametrize("k", [6, 9, 12])
+@pytest.mark.parametrize("w", [1.1, 1.5, 2.0, 2.5])
+def test_dense_route_reads_only_a_prefix_of_the_correlograms(k, w):
+    # the route's lag-limited correlograms give the bits of the full ones;
+    # at w = 1.1, hi / h is not an integer and the coarse pass's last lag
+    # lies inside the band
+    delta = Fraction(1, 2**k)
+    spec = CantorSpec(1, 2)
+    stage = cantor_stage(spec, stage_for_scale(spec, delta))
+    F, B = shift_union(stage, 1).neighborhood(delta), stage.neighborhood(delta)
+    spacing = delta / 4
+    got = pair_band_measure_product(
+        F, B, delta, spacing=spacing, width_multiplier=w, method="dense"
+    )
+    corr_f = autocorrelation(F, spacing, method="fft").values
+    corr_b = autocorrelation(B, spacing, method="fft").values
+    h, d = float(spacing), w * float(delta)
+    value = unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
+    coarse = unitdist.measure._dense_band_integral(
+        corr_f[::2], corr_b[::2], 2 * h, 1 - d, 1 + d
+    )
+    assert struct.pack("<2d", got.value, got.quadrature_error) == struct.pack(
+        "<2d", value, abs(value - coarse)
+    )
+
+
 def _fft_input_sizes(mp):
     """Patch `_fft_autocorrelation` to record the length of every input."""
     sizes = []
     inner = unitdist.measure._fft_autocorrelation
 
-    def recording(x):
+    def recording(x, lags=None):
         sizes.append(x.size)
-        return inner(x)
+        return inner(x, lags)
 
     mp.setattr(unitdist.measure, "_fft_autocorrelation", recording)
     return sizes
@@ -498,6 +545,136 @@ def test_difference_atoms_merge_blocks_exactly(block):
         want_vals, want_cnts = np.unique(diff, return_counts=True)
         np.testing.assert_array_equal(vals, want_vals)
         np.testing.assert_array_equal(cnts, want_cnts)
+
+
+# ---- atoms path: difference atoms from translate structure ----------------
+
+_SPECS = [CantorSpec(1, 2), CantorSpec(2, 3), CantorSpec(1, 3)]
+
+
+def _fattened(draw, U, wide):
+    """U fattened by a fraction of its smallest gap: below half of it (no
+    new merges) unless `wide`, which may merge siblings."""
+    if U.n_intervals < 2:
+        return U.neighborhood(Fraction(1, 64) * draw(st.integers(0, 1)))
+    gap = Fraction(int((U.lo[1:] - U.hi[:-1]).min()), U.den)
+    k = draw(st.integers(4, 16) if wide else st.integers(0, 3))
+    return U.neighborhood(gap * Fraction(k, 8))
+
+
+@st.composite
+def _translate_unions(draw):
+    """(U, structured): C(1,2), C(2,3) and C(1,3) stages, their doubles by a
+    translate, merged at a touching seam or overlapping, and fattenings of
+    these, each with True where the translate test must recognize it and
+    None where it may or may not; or a union with no translate structure
+    (an odd number of shortest blocks), with False."""
+    kind = draw(st.sampled_from(["stage", "double", "overlap", "wide", "plain"]))
+    if kind == "plain":
+        # 1/64 units: an odd number of length-2 blocks, blocks of length
+        # 3 or 4 (split into two length-2 blocks each), longer blocks and
+        # points, in random order and spaced so that none touch
+        lengths = [2] * draw(st.sampled_from([1, 3, 5, 7]))
+        lengths += draw(st.lists(st.sampled_from([0, 3, 4, 5, 9]), max_size=6))
+        lengths = draw(st.permutations(lengths))
+        at, pairs = 0, []
+        for n in lengths:
+            at += draw(st.integers(1, 9))
+            pairs.append((Fraction(at, 64), Fraction(at + n, 64)))
+            at += n
+        structured = None if lengths.count(2) == 1 else False
+        return IntervalUnion.from_pairs(pairs), structured
+    spec = draw(st.sampled_from(_SPECS))
+    U = cantor_stage(spec, draw(st.integers(0, 4 if spec.p == 1 else 2)))
+    if kind in ("double", "overlap"):
+        # a touching seam at 1 merges two blocks into one of length 2L
+        if kind == "double":
+            shifts = [1, Fraction(5, 4), 2]
+        else:
+            shifts = [Fraction(1, 2), Fraction(3, 4)]
+        U = shift_union(U, draw(st.sampled_from(shifts)))
+    U = _fattened(draw, U, kind == "wide")
+    return U, True if kind in ("stage", "double") else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_translate_unions())
+def test_translate_atoms_give_the_generic_breaklist(case):
+    U, structured = case
+    centers, lengths = _lattice_blocks(U, U.den)
+    atoms = _translate_atoms(centers, lengths)
+    if structured is not None:
+        assert (atoms is not None) == structured
+    generic = _trapezoid_breaklist(_difference_atoms(centers, lengths))
+    for got in (_trapezoid_breaklist(_union_atoms(centers, lengths)),) + (
+        () if atoms is None else (_trapezoid_breaklist(atoms),)
+    ):
+        for x, y in zip(got, generic):
+            assert x.dtype == y.dtype == np.int64
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("k", [7, 8, 16, 19])
+def test_planted_product_takes_the_translate_path(k):
+    # F's seam block at 1 is split; B is a plain stage, merged at odd k
+    delta = Fraction(1, 2**k)
+    spec = CantorSpec(1, 2)
+    stage = cantor_stage(spec, stage_for_scale(spec, delta))
+    for U in (shift_union(stage, 1).neighborhood(delta), stage.neighborhood(delta)):
+        centers, lengths = _lattice_blocks(U, U.den)
+        atoms = _translate_atoms(centers, lengths)
+        assert atoms is not None
+        got = _trapezoid_breaklist(atoms)
+        want = _trapezoid_breaklist(_difference_atoms(centers, lengths))
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.tuples(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=5, unique=True),
+        st.integers(-3, 3),
+        st.sampled_from([0, 2, 4, 6]),
+        st.sampled_from([0, 2, 4, 6]),
+    ),
+    min_size=1,
+    max_size=4,
+))
+def test_breaklist_matches_the_bumps_pointwise(draws):
+    # any atoms, even or not, cancelling or zero-length: the breaklist is
+    # canonical (a breakpoint at 0, then only slope changes), and its value
+    # at every integer x >= 0 is the sum of the bumps M * trap(x - D),
+    # evaluated one by one
+    atoms = [
+        (np.array(sorted(v)), np.full(len(v), m), la, lb)
+        for v, m, la, lb in draws
+    ]
+    pos, slope, value = _trapezoid_breaklist(atoms)
+    assert pos[0] == 0 and (np.diff(pos) > 0).all() and (np.diff(slope) != 0).all()
+    x = np.arange(0, 40)
+    want = np.zeros(x.size, dtype=np.int64)
+    for vals, cnts, la, lb in atoms:
+        h4, pl4 = la + lb, abs(la - lb)
+        for d, m in zip(2 * vals, cnts):
+            want += m * np.clip(h4 - np.abs(x - d), 0, h4 - pl4)
+    k = np.searchsorted(pos, x, side="right") - 1
+    np.testing.assert_array_equal(value[k] + slope[k] * (x - pos[k]), want)
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [[], [5], [3, 1], [2, 1], [1, 2, 4], [2, 1, 3], [6, 6], [9, 3, 1, 27], [4, 2, 2, 1]],
+)
+def test_convolved_differences_are_all_pair_differences(ts):
+    # the factors {-t: 1, 0: 2, t: 1}, touching (t = 2 max) or overlapping
+    c = np.zeros(1, dtype=np.int64)
+    for t in ts:
+        c = np.concatenate([c, c + t])
+    vals, cnts = _convolved_differences(ts)
+    want_vals, want_cnts = np.unique(c[:, None] - c[None, :], return_counts=True)
+    np.testing.assert_array_equal(vals, want_vals)
+    np.testing.assert_array_equal(cnts, want_cnts)
 
 
 # ---- atoms path: Gauss-Legendre pieces and their error bounds -------------
