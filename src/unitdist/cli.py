@@ -226,8 +226,9 @@ class _Run:
         return self.out / name
 
     def finish(self, exit_code: int, error: str | None = None) -> None:
-        """Write the manifest, on every exit path that returns a code: the
-        artifacts written so far, the exit code and the error, if any."""
+        """Write the manifest, on every exit path of a run, one that raises
+        too: the artifacts written so far, the exit code and the error, if
+        any."""
         manifest = {
             "kind": self.kind,
             "config": self.config_echo,
@@ -685,6 +686,11 @@ def run_config(
         print(f"error: {exc}", file=sys.stderr)
         run.finish(1, str(exc))
         return 1
+    except Exception as exc:
+        # any other error (a FloatingPointError from the certified FFT
+        # counts, MemoryError, ...) propagates, named in the manifest
+        run.finish(1, f"{type(exc).__name__}: {exc}")
+        raise
     run.finish(code)
     return code
 

@@ -226,6 +226,28 @@ def test_failing_run_leaves_a_manifest_with_its_error(tmp_path, capsys):
     assert "exceeds cap" in man["error"]
 
 
+def test_unexpected_error_leaves_a_manifest_and_propagates(tmp_path, monkeypatch):
+    # an error the CLI does not report as a run error (here the certified
+    # FFT counts' FloatingPointError) is re-raised, after the manifest
+    import unitdist.cli as cli
+
+    def runner(cfg, run):
+        run.path("partial.csv").write_text("x\n1\n")
+        raise FloatingPointError("FFT pair counts are not within 0.25 of integers")
+
+    monkeypatch.setitem(cli._RUNNERS, "count", runner)
+    cfg = _write(tmp_path / "c.json", {"set": {"kind": "triangle"}})
+    out = tmp_path / "run"
+    with pytest.raises(FloatingPointError):
+        main(["count", "--config", cfg, "--out", str(out)])
+    man = _manifest(out)
+    assert man["artifacts"] == ["partial.csv"]
+    assert man["exit_code"] == 1
+    assert man["error"] == (
+        "FloatingPointError: FFT pair counts are not within 0.25 of integers"
+    )
+
+
 def test_config_error_manifest_names_the_field(tmp_path):
     cfg = _write(tmp_path / "c.json", {"p": 1, "stage": 3})
     out = tmp_path / "run"
@@ -407,6 +429,16 @@ GOLDEN_CASES = {
             "deltas": ["2^-18", "2^-22"],
             "method": "product",
             "width_multiplier": 2.0,
+        },
+    ),
+    # odd exponents, where W vanishes on the most kink-free pieces
+    "sweep_product_atoms_odd": (
+        "sweep",
+        {
+            "axes": [_cantor(1, 2, shift=1), _cantor(1, 2)],
+            "deltas": ["2^-19", "2^-21"],
+            "method": "product",
+            "width_multiplier": 2.5,
         },
     ),
     # one points axis: the exact one-axis pair_band_mass path

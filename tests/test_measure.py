@@ -20,6 +20,8 @@ import unitdist.measure
 from unitdist.measure import (
     Correlogram,
     _GL_NODES,
+    _MAX_SPLITS,
+    _PIECE_TOL,
     _PairCum,
     _band_cell_pairs,
     _band_integrand,
@@ -27,14 +29,17 @@ from unitdist.measure import (
     _common_denominator,
     _convolved_differences,
     _difference_atoms,
+    _evaluate,
     _gamma,
     _gauss_sums,
+    _integrate_pieces,
     _kink_free_pieces,
     _lattice_blocks,
     _trapezoid_breaklist,
     _translate_atoms,
     _truncation_bound,
     _union_atoms,
+    _w_vanishes,
     autocorrelation,
     pair_band_mass,
     pair_band_measure_grid,
@@ -108,12 +113,18 @@ def test_autocorrelation_exact_vs_fft():
     assert exact.values[0] == pytest.approx(float(A.total_length), abs=1e-12)
 
 
+def _correlogram_integral(c):
+    """int corr(u) du over all u (two-sided) by the trapezoid rule on the
+    correlogram's samples."""
+    return 2.0 * c.sample_spacing * (c.values.sum() - 0.5 * c.values[0])
+
+
 def test_autocorrelation_integral_identity():
     # integral of the correlogram over all lags equals |A|^2; the trapezoid
     # sum is exact because every block endpoint sits on the sample lattice
     A = IntervalUnion.from_pairs([(0, Fraction(1, 8)), (Fraction(1, 2), Fraction(3, 4))])
     c = autocorrelation(A, Fraction(1, 2048), method="fft")
-    assert c.integral() == pytest.approx(float(A.total_length) ** 2, rel=1e-12)
+    assert _correlogram_integral(c) == pytest.approx(float(A.total_length) ** 2, rel=1e-12)
 
 
 def test_autocorrelation_spacing_guard():
@@ -497,6 +508,14 @@ def test_product_dense_spacing_override_converges():
 
 # ---- atoms path: the B-side band-mass profile ------------------------------
 
+def _pair_cum_at(g, u):
+    """G(u) of a `_PairCum` at queries u, each in its segment's local
+    coordinate, as `_evaluate` reads it."""
+    k = np.searchsorted(g.x, u, side="right") - 1
+    t = u - g.x[k]
+    return g.cum[k] + t * (g.corr[k] + 0.5 * g.slope[k] * t)
+
+
 @pytest.mark.parametrize(
     "p, q, stage, delta",
     [
@@ -519,11 +538,11 @@ def test_pair_cum_matches_band_mass_oracle(p, q, stage, delta):
     ends[5:10, 1] = ends[5:10, 0] + 1e-9 * rng.random(5)  # hairline bands
     mass = float(B.total_length) ** 2
     for lo, hi in ends:
-        got = 2.0 * (cum(np.array([hi])) - cum(np.array([lo])))[0]
+        got = 2.0 * (_pair_cum_at(cum, hi) - _pair_cum_at(cum, lo))
         want = pair_band_mass(B, B, lo, hi)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-14 * mass)
     # the whole line holds every pair
-    assert 2.0 * cum(np.array([top]))[0] == pytest.approx(mass, rel=1e-12)
+    assert 2.0 * _pair_cum_at(cum, top) == pytest.approx(mass, rel=1e-12)
 
 
 @pytest.mark.parametrize("block", [1, 100, 1 << 22])
@@ -789,6 +808,160 @@ def test_piece_bounds_cover_a_much_finer_rule():
     assert seen == {
         ("s", 2), ("s", 1), ("tau", 1), ("tau", 2), ("touches", "lo"), ("touches", "hi")
     }
+
+
+# ---- atoms path: quadrature only where the band mass W is nonzero ---------
+
+def _integrate_all_pieces(fn, knot, radii, za, zb, kf, kg):
+    """Reference for `_integrate_pieces`: the same rule, bounds and
+    bisections, with every piece evaluated, also where W vanishes."""
+    total = bound = size = 0.0
+    terms = 0
+    for split in range(_MAX_SPLITS + 1):
+        wide = zb > za
+        za, zb, kf, kg = za[wide], zb[wide], kf[wide], tuple(k[wide] for k in kg)
+        c, h = 0.5 * (za + zb), 0.5 * (zb - za)
+        trunc = _truncation_bound(fn, knot, radii, kf, kg, c, h)
+        est, err, mag = _gauss_sums(fn, knot, radii, kf, kg, c, h)
+        over = trunc > np.maximum(_PIECE_TOL * np.abs(est), err)
+        if split == _MAX_SPLITS:
+            over[:] = False
+        done = ~over
+        total += float(est[done].sum())
+        bound += float(trunc[done].sum() + err[done].sum())
+        size += float(mag[done].sum())
+        terms += int(done.sum()) * _GL_NODES.size
+        if not over.any():
+            break
+        c = c[over]
+        za = np.concatenate([za[over], c])
+        zb = np.concatenate([c, zb[over]])
+        kf = np.tile(kf[over], 2)
+        kg = tuple(np.tile(k[over], 2) for k in kg)
+    return total, bound, size, terms
+
+
+def _assert_support_quadrature_exact(F, B, lo, hi):
+    """On every piece group of one atoms call: `_integrate_pieces` gives the
+    all-pieces (total, bound, size, terms) as bits, and on every piece that
+    `_w_vanishes` skips, f and its rounding bound vanish at the Gauss nodes
+    and so does the truncation bound. Returns (pieces, skipped)."""
+    fn = _band_integrand(F, B, lo, hi)
+    pieces = skipped = 0
+    for knot, radii, za, zb, kf, kg in _kink_free_pieces(fn):
+        got = _integrate_pieces(fn, knot, radii, za, zb, kf, kg)
+        want = _integrate_all_pieces(fn, knot, radii, za, zb, kf, kg)
+        assert struct.pack("<3dq", *got) == struct.pack("<3dq", *want), (got, want)
+        wide = zb > za
+        zero = _w_vanishes(fn.g, kg) & wide
+        pieces += int(wide.sum())
+        skipped += int(zero.sum())
+        if not zero.any():
+            continue
+        kf, kg = kf[zero], tuple(k[zero] for k in kg)
+        c, h = 0.5 * (za[zero] + zb[zero]), 0.5 * (zb[zero] - za[zero])
+        z = c[:, None] + h[:, None] * _GL_NODES
+        dz = (4.0 * 2.0**-53) * (np.abs(c) + h)[:, None]
+        f, df = _evaluate(fn, knot, radii, kf[:, None], tuple(k[:, None] for k in kg), z, dz)
+        assert (f == 0.0).all() and (df == 0.0).all()
+        assert (_truncation_bound(fn, knot, radii, kf, kg, c, h) == 0.0).all()
+    return pieces, skipped
+
+
+def _planted(k):
+    """The planted product C(1,2)+1 x C(1,2) at delta = 2^-k."""
+    delta = Fraction(1, 2**k)
+    spec = CantorSpec(1, 2)
+    stage = cantor_stage(spec, stage_for_scale(spec, delta))
+    return shift_union(stage, 1).neighborhood(delta), stage.neighborhood(delta), delta
+
+
+@pytest.mark.parametrize("k", range(16, 22))
+def test_support_quadrature_is_bit_identical_on_the_planted_product(k):
+    F, B, delta = _planted(k)
+    for w in (1.5, 2.0, 2.5):
+        d = w * float(delta)
+        pieces, skipped = _assert_support_quadrature_exact(F, B, 1 - d, 1 + d)
+        assert 0 < skipped < pieces
+
+
+def test_half_the_planted_pieces_are_not_evaluated(monkeypatch):
+    # at 2^-19 most band radii pairs sit in gaps of the Cantor difference
+    # set; count the pieces the Gauss sums actually see
+    F, B, delta = _planted(19)
+    d = 2.0 * float(delta)
+    fn = _band_integrand(F, B, 1 - d, 1 + d)
+    pieces = sum(int((zb > za).sum()) for _, _, za, zb, _, _ in _kink_free_pieces(fn))
+    evaluated = []
+    gauss_sums = unitdist.measure._gauss_sums
+
+    def counted(fn, knot, radii, kf, kg, c, h):
+        evaluated.append(c.size)
+        return gauss_sums(fn, knot, radii, kf, kg, c, h)
+
+    monkeypatch.setattr(unitdist.measure, "_gauss_sums", counted)
+    value, _ = unitdist.measure._atoms_band_integral(F, B, 1 - d, 1 + d)
+    assert value > 0
+    assert pieces > 60_000
+    assert sum(evaluated) <= pieces // 2
+
+
+def test_a_lone_live_piece_rounds_as_in_a_batch():
+    # NumPy multiplies a one-row matrix through a dot kernel whose rounding
+    # differs from the batched product's: a piece with W nonzero, grouped
+    # with one where W vanishes, must still give the all-pieces bits
+    F, B, delta = _planted(18)
+    d = 2.0 * float(delta)
+    fn = _band_integrand(F, B, 1 - d, 1 + d)
+    checked = 0
+    for knot, radii, za, zb, kf, kg in _kink_free_pieces(fn):
+        zero = _w_vanishes(fn.g, kg) & (zb > za)
+        if not zero.any():
+            continue
+        for j in np.flatnonzero(~zero & (zb > za))[:128]:
+            pair = np.array([j, np.argmax(zero)])
+            args = (fn, knot, radii, za[pair], zb[pair], kf[pair], tuple(k[pair] for k in kg))
+            got, want = _integrate_pieces(*args), _integrate_all_pieces(*args)
+            assert struct.pack("<3dq", *got) == struct.pack("<3dq", *want), (got, want)
+            checked += 1
+    assert checked >= 128
+
+
+_POINT_SITES = [Fraction(k, 4) for k in range(5, 10)]
+
+
+@st.composite
+def _support_products(draw):
+    """(F, B, delta, w, generic): delta-neighborhoods of C(1,2), C(1,3) and
+    C(2,3) stages. F is a stage, its double by a translate, or its union
+    with three points past it, 1/4 apart (generic: an odd number of
+    shortest blocks has no translate structure, so F takes all N^2
+    differences)."""
+    delta = Fraction(1, draw(st.sampled_from([16, 32, 64, 128])))
+
+    def stage():
+        spec = draw(st.sampled_from([CantorSpec(1, 2), CantorSpec(1, 3), CantorSpec(2, 3)]))
+        return cantor_stage(spec, draw(st.integers(0, stage_for_scale(spec, delta))))
+
+    kind = draw(st.sampled_from(["stage", "double", "generic"]))
+    F0 = stage()
+    if kind == "double":
+        F0 = shift_union(F0, draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), 1])))
+    elif kind == "generic":
+        sites = draw(st.lists(st.sampled_from(_POINT_SITES), min_size=3, max_size=3, unique=True))
+        F0 = F0.union(IntervalUnion.points(sites))
+    w = draw(st.sampled_from([1.5, 2.0, 2.5]))
+    return F0.neighborhood(delta), stage().neighborhood(delta), delta, w, kind == "generic"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_support_products())
+def test_support_quadrature_is_bit_identical_on_cantor_products(case):
+    F, B, delta, w, generic = case
+    if generic:
+        assert _translate_atoms(*_lattice_blocks(F, F.den)) is None
+    d = w * float(delta)
+    _assert_support_quadrature_exact(F, B, 1 - d, 1 + d)
 
 
 # ---- property tests: the routes on random small products ------------------
