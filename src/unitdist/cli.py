@@ -131,6 +131,21 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _finite(x) -> float:
+    """A finite float; NaN and +-inf are refused."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return v
+
+
+def _boolean(x) -> bool:
+    """A JSON boolean: true or false, nothing else."""
+    if not isinstance(x, bool):
+        raise TypeError(f"expected true or false, got {x!r}")
+    return x
+
+
 def _at_least(lo: int):
     """A cast to an integer no smaller than `lo`."""
 
@@ -258,8 +273,8 @@ _BUILTIN_SETS = {
 def _run_count(cfg: dict, run: _Run) -> int:
     where = "count config"
     spec = _take(cfg, "set", required=True, where=where)
-    eps = _take(cfg, "eps", default=1e-9, where=where, cast=float)
-    census = _take(cfg, "census", default=False, where=where, cast=bool)
+    eps = _take(cfg, "eps", default=1e-9, where=where, cast=_finite)
+    census = _take(cfg, "census", default=False, where=where, cast=_boolean)
     _done(cfg, where)
 
     spec = dict(spec if isinstance(spec, dict) else {"kind": spec})
@@ -413,10 +428,10 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
     method = _take(cfg, "method", default="grid", where=where)
     if method not in ("grid", "product"):
         raise ConfigError(f"field 'method' in {where}: unknown sweep method {method!r}")
-    widthm = _take(cfg, "width_multiplier", default=2.0, where=where, cast=float)
-    tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
+    widthm = _take(cfg, "width_multiplier", default=2.0, where=where, cast=_finite)
+    tol = _take(cfg, "tol", default=0.2, where=where, cast=_finite)
     label = _take(cfg, "label", default="sweep", where=where, cast=str)
-    alpha_cfg = _take(cfg, "alpha", where=where, cast=float)
+    alpha_cfg = _take(cfg, "alpha", where=where, cast=_finite)
     _done(cfg, where)
 
     axes = [
@@ -453,11 +468,11 @@ def _run_alpha_verify(cfg: dict, run: _Run) -> int:
     p = _take(cfg, "p", required=True, where=where, cast=_integer)
     q = _take(cfg, "q", required=True, where=where, cast=_integer)
     delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
-    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=float)
+    alpha = _take(cfg, "alpha", default=p / q, where=where, cast=_finite)
     cell = _take(cfg, "cell", where=where, cast=_scale)
     samples = _take(cfg, "samples", default=10_000, where=where, cast=_at_least(1))
     seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
-    max_ratio = _take(cfg, "max_ratio", where=where, cast=float)
+    max_ratio = _take(cfg, "max_ratio", where=where, cast=_finite)
     _done(cfg, where)
 
     spec = CantorSpec(p, q)
@@ -490,7 +505,7 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
         cfg, "delta_exps", required=True, where=where, cast=_each(_at_least(1))
     )
     r_exps = _take(cfg, "r_exps", default=(), where=where, cast=_each(_at_least(0)))
-    max_abs_slope = _take(cfg, "max_abs_slope", where=where, cast=float)
+    max_abs_slope = _take(cfg, "max_abs_slope", where=where, cast=_finite)
     _done(cfg, where)
 
     spec = CantorSpec(p, q)
@@ -540,9 +555,9 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
     axes_cfg = _take(cfg, "axes", required=True, where=where)
     delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
     cell = _take(cfg, "cell", where=where, cast=_scale)
-    lam = _take(cfg, "lam", where=where, cast=float)
-    c = _take(cfg, "c", default=0.1, where=where, cast=float)
-    alpha_cfg = _take(cfg, "alpha", where=where, cast=float)
+    lam = _take(cfg, "lam", where=where, cast=_finite)
+    c = _take(cfg, "c", default=0.1, where=where, cast=_finite)
+    alpha_cfg = _take(cfg, "alpha", where=where, cast=_finite)
     _done(cfg, where)
 
     axes = [
@@ -587,8 +602,8 @@ def _run_report(cfg: dict, run: _Run) -> int:
     where = "report config"
     series_csv = _take(cfg, "series_csv", required=True, where=where)
     d = _take(cfg, "d", required=True, where=where, cast=_integer)
-    alpha = _take(cfg, "alpha", required=True, where=where, cast=float)
-    tol = _take(cfg, "tol", default=0.2, where=where, cast=float)
+    alpha = _take(cfg, "alpha", required=True, where=where, cast=_finite)
+    tol = _take(cfg, "tol", default=0.2, where=where, cast=_finite)
     _done(cfg, where)
 
     try:
@@ -607,14 +622,16 @@ def _run_report(cfg: dict, run: _Run) -> int:
                 f"expected {len(_SCALING_SCHEMA)}"
             )
         label = parts[0]
-        samples.append(
-            ScaleSample(
-                delta=float(parts[3]),
-                value=float(parts[4]),
-                low=float(parts[5]),
-                high=float(parts[6]),
-            )
-        )
+        values = []
+        for column in range(3, 7):
+            try:
+                values.append(float(parts[column]))
+            except ValueError:
+                raise ConfigError(
+                    f"'{series_csv}' line {line} column '{_SCALING_SCHEMA[column]}': "
+                    f"{parts[column]!r} is not a number"
+                ) from None
+        samples.append(ScaleSample(*values))
     series = ScalingSeries(tuple(samples), label=label)
     fit = fit_exponent(series)
     verdict = compare_report(fit, theory_bounds(d, alpha), tol)

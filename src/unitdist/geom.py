@@ -32,8 +32,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .intervals import _ranges
-
 __all__ = [
     "general_position_check",
     "GeneralPositionReport",
@@ -49,6 +47,12 @@ __all__ = [
 MAX_DIM = 8
 TANGENT_TOL = 1e-12       # r0 == 1 classification
 _CHUNK = 256              # cell offsets per query block of the near-pair search
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs (s, l)."""
+    shift = start - length.cumsum() + length
+    return np.arange(int(length.sum())) + shift.repeat(length)
 
 
 def _vec(x) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
 
 OCCUPANCY_CAP = 10**8
 DENSE_CAP = 1 << 26
-_BALL_BLOCK = 1 << 16  # (sample, row[, plane]) expansions evaluated at once
 
 
 def fft_length(m: int) -> int:
@@ -87,16 +86,6 @@ class GridIndicator:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.axis_masks)
-
-    def occupied_count(self, which: str = "outer") -> int:
-        masks = self.axis_masks if which == "outer" else self.axis_masks_inner
-        out = 1
-        for m in masks:
-            out *= int(m.sum())
-        return out
-
-    def occupied_measure(self, which: str = "outer") -> Fraction:
-        return self.occupied_count(which) * self.cell**self.d
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n = len(self.axis_masks[axis])
@@ -195,105 +184,50 @@ class AlphaSetReport:
 
 
 def _ball_cell_counts(G: GridIndicator, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Occupied cells with center within r[s] of x[s], for every sample s.
-
-    Axis 0 is counted with one prefix sum over its mask. For d = 2, 3 each
-    sample is expanded against the occupied rows (and planes) within its
-    reach, at most _BALL_BLOCK expansions at a time, and a row contributes
-    the axis-0 cells within its chord half-width.
-    """
+    """Occupied cells of a 1-D grid with center within r[s] of x[s], for
+    every sample s, from one prefix sum over the mask."""
     cell = float(G.cell)
     first = float(G.origin[0]) + 0.5 * cell
-    n0 = len(G.axis_masks[0])
+    n = len(G.axis_masks[0])
     prefix = np.concatenate([[0], np.cumsum(G.axis_masks[0])])
-
-    def axis0_count(center: np.ndarray, halfwidth: np.ndarray) -> np.ndarray:
-        lo = np.ceil((center - halfwidth - first) / cell).astype(np.int64)
-        hi = np.floor((center + halfwidth - first) / cell).astype(np.int64)
-        lo = np.clip(lo, 0, n0)
-        hi = np.clip(hi + 1, 0, n0)
-        return prefix[np.maximum(hi, lo)] - prefix[lo]
-
-    if G.d == 1:
-        return axis0_count(x[:, 0], r)
-    # Per outer axis, the occupied centers and, per sample, the run of them
-    # within reach. The run is found with a one-cell guard; the distance
-    # tests below decide membership exactly.
-    occupied, start, length = [], [], []
-    for ax in range(1, G.d):
-        centers = G.axis_centers(ax)[G.axis_masks[ax]]
-        lo = np.searchsorted(centers, x[:, ax] - r - cell, "left")
-        hi = np.searchsorted(centers, x[:, ax] + r + cell, "right")
-        occupied.append(centers)
-        start.append(lo)
-        length.append(hi - lo)
-    sizes = length[0] if G.d == 2 else length[0] * length[1]
-    ends = np.cumsum(sizes)
-    counts = np.zeros(len(sizes), dtype=np.int64)
-    s0 = 0
-    while s0 < len(sizes):
-        base = ends[s0] - sizes[s0]
-        s1 = max(s0 + 1, int(np.searchsorted(ends, base + _BALL_BLOCK, "right")))
-        s = np.repeat(np.arange(s0, s1), sizes[s0:s1])
-        local = np.arange(ends[s1 - 1] - base) - (ends[s] - sizes[s] - base)
-        rs = r[s]
-        if G.d == 2:
-            dy = occupied[0][start[0][s] + local] - x[s, 1]
-            ok = np.abs(dy) <= rs
-            hw = np.sqrt(np.maximum(0.0, rs * rs - dy * dy))
-        else:
-            nz = length[1][s]
-            iy = local // nz
-            dy = occupied[0][start[0][s] + iy] - x[s, 1]
-            dz = occupied[1][start[1][s] + local - iy * nz] - x[s, 2]
-            hw2 = rs * rs - dy * dy - dz * dz
-            ok = (np.abs(dy) <= rs) & (np.abs(dz) <= rs) & (hw2 > 0)
-            hw = np.sqrt(np.where(ok, hw2, 0.0))
-        cum = np.concatenate([[0], np.cumsum(np.where(ok, axis0_count(x[s, 0], hw), 0))])
-        seg = ends[s0:s1] - base
-        counts[s0:s1] = cum[seg] - cum[seg - sizes[s0:s1]]
-        s0 = s1
-    return counts
+    lo = np.clip(np.ceil((x - r - first) / cell).astype(np.int64), 0, n)
+    hi = np.clip(np.floor((x + r - first) / cell).astype(np.int64) + 1, 0, n)
+    return prefix[np.maximum(hi, lo)] - prefix[lo]
 
 
 def alpha_set_verify(
     G: GridIndicator, alpha: float, sample_count: int, seed: int = 0
 ) -> AlphaSetReport:
-    """Sample the ball-growth ratio over occupied-cell centers and radii
-    r in [delta, diameter], returning the empirical supremum and its ball.
+    """Sample the ball-growth ratio of a 1-D grid over occupied-cell centers
+    and radii r in [delta, diameter], returning the empirical supremum and
+    its ball.
 
     Centers are restricted to occupied cells: the supremum of the ratio is
     attained near the set, so off-set centers only waste samples. All
-    samples are drawn up front and their balls counted in NumPy blocks
+    samples are drawn up front and their balls counted at once
     (`_ball_cell_counts`); the first sample attaining the maximum ratio is
     reported. The ratio's denominator uses Python's float power, because
     `np.power` can differ from it in the last bit.
     """
+    if G.d != 1:
+        raise ValueError(f"alpha_set_verify needs a 1-D grid, got d = {G.d}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    occ_idx = [np.nonzero(m)[0] for m in G.axis_masks]
-    if any(idx.size == 0 for idx in occ_idx):
+    occupied = np.nonzero(G.axis_masks[0])[0]
+    if occupied.size == 0:
         raise ValueError("grid has no occupied cells")
     delta = float(G.delta)
     cell = float(G.cell)
-    spans = [len(m) * cell for m in G.axis_masks]
-    diameter = max(math.sqrt(sum(s * s for s in spans)), 2 * delta)
+    diameter = max(len(G.axis_masks[0]) * cell, 2 * delta)
     rng = np.random.default_rng(seed)
     radii = np.exp(rng.uniform(math.log(delta), math.log(diameter), sample_count))
-    x = np.stack(
-        [
-            G.axis_centers(ax)[idx[rng.integers(0, idx.size, sample_count)]]
-            for ax, idx in enumerate(occ_idx)
-        ],
-        axis=1,
-    )
-    measure = _ball_cell_counts(G, x, radii) * cell**G.d
-    volume = delta**G.d
-    ratio = measure / np.array([(r / delta) ** alpha * volume for r in radii.tolist()])
+    x = G.axis_centers(0)[occupied[rng.integers(0, occupied.size, sample_count)]]
+    measure = _ball_cell_counts(G, x, radii) * cell
+    ratio = measure / np.array([(r / delta) ** alpha * delta for r in radii.tolist()])
     worst = int(np.argmax(ratio))
     return AlphaSetReport(
         sup_ratio=float(ratio[worst]),
         samples_tested=sample_count,
-        worst_x=tuple(float(v) for v in x[worst]),
+        worst_x=(float(x[worst]),),
         worst_r=float(radii[worst]),
     )

@@ -32,19 +32,12 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["IntervalUnion", "dyadic"]
+__all__ = ["IntervalUnion"]
 
 # bound on |numerator|: a sum or difference of two stays inside int64
 _LIMIT = 1 << 62
 # integers below this are exact doubles, so one IEEE division rounds correctly
 _EXACT_FLOAT = 1 << 53
-
-
-def dyadic(num: int, exp: int) -> Fraction:
-    """The rational num / 2**exp."""
-    if exp < 0:
-        return Fraction(num * (1 << -exp))
-    return Fraction(num, 1 << exp)
 
 
 def _as_rational(x) -> Fraction:
@@ -89,12 +82,6 @@ def _dyadic_parts(nums: np.ndarray, exp: int) -> tuple[np.ndarray, np.ndarray]:
     zeros = np.frexp(lowest_bit.astype(np.float64))[1] - 1  # trailing zeros
     drop = np.where(nums == 0, exp, np.minimum(zeros, exp))
     return nums >> drop, exp - drop
-
-
-def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over the pairs (s, l)."""
-    shift = start - length.cumsum() + length
-    return np.arange(int(length.sum())) + shift.repeat(length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +177,6 @@ class IntervalUnion:
     def points(cls, xs: Iterable) -> "IntervalUnion":
         return cls.from_pairs([(x, x) for x in xs])
 
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(1, (), ())
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -256,23 +239,6 @@ class IntervalUnion:
         n = max(-((base - int(hi[-1])) // step), 1)
         return lo - base, hi - base, step, n, Fraction(base, den)
 
-    def contains_point(self, x) -> bool:
-        t = _as_rational(x) * self.den
-        # lo[k] <= t iff lo[k] <= floor(t); clamping keeps the key in int64
-        key = min(max(math.floor(t), -_LIMIT), _LIMIT)
-        k = int(np.searchsorted(self.lo, key, side="right")) - 1
-        return k >= 0 and int(self.hi[k]) >= t
-
-    def contains_union(self, other: "IntervalUnion") -> bool:
-        """True if every interval of `other` sits inside one of ours."""
-        if self.is_empty:
-            return other.is_empty
-        den = math.lcm(self.den, other.den)
-        a_lo, a_hi = self.numerators(den)
-        b_lo, b_hi = other.numerators(den)
-        k = np.maximum(np.searchsorted(a_lo, b_lo, side="right") - 1, 0)
-        return bool(((a_lo[k] <= b_lo) & (b_hi <= a_hi[k])).all())
-
     # -- set operations ----------------------------------------------------
 
     def shift(self, s) -> "IntervalUnion":
@@ -305,20 +271,6 @@ class IntervalUnion:
         r = delta.numerator * (den // delta.denominator)
         check_lattice(den, max(-int(lo[0]), int(hi[-1])) + r)
         return IntervalUnion._merged(den, lo - r, hi + r)
-
-    def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        den = math.lcm(self.den, other.den)
-        a_lo, a_hi = self.numerators(den)
-        b_lo, b_hi = other.numerators(den)
-        # other's intervals meeting our k-th are j in [first[k], stop[k])
-        first = np.searchsorted(b_hi, a_lo, side="left")
-        stop = np.searchsorted(b_lo, a_hi, side="right")
-        count = np.maximum(stop - first, 0)
-        i = np.repeat(np.arange(a_lo.size), count)
-        j = _ranges(first, count)
-        return IntervalUnion(
-            den, np.maximum(a_lo[i], b_lo[j]), np.minimum(a_hi[i], b_hi[j])
-        )
 
     # -- export ------------------------------------------------------------
 

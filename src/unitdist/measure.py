@@ -8,10 +8,10 @@ Three independent computations of the same quantity live here on purpose:
   certified [inner, outer] bracket (slack +-sqrt(d)*cell on the band);
 * `pair_band_measure_product` ("dense") integrates the exact formula
   |D^delta| = 2 * int_{s>=0} corrF(s) m(s) ds on a correlogram lattice.
-  The lattice correlograms are exact: FFT overlap counts on the coarsest
-  lattice holding the endpoints, certified-rounded to integers and
-  expanded to the sample spacing by exact integer interpolation, up to
-  the lags the integral reads. The band kernel m(s) is evaluated only
+  Correlograms are taken only on a lattice that holds every endpoint, and
+  are exact: FFT overlap counts on the coarsest such lattice,
+  certified-rounded to integers and expanded to the sample spacing by
+  exact integer interpolation, up to the lags the integral reads. The band kernel m(s) is evaluated only
   where corrF(s) is nonzero;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
@@ -43,8 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import IntervalUnion, float_quotients
-from .grids import GridIndicator, _cover, fft_length
+from .intervals import IntervalUnion
+from .grids import GridIndicator, fft_length
 
 __all__ = [
     "Correlogram",
@@ -153,27 +153,20 @@ class Correlogram:
             raise ValueError("corr(u) exceeds corr(0)")
 
 
-_EXACT_BLOCK_CAP = 64
-
-
-def autocorrelation(
-    A: IntervalUnion, spacing, method: str = "auto", lags: int | None = None
-) -> Correlogram:
+def autocorrelation(A: IntervalUnion, spacing, lags: int | None = None) -> Correlogram:
     """Correlogram of an interval union, at its first `lags` lags if given
     (the values at those lags are the same either way).
 
-    When every endpoint of a positive-length interval lies on the spacing
-    lattice (our constructions and every CLI path), the fast path returns
-    counts on the endpoint lattice, expanded exactly to the spacing. The
-    FFT of the 0/1 cells of the coarsest lattice holding those endpoints
-    gives whole-cell overlap counts plus float noise; these are rounded to
-    integers and certified (each within 0.25 of its integer, else
-    FloatingPointError). The counts at the spacing are linear between them,
-    are interpolated in int64 and scaled by the spacing once, so the
-    lattice correlogram is exact and does not depend on the transform
-    length. Other input squares the FFT of the exact per-cell coverage,
-    unrounded, within 2*spacing*|A| of corr. The reference path evaluates
-    the block-pair trapezoids directly and is capped at 64 blocks.
+    Every endpoint of a positive-length interval must lie on the spacing
+    lattice (our constructions and every CLI path); other spacings raise a
+    ValueError. The counts are taken on the endpoint lattice and expanded
+    exactly to the spacing: the FFT of the 0/1 cells of the coarsest
+    lattice holding those endpoints gives whole-cell overlap counts plus
+    float noise; these are rounded to integers and certified (each within
+    0.25 of its integer, else FloatingPointError). The counts at the
+    spacing are linear between them, are interpolated in int64 and scaled
+    by the spacing once, so the correlogram is exact and does not depend on
+    the transform length.
     """
     spacing_q = Fraction(spacing)
     if spacing_q <= 0:
@@ -184,44 +177,14 @@ def autocorrelation(
     lengths = lengths[lengths > 0]
     if lengths.size and spacing_q > Fraction(int(lengths.min()), 2 * A.den):
         raise ValueError("spacing too coarse for the finest block")
-    if method == "auto":
-        method = "exact" if A.n_intervals <= _EXACT_BLOCK_CAP else "fft"
-
-    mass = float(A.total_length)
-    h = float(spacing_q)
-    if method == "exact":
-        if A.n_intervals > _EXACT_BLOCK_CAP:
-            raise ValueError("exact path capped at 64 blocks; use the fft path")
-        span_lo, span_hi = A.span
-        width = float(span_hi - span_lo)
-        K = int(math.floor(width / h)) + 1
-        at = np.arange(K) * h
-        c, l = _blocks(A)
-        vals = np.zeros(K)
-        for i in range(c.size):
-            D = c[i] - c
-            hh = (l[i] + l) / 2.0
-            pl = np.abs(l[i] - l) / 2.0
-            # trap value at each lattice lag, accumulated per block pair
-            x = at[:, None] - D[None, :]
-            vals += 0.5 * (
-                np.abs(x + hh) + np.abs(x - hh) - np.abs(x + pl) - np.abs(x - pl)
-            ).sum(axis=1)
-        return Correlogram(sample_spacing=h, values=vals[:lags], total_mass=mass)
-
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     lo, hi, step, n, _ = A._cells(spacing_q)
     counts = _lattice_counts(lo, hi, step, n, n if lags is None else min(lags, n))
-    if counts is not None:
-        corr = counts * h
-    else:
-        covered = _coverage(lo, hi, step, n)
-        # unrounded: the full transform length keeps these values as they were
-        corr = _fft_autocorrelation(float_quotients(covered, step))[:lags] * h
-        corr = np.maximum(corr, 0.0)
-        corr[0] = mass
-    return Correlogram(sample_spacing=h, values=corr, total_mass=mass)
+    if counts is None:
+        raise ValueError(
+            f"spacing {spacing_q} does not hold every interval endpoint on its lattice"
+        )
+    h = float(spacing_q)
+    return Correlogram(sample_spacing=h, values=counts * h, total_mass=float(A.total_length))
 
 
 def _fft_autocorrelation(x: np.ndarray, lags: int | None = None) -> np.ndarray:
@@ -277,23 +240,6 @@ def _lattice_counts(
     fine = counts[: m * rows].reshape(rows, m)
     fine.T[:] = (m - r) * c[:rows] + r * c[1 : rows + 1]  # row r holds lags m j + r
     return counts[:lags]
-
-
-def _coverage(lo: np.ndarray, hi: np.ndarray, step: int, n: int) -> np.ndarray:
-    """Per-cell covered lengths of the n cells of `IntervalUnion._cells`, as
-    exact integers in the same units.
-
-    A cell strictly inside one interval is covered whole; the covered parts
-    of the cells holding an endpoint are summed as exact integers.
-    """
-    first, stop = lo // step, -(-hi // step)  # cells [first, stop) meet [lo, hi]
-    one = stop - first == 1
-    many = stop - first > 1
-    covered = _cover(first[many] + 1, stop[many] - 1, n) * step
-    np.add.at(covered, first[one], hi[one] - lo[one])
-    np.add.at(covered, first[many], (first[many] + 1) * step - lo[many])
-    np.add.at(covered, stop[many] - 1, hi[many] - (stop[many] - 1) * step)
-    return covered
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1051,8 @@ def pair_band_measure_product(
     m(s) = 2 * int_{u-(s)}^{u+(s)} corrB, u±(s) = sqrt((1 ± w delta)^2 - s^2).
 
     The dense method samples both correlograms on an aligned lattice
-    (spacing <= delta/4) and reports the |I_h - I_2h| quadrature error, an
+    (spacing <= delta/4; a given spacing whose lattice does not hold the
+    endpoints raises ValueError) and reports the |I_h - I_2h| quadrature error, an
     estimate rather than a bound. Two known failures:
     - the estimate can undershoot the true error about 100-fold. A corner
       region thinner than the lattice is missed outright: F = {0, 13/16},
@@ -1156,8 +1103,8 @@ def pair_band_measure_product(
             # both passes read lags below floor(hi / h) + 2; the coarse one,
             # on every other lag, reads up to floor(hi / h) + 2 itself
             lags = int(math.floor(hi / h)) + 3
-            corr_f = autocorrelation(F, spacing_q, method="fft", lags=lags)
-            corr_b = autocorrelation(B, spacing_q, method="fft", lags=lags)
+            corr_f = autocorrelation(F, spacing_q, lags=lags)
+            corr_b = autocorrelation(B, spacing_q, lags=lags)
             value = _dense_band_integral(corr_f.values, corr_b.values, h, lo, hi)
             coarse = _dense_band_integral(
                 corr_f.values[::2], corr_b.values[::2], 2 * h, lo, hi

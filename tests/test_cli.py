@@ -377,6 +377,18 @@ def test_report_names_unreadable_series(tmp_path, capsys):
     assert "cannot read series_csv" in capsys.readouterr().err
 
 
+def test_report_names_the_line_and_column_of_a_bad_number(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "label,d,alpha,delta,value,value_low,value_high\n"
+        "x,2,1.5,0.5,0.25,0.2,0.3\n"
+        "x,2,1.5,0.25,abc,0.05,0.07\n"
+    )
+    cfg = _write(tmp_path / "a.json", {"series_csv": str(bad), "d": 2, "alpha": 1.5})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    assert "line 3 column 'value': 'abc' is not a number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # byte identity: artifacts against golden bytes from an earlier release
 # ---------------------------------------------------------------------------
@@ -579,6 +591,41 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             "alpha-verify config",
         ),
         ("sweep", {"axes": _AXES, "deltas": ["2^-4"], "method": "foo"}, "method", "sweep config"),
+        # every float field refuses NaN and +-inf (JSON NaN, Infinity or strings)
+        ("count", {"set": "triangle", "eps": "nan"}, "eps", "count config"),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "tol": "nan"}, "tol", "sweep config"),
+        (
+            "sweep",
+            {"axes": _AXES, "deltas": ["2^-5"], "width_multiplier": float("inf")},
+            "width_multiplier",
+            "sweep config",
+        ),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "alpha": float("nan")}, "alpha", "sweep config"),
+        (
+            "alpha-verify",
+            {"p": 1, "q": 2, "delta": "2^-6", "max_ratio": "nan"},
+            "max_ratio",
+            "alpha-verify config",
+        ),
+        (
+            "alpha-verify",
+            {"p": 1, "q": 2, "delta": "2^-6", "alpha": "-inf"},
+            "alpha",
+            "alpha-verify config",
+        ),
+        (
+            "spectral",
+            {"p": 1, "q": 2, "delta_exps": [6], "max_abs_slope": "nan"},
+            "max_abs_slope",
+            "spectral config",
+        ),
+        ("incidence", {"axes": _AXES, "delta": "2^-4", "lam": "nan"}, "lam", "incidence config"),
+        ("incidence", {"axes": _AXES, "delta": "2^-4", "c": float("inf")}, "c", "incidence config"),
+        ("report", {"series_csv": "s.csv", "d": 2, "alpha": "nan"}, "alpha", "report config"),
+        ("report", {"series_csv": "s.csv", "d": 2, "alpha": 1, "tol": "inf"}, "tol", "report config"),
+        # census is a JSON boolean, not a truthy value
+        ("count", {"set": "triangle", "census": "false"}, "census", "count config"),
+        ("count", {"set": "triangle", "census": 0.5}, "census", "count config"),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, kind, cfg, field, where):

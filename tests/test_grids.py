@@ -17,14 +17,24 @@ from unitdist.grids import (
 from unitdist.intervals import IntervalUnion
 
 
+def _occupied(G, which="outer"):
+    """Occupied cells of a product grid: the product of its axis counts."""
+    masks = G.axis_masks if which == "outer" else G.axis_masks_inner
+    return math.prod(int(m.sum()) for m in masks)
+
+
+def _occupied_measure(G, which="outer"):
+    return _occupied(G, which) * G.cell**G.d
+
+
 def test_rasterize_single_interval_hand_count():
     # [0, 1/4] fattened by 1/16 is [-1/16, 5/16]: 6/16 long, cell 1/32 -> 12 cells
     u = IntervalUnion.single(0, Fraction(1, 4))
     G = rasterize(u, Fraction(1, 16), Fraction(1, 32))
     assert G.d == 1
-    assert G.occupied_count("outer") == 12
-    assert G.occupied_count("inner") == 12  # endpoints on the cell lattice
-    assert float(G.occupied_measure("outer")) == pytest.approx(12 / 32)
+    assert _occupied(G, "outer") == 12
+    assert _occupied(G, "inner") == 12  # endpoints on the cell lattice
+    assert float(_occupied_measure(G, "outer")) == pytest.approx(12 / 32)
 
 
 def test_rasterize_offgrid_endpoints_widen_outer_only():
@@ -32,17 +42,17 @@ def test_rasterize_offgrid_endpoints_widen_outer_only():
     # so the outer raster keeps that cell and the inner raster drops it
     u = IntervalUnion.single(0, Fraction(1, 3))
     G = rasterize(u, Fraction(1, 16), Fraction(1, 32))
-    assert G.occupied_count("outer") == G.occupied_count("inner") + 1
-    assert float(G.occupied_measure("inner")) <= float(u.neighborhood(Fraction(1, 16)).total_length)
-    assert float(G.occupied_measure("outer")) >= float(u.neighborhood(Fraction(1, 16)).total_length)
+    assert _occupied(G, "outer") == _occupied(G, "inner") + 1
+    assert float(_occupied_measure(G, "inner")) <= float(u.neighborhood(Fraction(1, 16)).total_length)
+    assert float(_occupied_measure(G, "outer")) >= float(u.neighborhood(Fraction(1, 16)).total_length)
 
 
 def test_rasterize_two_axes():
     u = IntervalUnion.single(0, Fraction(1, 4))
     G = rasterize([u, u], Fraction(1, 16), Fraction(1, 32), alpha=1.0)
     assert G.d == 2
-    assert G.occupied_count("outer") == 12 * 12
-    assert float(G.occupied_measure("outer")) == pytest.approx((12 / 32) ** 2)
+    assert _occupied(G, "outer") == 12 * 12
+    assert float(_occupied_measure(G, "outer")) == pytest.approx((12 / 32) ** 2)
     mask = G.dense_mask()
     assert mask.shape == (12, 12)
     assert mask.all()
@@ -55,9 +65,9 @@ def test_sandwich_between_exact_neighborhoods():
     delta = Fraction(1, 64)
     exact = float(A.neighborhood(delta).total_length)
     G = rasterize(A, delta, Fraction(1, 512))
-    assert float(G.occupied_measure("inner")) <= exact <= float(G.occupied_measure("outer"))
+    assert float(_occupied_measure(G, "inner")) <= exact <= float(_occupied_measure(G, "outer"))
     # the gap is at most one cell per block boundary
-    gap = float(G.occupied_measure("outer")) - float(G.occupied_measure("inner"))
+    gap = float(_occupied_measure(G, "outer")) - float(_occupied_measure(G, "inner"))
     assert gap <= 2 * float(Fraction(1, 512)) * A.neighborhood(delta).n_intervals
 
 
@@ -118,68 +128,36 @@ def test_alpha_set_verify_flags_wrong_exponent():
 def _ball_cell_count_reference(G, x, r):
     """Per-sample ball count of the earlier release, kept as the oracle."""
     cell = float(G.cell)
-    prefixes = []
-    first_centers = []
-    for ax in range(G.d):
-        mask = G.axis_masks[ax]
-        prefixes.append(np.concatenate([[0], np.cumsum(mask)]))
-        first_centers.append(float(G.origin[ax]) + 0.5 * cell)
-
-    def axis_count(ax, center, halfwidth):
-        lo = np.ceil((center - halfwidth - first_centers[ax]) / cell).astype(np.int64)
-        hi = np.floor((center + halfwidth - first_centers[ax]) / cell).astype(np.int64)
-        n = len(G.axis_masks[ax])
-        lo = np.clip(lo, 0, n)
-        hi = np.clip(hi + 1, 0, n)
-        return prefixes[ax][np.maximum(hi, lo)] - prefixes[ax][lo]
-
-    if G.d == 1:
-        return int(axis_count(0, x[0], np.array(r)))
-    last = G.d - 1
-    centers_last = G.axis_centers(last)
-    sel = np.nonzero(G.axis_masks[last] & (np.abs(centers_last - x[last]) <= r))[0]
-    if G.d == 2:
-        dy = centers_last[sel] - x[1]
-        hw = np.sqrt(np.maximum(0.0, r * r - dy * dy))
-        return int(axis_count(0, x[0], hw).sum())
-    centers_mid = G.axis_centers(1)
-    sel_mid = np.nonzero(G.axis_masks[1] & (np.abs(centers_mid - x[1]) <= r))[0]
-    if sel.size == 0 or sel_mid.size == 0:
-        return 0
-    dy = (centers_mid[sel_mid] - x[1])[:, None]
-    dz = (centers_last[sel] - x[2])[None, :]
-    hw2 = r * r - dy * dy - dz * dz
-    ok = hw2 > 0
-    if not ok.any():
-        return 0
-    return int(axis_count(0, x[0], np.sqrt(hw2[ok])).sum())
+    mask = G.axis_masks[0]
+    prefix = np.concatenate([[0], np.cumsum(mask)])
+    first = float(G.origin[0]) + 0.5 * cell
+    lo = math.ceil((x - r - first) / cell)
+    hi = math.floor((x + r - first) / cell)
+    lo = min(max(lo, 0), len(mask))
+    hi = min(max(hi + 1, 0), len(mask))
+    return int(prefix[max(hi, lo)] - prefix[lo])
 
 
 def _alpha_set_verify_reference(G, alpha, sample_count, seed=0):
     """The earlier release's per-sample loop over the same draws."""
-    occ_idx = [np.nonzero(m)[0] for m in G.axis_masks]
+    occupied = np.nonzero(G.axis_masks[0])[0]
     delta, cell = float(G.delta), float(G.cell)
-    spans = [len(m) * cell for m in G.axis_masks]
-    diameter = max(math.sqrt(sum(s * s for s in spans)), 2 * delta)
+    diameter = max(len(G.axis_masks[0]) * cell, 2 * delta)
     rng = np.random.default_rng(seed)
-    sup_ratio, worst = -1.0, (np.zeros(G.d), delta)
+    sup_ratio, worst = -1.0, (0.0, delta)
     radii = np.exp(rng.uniform(math.log(delta), math.log(diameter), sample_count))
-    center_idx = np.stack(
-        [idx[rng.integers(0, idx.size, sample_count)] for idx in occ_idx], axis=1
-    )
+    center_idx = occupied[rng.integers(0, occupied.size, sample_count)]
     for s in range(sample_count):
-        x = np.array(
-            [float(G.origin[ax]) + (center_idx[s, ax] + 0.5) * cell for ax in range(G.d)]
-        )
+        x = float(G.origin[0]) + (center_idx[s] + 0.5) * cell
         r = float(radii[s])
-        measure = _ball_cell_count_reference(G, x, r) * cell**G.d
-        ratio = measure / ((r / delta) ** alpha * delta**G.d)
+        measure = _ball_cell_count_reference(G, x, r) * cell
+        ratio = measure / ((r / delta) ** alpha * delta)
         if ratio > sup_ratio:
             sup_ratio, worst = ratio, (x, r)
     return AlphaSetReport(
         sup_ratio=float(sup_ratio),
         samples_tested=sample_count,
-        worst_x=tuple(float(v) for v in worst[0]),
+        worst_x=(float(worst[0]),),
         worst_r=float(worst[1]),
     )
 
@@ -189,10 +167,10 @@ _ORACLE_GRIDS = [
     ([(1, 2, 5)], 10, 2),
     ([(2, 3, 3)], 9, 3),
     ([None], 8, 4),
-    ([(1, 2, 3), (1, 3, 2)], 7, 2),
-    ([(2, 3, 2), None], 6, 3),
-    ([(1, 2, 2), (1, 2, 2), (2, 3, 2)], 5, 2),
-    ([None, (1, 3, 2), (1, 2, 1)], 4, 3),
+    ([(1, 2, 3)], 7, 2),
+    ([(2, 3, 2)], 6, 3),
+    ([(1, 2, 2)], 5, 2),
+    ([(1, 3, 2)], 4, 3),
 ]
 
 
@@ -220,18 +198,24 @@ def test_ball_counts_match_reference_past_the_grid_edge(axes, k, div):
     # grid diameters, so that balls reach past every edge of the grid
     G = _oracle_grid(axes, k, div)
     rng = np.random.default_rng(k)
-    lo = np.array([float(o) for o in G.origin])
-    span = np.array(G.dims) * float(G.cell)
-    x = rng.uniform(lo - span, lo + 2 * span, size=(300, G.d))
-    x[:100] = np.stack(
-        [G.axis_centers(ax)[rng.integers(0, G.dims[ax], 100)] for ax in range(G.d)], axis=1
-    )
-    r = np.exp(rng.uniform(math.log(float(G.cell) / 3), math.log(4 * span.max()), 300))
+    lo = float(G.origin[0])
+    span = G.dims[0] * float(G.cell)
+    x = rng.uniform(lo - span, lo + 2 * span, size=300)
+    x[:100] = G.axis_centers(0)[rng.integers(0, G.dims[0], 100)]
+    r = np.exp(rng.uniform(math.log(float(G.cell) / 3), math.log(4 * span), 300))
     # radii of whole and half cells put cell centers exactly on the sphere
-    r[::3] = rng.integers(1, 2 * max(G.dims), 100) * (float(G.cell) / 2)
+    r[::3] = rng.integers(1, 2 * G.dims[0], 100) * (float(G.cell) / 2)
     got = _ball_cell_counts(G, x, r)
-    want = [_ball_cell_count_reference(G, x[s], float(r[s])) for s in range(300)]
+    want = [_ball_cell_count_reference(G, float(x[s]), float(r[s])) for s in range(300)]
     assert got.tolist() == want
+
+
+def test_alpha_set_verify_refuses_a_grid_of_more_than_one_axis():
+    u = IntervalUnion.single(0, 1)
+    for d in (2, 3):
+        G = rasterize([u] * d, Fraction(1, 16), Fraction(1, 32))
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            alpha_set_verify(G, 1.0, 10)
 
 
 # ---- transform lengths -----------------------------------------------------

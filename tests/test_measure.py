@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
-from unitdist.intervals import IntervalUnion, dyadic
+from unitdist.intervals import IntervalUnion
 import unitdist.measure
 from unitdist.measure import (
     Correlogram,
@@ -86,7 +86,7 @@ def test_pair_band_mass_monte_carlo_referee():
 
 def test_pair_band_mass_empty_and_degenerate():
     U = IntervalUnion.single(0, 1)
-    assert pair_band_mass(IntervalUnion.empty(), U, 0.1, 0.2) == 0.0
+    assert pair_band_mass(IntervalUnion.from_pairs([]), U, 0.1, 0.2) == 0.0
     assert pair_band_mass(U, U, 5.0, 6.0) == 0.0  # band beyond the span
     with pytest.raises(ValueError):
         pair_band_mass(U, U, 0.5, 0.4)
@@ -102,15 +102,31 @@ def test_pair_band_mass_symmetry():
 
 # ---- correlograms ----------------------------------------------------------
 
+def _block_pair_correlogram(A, h):
+    """corr(k h) for k = 0 .. floor(|span| / h), summed over block pairs:
+    the overlap of two blocks is a trapezoid in the lag, evaluated directly."""
+    span_lo, span_hi = A.span
+    at = np.arange(int(math.floor(float(span_hi - span_lo) / float(h))) + 1) * float(h)
+    arr = A.as_float_array()
+    c, l = (arr[:, 0] + arr[:, 1]) / 2.0, arr[:, 1] - arr[:, 0]
+    D = c[:, None] - c[None, :]
+    hh = (l[:, None] + l[None, :]) / 2.0
+    pl = np.abs(l[:, None] - l[None, :]) / 2.0
+    x = at[:, None, None] - D
+    return 0.5 * (
+        np.abs(x + hh) + np.abs(x - hh) - np.abs(x + pl) - np.abs(x - pl)
+    ).sum(axis=(1, 2))
+
+
 def test_autocorrelation_exact_vs_fft():
     A = cantor_stage(CantorSpec(1, 2), 3)
     h = Fraction(1, 512)
-    exact = autocorrelation(A, h, method="exact")
-    fft = autocorrelation(A, h, method="fft")
-    n = min(exact.values.size, fft.values.size)
-    np.testing.assert_allclose(exact.values[:n], fft.values[:n], atol=1e-12)
+    exact = _block_pair_correlogram(A, h)
+    fft = autocorrelation(A, h).values
+    n = min(exact.size, fft.size)
+    np.testing.assert_allclose(exact[:n], fft[:n], atol=1e-12)
     # lag-zero value is the measure of A
-    assert exact.values[0] == pytest.approx(float(A.total_length), abs=1e-12)
+    assert exact[0] == pytest.approx(float(A.total_length), abs=1e-12)
 
 
 def _correlogram_integral(c):
@@ -123,7 +139,7 @@ def test_autocorrelation_integral_identity():
     # integral of the correlogram over all lags equals |A|^2; the trapezoid
     # sum is exact because every block endpoint sits on the sample lattice
     A = IntervalUnion.from_pairs([(0, Fraction(1, 8)), (Fraction(1, 2), Fraction(3, 4))])
-    c = autocorrelation(A, Fraction(1, 2048), method="fft")
+    c = autocorrelation(A, Fraction(1, 2048))
     assert _correlogram_integral(c) == pytest.approx(float(A.total_length) ** 2, rel=1e-12)
 
 
@@ -175,13 +191,13 @@ def _power_of_two_length(m):
 @given(_aligned_unions())
 def test_lattice_correlogram_is_exact_for_any_transform_length(case):
     A, spacing = case
-    got = autocorrelation(A, spacing, method="fft").values
+    got = autocorrelation(A, spacing).values
     want = _lattice_overlaps(A, spacing)
     assert got.size == want.size
     np.testing.assert_array_equal(got, float(spacing) * want)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(unitdist.measure, "fft_length", _power_of_two_length)
-        again = autocorrelation(A, spacing, method="fft").values
+        again = autocorrelation(A, spacing).values
     assert again.size == got.size
     np.testing.assert_array_equal(again, got)
 
@@ -190,18 +206,31 @@ def test_lattice_correlogram_is_exact_for_any_transform_length(case):
 @given(_aligned_unions(), st.integers(1, 300))
 def test_lag_limited_correlogram_is_the_prefix(case, lags):
     A, spacing = case
-    full = autocorrelation(A, spacing, method="fft").values
-    got = autocorrelation(A, spacing, method="fft", lags=lags).values
+    full = autocorrelation(A, spacing).values
+    got = autocorrelation(A, spacing, lags=lags).values
     np.testing.assert_array_equal(got, full[:lags])
 
 
-def test_lag_limit_on_the_unaligned_and_exact_paths():
-    A = IntervalUnion.from_pairs([(0, _Q(1, 3)), (_Q(3, 7), _Q(2, 3)), (_Q(5, 7), 1)])
-    for method in ("fft", "exact"):
-        full = autocorrelation(A, _Q(1, 256), method=method).values
-        for lags in (1, 40, full.size, full.size + 5):
-            got = autocorrelation(A, _Q(1, 256), method=method, lags=lags).values
-            np.testing.assert_array_equal(got, full[:lags])
+def test_off_lattice_spacing_is_refused():
+    cases = [
+        # endpoints at thirds and sevenths sit off the 1/256 sample lattice
+        ([(0, _Q(1, 3)), (_Q(3, 7), _Q(2, 3)), (_Q(5, 7), 1)], _Q(1, 256)),
+        # every endpoint is off the 1/8 lattice by 1/16, though their
+        # differences are on it
+        ([(_Q(1, 16), _Q(9, 16)), (_Q(11, 16), _Q(15, 16))], _Q(1, 8)),
+    ]
+    for pairs, h in cases:
+        A = IntervalUnion.from_pairs(pairs)
+        with pytest.raises(ValueError, match="lattice"):
+            autocorrelation(A, h)
+        with pytest.raises(ValueError, match="lattice"):
+            autocorrelation(A, h, lags=4)
+    # a given dense spacing is held to the same rule
+    delta = Fraction(1, 64)
+    F = IntervalUnion.points([0, 1]).neighborhood(delta)
+    B = IntervalUnion.points([0]).neighborhood(delta)
+    with pytest.raises(ValueError, match="lattice"):
+        pair_band_measure_product(F, B, delta, spacing=Fraction(1, 300), method="dense")
 
 
 @pytest.mark.parametrize("k", [6, 9, 12])
@@ -218,8 +247,8 @@ def test_dense_route_reads_only_a_prefix_of_the_correlograms(k, w):
     got = pair_band_measure_product(
         F, B, delta, spacing=spacing, width_multiplier=w, method="dense"
     )
-    corr_f = autocorrelation(F, spacing, method="fft").values
-    corr_b = autocorrelation(B, spacing, method="fft").values
+    corr_f = autocorrelation(F, spacing).values
+    corr_b = autocorrelation(B, spacing).values
     h, d = float(spacing), w * float(delta)
     value = unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
     coarse = unitdist.measure._dense_band_integral(
@@ -269,7 +298,7 @@ def test_coarse_lattice_edge_cases(pairs, spacing, fft_size, counts):
     A = IntervalUnion.from_pairs(pairs)
     with pytest.MonkeyPatch.context() as mp:
         sizes = _fft_input_sizes(mp)
-        got = autocorrelation(A, spacing, method="fft").values
+        got = autocorrelation(A, spacing).values
     # points cover no cell and never shrink the coarse lattice
     assert sizes == ([] if fft_size is None else [fft_size])
     want = _lattice_overlaps(A, spacing)
@@ -292,27 +321,10 @@ def test_dense_correlogram_transforms_the_endpoint_lattice():
     assert A.den == 1 / delta and g == 6 * delta
     with pytest.MonkeyPatch.context() as mp:
         sizes = _fft_input_sizes(mp)
-        corr = autocorrelation(A, delta / 4, method="fft")
+        corr = autocorrelation(A, delta / 4)
     n = corr.values.size
     assert n == (A.span[1] - A.span[0]) / (delta / 4)
     assert sizes == [n // 24]
-
-
-def test_unaligned_correlogram_within_documented_error():
-    cases = [
-        # endpoints at thirds and sevenths sit off the 1/256 sample lattice
-        ([(0, _Q(1, 3)), (_Q(3, 7), _Q(2, 3)), (_Q(5, 7), 1)], _Q(1, 256)),
-        # every endpoint is off the 1/8 lattice by 1/16, though their
-        # differences are on it
-        ([(_Q(1, 16), _Q(9, 16)), (_Q(11, 16), _Q(15, 16))], _Q(1, 8)),
-    ]
-    for pairs, h in cases:
-        A = IntervalUnion.from_pairs(pairs)
-        fft = autocorrelation(A, h, method="fft").values
-        exact = autocorrelation(A, h, method="exact").values
-        n = min(fft.size, exact.size)
-        gap = np.abs(fft[:n] - exact[:n]).max()
-        assert 0 < gap <= 2 * float(h) * float(A.total_length)
 
 
 def test_certified_counts_refuse_far_from_integer_values():
@@ -399,7 +411,7 @@ def test_product_two_point_axes_analytic():
 
 def test_product_empty_factor():
     r = pair_band_measure_product(
-        IntervalUnion.empty(), IntervalUnion.single(0, 1), Fraction(1, 64)
+        IntervalUnion.from_pairs([]), IntervalUnion.single(0, 1), Fraction(1, 64)
     )
     assert r.value == 0.0
     assert r.method == "empty"
@@ -476,8 +488,8 @@ def _dense_integral_cases():
     spec = CantorSpec(1, 2)
     B = cantor_stage(spec, stage_for_scale(spec, delta)).neighborhood(delta)
     spacing = delta / 4
-    corr_f = autocorrelation(F, spacing, method="fft").values
-    corr_b = autocorrelation(B, spacing, method="fft").values
+    corr_f = autocorrelation(F, spacing).values
+    corr_b = autocorrelation(B, spacing).values
     assert not corr_f.any()
     h = float(spacing)
     for lo, hi in [(1 - 2 * float(delta), 1 + 2 * float(delta)), (0.0, 1.5)]:
@@ -1009,8 +1021,43 @@ def _coarse_cantor_products(draw):
     return F0, B0, delta, w
 
 
+def _any_spacing_correlogram(A, spacing, lags):
+    """corr at lags k * spacing, k < lags, for any spacing, as the dense
+    route once took it: exact lattice counts where every endpoint is on the
+    spacing lattice, else the unrounded FFT of each cell's exact covered
+    length, within 2 * spacing * |A| of corr."""
+    lo, hi, step, n, _ = A._cells(Fraction(spacing))
+    h = float(spacing)
+    counts = unitdist.measure._lattice_counts(lo, hi, step, n, min(lags, n))
+    if counts is not None:
+        return counts * h
+    first, stop = lo // step, -(-hi // step)  # cells [first, stop) meet [lo, hi]
+    covered = np.zeros(n, dtype=np.int64)
+    for a, b, i, j in zip(lo.tolist(), hi.tolist(), first.tolist(), stop.tolist()):
+        if j - i == 1:
+            covered[i] += b - a
+        elif j - i > 1:
+            covered[i] += (i + 1) * step - a
+            covered[i + 1 : j - 1] = step
+            covered[j - 1] += b - (j - 1) * step
+    raw = unitdist.measure._fft_autocorrelation(covered / step)
+    corr = np.maximum(raw[:lags] * h, 0.0)
+    corr[0] = float(A.total_length)
+    return corr
+
+
+def _dense_value_at_any_spacing(F, B, delta, spacing, w):
+    """`pair_band_measure_product(..., spacing, method="dense").value`,
+    with the correlograms of `_any_spacing_correlogram`."""
+    h, d = float(spacing), w * float(delta)
+    lags = int(math.floor((1 + d) / h)) + 3
+    corr_f, corr_b = (_any_spacing_correlogram(U, spacing, lags) for U in (F, B))
+    return unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
+
+
 def _assert_atoms_contain_dense_limit(F0, B0, delta, w):
-    # The reference is the dense route at spacing delta/2048. Its tolerance
+    # The reference is the dense integral at spacing delta/2048, which
+    # need not hold the endpoints (`_dense_value_at_any_spacing`). Its tolerance
     # is the larger of its last two steps (from delta/1024 and from
     # delta/512 to delta/1024): the dense values can converge with a
     # period-2 wobble, so that one step alone is smaller than what remains.
@@ -1019,10 +1066,7 @@ def _assert_atoms_contain_dense_limit(F0, B0, delta, w):
     F, B = F0.neighborhood(delta), B0.neighborhood(delta)
     atoms = pair_band_measure_product(F, B, delta, width_multiplier=w, method="atoms")
     fine, mid, coarse = (
-        pair_band_measure_product(
-            F, B, delta, spacing=delta / k, width_multiplier=w, method="dense"
-        ).value
-        for k in (2048, 1024, 512)
+        _dense_value_at_any_spacing(F, B, delta, delta / k, w) for k in (2048, 1024, 512)
     )
     tol = max(abs(fine - mid), abs(mid - coarse))
     tol += 2.0**-50 * float(F.total_length * B.total_length) ** 2
