@@ -107,7 +107,7 @@ def _done(cfg: dict, where: str = "config") -> None:
 
 
 def _scale(x) -> Fraction:
-    """Accept 0.015625, "1/64", or "2^-6" as exact scales."""
+    """Accept 0.015625, "1/64", or "2^-6" as exact scales, never a bool."""
     try:
         if isinstance(x, str):
             base, caret, exp = x.partition("^")
@@ -115,7 +115,7 @@ def _scale(x) -> Fraction:
                 return Fraction(base)
             if base.strip() == "2":
                 return Fraction(2) ** int(exp)
-        elif isinstance(x, (int, float)):
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
             return Fraction(x)
     except (ValueError, ArithmeticError):
         pass
@@ -132,7 +132,9 @@ def _integer(x) -> int:
 
 
 def _finite(x) -> float:
-    """A finite float; NaN and +-inf are refused."""
+    """A finite float; NaN, +-inf and bools are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a number, got {x!r}")
     v = float(x)
     if not math.isfinite(v):
         raise ValueError(f"expected a finite number, got {x!r}")
@@ -189,6 +191,8 @@ def _axis_from_config(spec, where: str):
         return IntervalAxis(lo, hi)
     if kind == "points":
         at = _take(spec, "at", required=True, where=where, cast=_each(_scale))
+        if not at:
+            raise ConfigError(f"field 'at' in {where}: expected at least one point")
         _done(spec, where)
         return PointsAxis(at)
     raise ConfigError(f"unknown axis kind '{kind}' in {where}")
@@ -478,7 +482,7 @@ def _run_alpha_verify(cfg: dict, run: _Run) -> int:
     spec = CantorSpec(p, q)
     U = cantor_stage(spec, stage_for_scale(spec, delta))
     cell_q = delta / 2 if cell is None else cell
-    G = rasterize([U], delta, cell_q, alpha=alpha, label=f"C({p},{q})")
+    G = rasterize([U], delta, cell_q, alpha=alpha)
     rep = alpha_set_verify(G, alpha, samples, seed=seed)
     _write_json(
         run.path("report.json"),

@@ -30,7 +30,6 @@ __all__ = [
     "fft_length",
 ]
 
-OCCUPANCY_CAP = 10**8
 DENSE_CAP = 1 << 26
 
 
@@ -52,6 +51,15 @@ def fft_length(m: int) -> int:
     return best
 
 
+def _certified_counts(raw: np.ndarray) -> np.ndarray:
+    """FFT counts rounded to int64. Raises if any value lies 0.25 or more
+    from its integer, so rounding never hides a wrong count."""
+    counts = np.rint(raw)
+    if np.any(np.abs(raw - counts) >= 0.25):
+        raise FloatingPointError("FFT counts are not within 0.25 of integers")
+    return counts.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class GridIndicator:
     """Per-axis occupancy of a product neighborhood on a uniform grid."""
@@ -62,7 +70,6 @@ class GridIndicator:
     cell: Fraction
     delta: Fraction
     alpha: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.axis_masks) <= 3:
@@ -136,7 +143,6 @@ def rasterize(
     delta,
     cell,
     alpha: float = float("nan"),
-    label: str = "",
 ) -> GridIndicator:
     """Rasterize the product of 1-3 interval unions' delta-neighborhoods.
 
@@ -150,14 +156,10 @@ def rasterize(
     if cell_q > delta_q or delta_q <= 0 or cell_q <= 0:
         raise ValueError("need 0 < cell <= delta")
     outers, inners, origins = [], [], []
-    count = 1
     for axis_set in axes:
         outer, inner, origin = _axis_occupancy(
             axis_set.neighborhood(delta_q), cell_q
         )
-        count *= int(outer.sum())
-        if count > OCCUPANCY_CAP:
-            raise ValueError(f"occupied-cell count exceeds cap {OCCUPANCY_CAP}")
         outers.append(outer)
         inners.append(inner)
         origins.append(origin)
@@ -168,7 +170,6 @@ def rasterize(
         cell=cell_q,
         delta=delta_q,
         alpha=alpha,
-        label=label,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import _compatible_offsets, _near_pairs, _sq_dist, _squared_limits
-from .grids import GridIndicator, fft_length
+from .grids import GridIndicator, _certified_counts, fft_length
 
 __all__ = [
     "AnnulusOverlap",
@@ -157,7 +157,8 @@ def _fft_convolve_same(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def section_measures(G: GridIndicator) -> np.ndarray:
     """lambda at every cell: occupied-cell count of the annular shell
-    1 +- 2 delta around each center, times cell^d (zero off the support)."""
+    1 +- 2 delta around each center, times cell^d (zero off the support).
+    The FFT counts are certified-rounded to integers."""
     if G.d not in (2, 3):
         raise ValueError("section measures need a 2-D or 3-D grid")
     mask = G.dense_mask().astype(np.float64)
@@ -167,8 +168,8 @@ def section_measures(G: GridIndicator) -> np.ndarray:
     axes = np.meshgrid(*([np.arange(-R, R + 1)] * G.d), indexing="ij")
     dist = np.sqrt(sum((a * cell) ** 2 for a in axes))
     kernel = ((dist >= 1.0 - 2 * delta) & (dist <= 1.0 + 2 * delta)).astype(np.float64)
-    counts = np.rint(_fft_convolve_same(mask, kernel))
-    counts[mask == 0] = 0.0
+    counts = _certified_counts(_fft_convolve_same(mask, kernel))
+    counts[mask == 0] = 0
     return counts * cell**G.d
 
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import IntervalUnion
-from .grids import GridIndicator, fft_length
+from .grids import GridIndicator, _certified_counts, fft_length
 
 __all__ = [
     "Correlogram",
@@ -198,15 +198,6 @@ def _fft_autocorrelation(x: np.ndarray, lags: int | None = None) -> np.ndarray:
     return np.fft.irfft(spec * np.conj(spec), size)[:k]
 
 
-def _certified_counts(raw: np.ndarray) -> np.ndarray:
-    """FFT pair counts rounded to int64. Raises if any value lies 0.25 or
-    more from its integer, so rounding never hides a wrong count."""
-    counts = np.rint(raw)
-    if np.any(np.abs(raw - counts) >= 0.25):
-        raise FloatingPointError("FFT pair counts are not within 0.25 of integers")
-    return counts.astype(np.int64)
-
-
 def _lattice_counts(
     lo: np.ndarray, hi: np.ndarray, step: int, n: int, lags: int
 ) -> np.ndarray | None:
@@ -254,13 +245,12 @@ class PairBandBracket:
     inner_pairs: int
 
 
-_RING_BLOCK = 1 << 15  # (kx, ky) offsets per last-axis ring evaluation
+_RING_BLOCK = 1 << 15  # (x, y) offsets per last-axis ring evaluation
+_INT64_LIMIT = 1 << 63
 
 
 def _axis_pair_counts(mask: np.ndarray) -> np.ndarray:
     """counts[k] = number of index pairs (i, i+k) both occupied, k >= 0."""
-    if mask.size == 0:
-        return np.zeros(1, dtype=np.int64)
     return _certified_counts(_fft_autocorrelation(mask.astype(np.float64)))
 
 
@@ -291,21 +281,29 @@ def _band_cell_pairs(
     """Ordered occupied-cell pairs with center distance in [lo, hi].
 
     The pair count factors over the axes' offset correlograms counts[k]:
-    each signed offset vector (kx[, ky], z) in the ring contributes the
-    product of its axes' counts. The last axis is summed with one prefix sum
-    over |z| ranges. For d = 3 the x offsets with nonzero counts are
-    evaluated against the ky^2 within the outer radius, in blocks of at
-    most _RING_BLOCK (kx, ky) cells, and each row's weighted sum is added
-    to the total as a Python int, so the result is exact.
+    each signed offset vector (x, y, z) in the ring contributes the product
+    of its axes' counts. Fewer than three axes are padded in front with
+    one-cell axes, whose only offset, 0, counts 1. The last axis is summed
+    with one prefix sum over |z| ranges; each x offset with a nonzero count
+    is a row of the y offsets within the outer radius, evaluated in blocks
+    of at most _RING_BLOCK offsets.
+
+    Every term counts ordered pairs, so no term or partial sum exceeds the
+    whole it belongs to: (ny nz)^2 for a row and (nx ny nz)^2 for the total,
+    with n the occupied cells of an axis. Where such a bound reaches 2^63,
+    that sum runs in Python ints, so the count is exact. (A last-axis sum
+    stays below nz^2 + nz, far inside int64 for any mask that fits in
+    memory.)
     """
     if lo > hi:
         return 0
-    counts = [_axis_pair_counts(m) for m in masks]
-    if any(int(m.sum()) == 0 for m in masks):
+    pad = 3 - len(masks)
+    n_x, n_y, n_z = [1] * pad + [int(m.sum()) for m in masks]
+    if 0 in (n_x, n_y, n_z):
         return 0
-    d = len(masks)
+    one = np.ones(1, dtype=np.int64)
+    cx, cy, cz = [one] * pad + [_axis_pair_counts(m) for m in masks]
     t_lo, t_hi = (lo / cell) ** 2, (hi / cell) ** 2
-    cz = counts[-1]
     P = np.concatenate([[0], np.cumsum(cz)])
 
     def last_axis_sum(prefix_sq: np.ndarray) -> np.ndarray:
@@ -320,31 +318,28 @@ def _band_cell_pairs(
         doubled = 2 * sums - np.where(valid & (y_lo == 0), cz[0], 0)
         return doubled
 
-    if d == 1:
-        return int(last_axis_sum(np.array([0.0]))[0])
-    kx = np.arange(counts[0].size, dtype=np.float64)
-    if d == 2:
-        per_kx = last_axis_sum(kx * kx)
-        return int((2 * counts[0][1:] * per_kx[1:]).sum() + counts[0][0] * per_kx[0])
-    ky = np.arange(counts[1].size, dtype=np.float64)
+    ky = np.arange(cy.size, dtype=np.float64)
     ky_sq = ky * ky
-    wy = 2 * counts[1]
-    wy[0] = counts[1][0]
-    rows = np.flatnonzero(counts[0])
-    wx = 2 * counts[0][rows]
-    wx[rows == 0] = counts[0][0]
+    wy = 2 * cy
+    wy[0] = cy[0]
+    rows = np.flatnonzero(cx)
+    wx = 2 * cx[rows]
+    wx[rows == 0] = cx[0]
+    if (n_y * n_z) ** 2 >= _INT64_LIMIT:
+        wy = wy.astype(object)
+    if (n_x * n_y * n_z) ** 2 >= _INT64_LIMIT:
+        wx = wx.astype(object)
     total = 0
     at = 0
     while at < rows.size:
-        # Rows ascend, so no row of this block reaches a ky beyond its first
-        # row's outer radius (ky^2 > t_hi - kx^2 + 1): those columns count 0.
+        # Rows ascend, so no row of this block reaches a y beyond its first
+        # row's outer radius (y^2 > t_hi - x^2 + 1): those columns count 0.
         reach = int(np.searchsorted(ky_sq, t_hi - float(rows[at]) ** 2, "right"))
         width = min(ky_sq.size, reach + 1)
         stop = at + max(1, _RING_BLOCK // width)
         i = rows[at:stop]
         per = last_axis_sum((i * i)[:, None] + ky_sq[:width])
-        row_sums = (wy[:width] * per).sum(axis=1)
-        total += sum(w * s for w, s in zip(wx[at:stop].tolist(), row_sums.tolist()))
+        total += int(wx[at:stop] @ (per @ wy[:width]))
         at = stop
     return total
 
@@ -451,16 +446,14 @@ def _lattice_blocks(U: IntervalUnion, den: int) -> tuple[np.ndarray, np.ndarray]
     return a + b, 2 * (b - a)
 
 
-def _merge_counts(
-    vals: np.ndarray, cnts: np.ndarray, new_vals: np.ndarray, new_cnts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Union of two sorted unique value lists, multiplicities summed. The
-    stable sort sees two sorted runs and merges them in one pass."""
-    allv = np.concatenate([vals, new_vals])
-    order = np.argsort(allv, kind="stable")
-    allv = allv[order]
-    first = np.flatnonzero(np.concatenate([[True], allv[1:] != allv[:-1]]))
-    return allv[first], np.add.reduceat(np.concatenate([cnts, new_cnts])[order], first)
+def _sum_by_value(vals: np.ndarray, cnts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of vals, ascending, each with the sum of its
+    cnts. vals is a few sorted runs laid end to end, which the stable sort
+    merges in about one pass."""
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+    return vals[first], np.add.reduceat(cnts[order], first)
 
 
 _DIFF_BLOCK = 1 << 22  # center differences formed at once
@@ -482,13 +475,15 @@ def _pair_differences(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.nd
         blocks = 1
         while stack and stack[-1][2] == blocks:
             v, c, b = stack.pop()
-            vals, cnts = _merge_counts(v, c, vals, cnts)
+            vals, cnts = _sum_by_value(
+                np.concatenate([v, vals]), np.concatenate([c, cnts])
+            )
             blocks += b
         stack.append((vals, cnts, blocks))
     vals, cnts, _ = stack.pop()
     while stack:
         v, c, _ = stack.pop()
-        vals, cnts = _merge_counts(v, c, vals, cnts)
+        vals, cnts = _sum_by_value(np.concatenate([v, vals]), np.concatenate([c, cnts]))
     return vals, cnts
 
 
@@ -542,10 +537,7 @@ def _convolved_differences(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
         vals = np.concatenate([vals - t, vals, vals + t])
         cnts = np.concatenate([cnts, 2 * cnts, cnts])
         if overlap:
-            order = np.argsort(vals, kind="stable")
-            vals = vals[order]
-            first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
-            vals, cnts = vals[first], np.add.reduceat(cnts[order], first)
+            vals, cnts = _sum_by_value(vals, cnts)
     return vals, cnts
 
 
@@ -639,12 +631,9 @@ def _trapezoid_breaklist(
         else:  # a triangle: both inner breakpoints sit at D
             pos_parts.extend([d4 - h4, d4, d4 + h4])
             jump_parts.extend([cnts, -2 * cnts, cnts])
-    pos = np.concatenate(pos_parts)
-    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
-    pos = pos[order]
-    first = np.flatnonzero(np.concatenate([[True], pos[1:] != pos[:-1]]))
-    pos = pos[first]
-    slope = np.cumsum(np.add.reduceat(np.concatenate(jump_parts)[order], first))
+    # the parts are sorted runs
+    pos, jumps = _sum_by_value(np.concatenate(pos_parts), np.concatenate(jump_parts))
+    slope = np.cumsum(jumps)
     value = np.concatenate([[0], np.cumsum(slope[:-1] * np.diff(pos))])
     k = np.searchsorted(pos, 0)
     pos, slope, value = pos[k:], slope[k:], value[k:]

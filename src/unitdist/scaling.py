@@ -111,7 +111,6 @@ class ScaleSample:
 class ScalingSeries:
     samples: tuple[ScaleSample, ...]
     label: str = ""
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         deltas = [s.delta for s in self.samples]
@@ -120,8 +119,8 @@ class ScalingSeries:
         for s in self.samples:
             if not (s.low - 1e-15 <= s.value <= s.high + 1e-15):
                 raise ValueError("sample value outside its own bracket")
-            if not self.degenerate and s.value <= 0:
-                raise ValueError("nonpositive value in a non-degenerate series")
+            if s.value <= 0:
+                raise ValueError("nonpositive value in series")
 
 
 def _as_deltas(delta_list) -> list[Fraction]:
@@ -159,16 +158,11 @@ def sweep(
         raise ValueError("cell_factor must be in (0, 1]")
 
     samples = []
-    degenerate = False
     for delta in deltas:
         sets = [ax.at_scale(delta) for ax in axes]
-        if any(s.is_empty for s in sets):
-            degenerate = True
-            samples.append(ScaleSample(float(delta), 0.0, 0.0, 0.0))
-            continue
         try:
             if method == "grid":
-                G = rasterize(sets, delta, delta * cell_factor, label=label)
+                G = rasterize(sets, delta, delta * cell_factor)
                 br = pair_band_measure_grid(G, width_multiplier)
                 val = 0.5 * (br.inner + br.outer)
                 samples.append(ScaleSample(float(delta), val, br.inner, br.outer))
@@ -194,7 +188,7 @@ def sweep(
                 raise ValueError(f"unknown sweep method {method!r}")
         except (ValueError, MemoryError) as exc:
             raise ValueError(f"sweep failed at delta={float(delta):g}: {exc}") from exc
-    return ScalingSeries(tuple(samples), label=label, degenerate=degenerate)
+    return ScalingSeries(tuple(samples), label=label)
 
 
 def neighborhood_measure_series(axes, delta_list, label: str = "") -> ScalingSeries:
@@ -204,19 +198,14 @@ def neighborhood_measure_series(axes, delta_list, label: str = "") -> ScalingSer
     axes = tuple(axes)
     deltas = _as_deltas(delta_list)
     samples = []
-    degenerate = False
     for delta in deltas:
         sets = [ax.at_scale(delta) for ax in axes]
-        if any(s.is_empty for s in sets):
-            degenerate = True
-            samples.append(ScaleSample(float(delta), 0.0, 0.0, 0.0))
-            continue
         total = Fraction(1)
         for s in sets:
             total *= s.neighborhood(delta).total_length
         val = float(total)
         samples.append(ScaleSample(float(delta), val, val, val))
-    return ScalingSeries(tuple(samples), label=label, degenerate=degenerate)
+    return ScalingSeries(tuple(samples), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +227,13 @@ def fit_exponent(series: ScalingSeries, drop_transient: bool = True) -> Exponent
     least four samples remain: fattened fractals only scale cleanly below
     their first construction scale.
     """
-    if series.degenerate:
-        raise ValueError("cannot fit a degenerate (empty-set) series")
     samples = series.samples
     if drop_transient and len(samples) >= 4:
         samples = samples[1:]
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit")
-    vals = np.array([s.value for s in samples])
-    if (vals <= 0).any():
-        raise ValueError("nonpositive value in series")
     x = np.log(np.array([s.delta for s in samples]))
-    y = np.log(vals)
+    y = np.log(np.array([s.value for s in samples]))  # every value is positive
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = np.abs(A @ np.array([slope, intercept]) - y)

@@ -257,6 +257,21 @@ def test_config_error_manifest_names_the_field(tmp_path):
     assert "missing required field 'q'" in man["error"]
 
 
+def test_empty_points_axis_is_refused_before_any_scale_runs(tmp_path, capsys, monkeypatch):
+    import unitdist.cli as cli
+
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    spec = {
+        "axes": [{"kind": "points", "at": []}, _cantor(1, 2)],
+        "deltas": ["2^-5", "2^-6"],
+        "method": "product",
+    }
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _write(tmp_path / "c.json", spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: field 'at' in sweep.axes[0]: ")
+    assert _manifest(out)["artifacts"] == []
+
+
 def test_incidence_run(tmp_path):
     cfg = _write(
         tmp_path / "i.json",
@@ -473,6 +488,16 @@ GOLDEN_CASES = {
         {"p": 1, "q": 2, "delta_exps": [8, 10, 12], "r_exps": [4, 6, 8, 20]},
     ),
     "incidence": ("incidence", {"axes": [_cantor(1, 2), _cantor(1, 2)], "delta": "2^-5"}),
+    # three points, not a Minkowski sum of two-point sets: the atoms route's
+    # generic N^2 differences
+    "sweep_points_cantor_atoms": (
+        "sweep",
+        {
+            "axes": [{"kind": "points", "at": [0, "1/3", 1]}, _cantor(1, 2)],
+            "deltas": ["2^-18", "2^-19", "2^-20"],
+            "method": "product",
+        },
+    ),
     "sweep_grid_3d": (
         "sweep",
         {
@@ -626,6 +651,28 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
         # census is a JSON boolean, not a truthy value
         ("count", {"set": "triangle", "census": "false"}, "census", "count config"),
         ("count", {"set": "triangle", "census": 0.5}, "census", "count config"),
+        # scale and float fields refuse JSON booleans, as integer fields do
+        ("cantor", {"p": 1, "q": 2, "stage": 2, "delta": True}, "delta", "cantor config"),
+        (
+            "sweep",
+            {"axes": _AXES, "deltas": ["2^-5"], "width_multiplier": True},
+            "width_multiplier",
+            "sweep config",
+        ),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "tol": True}, "tol", "sweep config"),
+        (
+            "alpha-verify",
+            {"p": 1, "q": 2, "delta": "2^-6", "max_ratio": False},
+            "max_ratio",
+            "alpha-verify config",
+        ),
+        (
+            "sweep",
+            {"axes": [{"kind": "interval", "lo": 0, "hi": True}], "deltas": ["2^-5"]},
+            "hi",
+            "sweep.axes[0]",
+        ),
+        ("count", {"set": "triangle", "eps": False}, "eps", "count config"),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, kind, cfg, field, where):

@@ -77,12 +77,6 @@ def test_cell_must_not_exceed_delta():
         rasterize(u, Fraction(1, 64), Fraction(1, 32))
 
 
-def test_occupancy_cap():
-    u = IntervalUnion.single(0, 1)
-    with pytest.raises(ValueError):
-        rasterize([u, u, u], Fraction(1, 4096), Fraction(1, 8192))
-
-
 def test_axis_centers_align_with_origin():
     u = IntervalUnion.single(Fraction(1, 8), Fraction(3, 8))
     G = rasterize(u, Fraction(1, 16), Fraction(1, 16))

@@ -227,6 +227,18 @@ def test_section_measures_zero_off_support():
     assert (lam[~G.dense_mask()] == 0).all()
 
 
+def test_section_measures_refuse_a_noisy_fft(monkeypatch):
+    # a shell count 0.3 from its integer is a wrong count, not one to round
+    import unitdist.incidence as incidence
+
+    exact = incidence._fft_convolve_same
+    monkeypatch.setattr(
+        incidence, "_fft_convolve_same", lambda mask, kernel: exact(mask, kernel) + 0.3
+    )
+    with pytest.raises(FloatingPointError):
+        section_measures(_cross_grid(Fraction(1, 64), Fraction(1, 128)))
+
+
 def test_section_histogram_dyadic_ladder():
     G = _cross_grid(Fraction(1, 64), Fraction(1, 128))
     hist = section_histogram(G)

@@ -25,7 +25,6 @@ from unitdist.measure import (
     _PairCum,
     _band_cell_pairs,
     _band_integrand,
-    _certified_counts,
     _common_denominator,
     _convolved_differences,
     _difference_atoms,
@@ -45,7 +44,7 @@ from unitdist.measure import (
     pair_band_measure_grid,
     pair_band_measure_product,
 )
-from unitdist.grids import rasterize
+from unitdist.grids import _certified_counts, rasterize
 
 
 # ---- 1-D pair band mass ----------------------------------------------------
@@ -1160,3 +1159,35 @@ def test_band_cell_pairs_match_brute_force(case):
     # the inner bracket counts the open ring exactly, including the pairs
     # that share their last-axis cell
     assert _band_cell_pairs(masks, cell, lo, hi, round_out=False) == open_
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (1 << 17, 1 << 17),  # the total passes 2^63
+        ((1 << 20) + 1, 1 << 21),  # so does the weighted term 2 (n_x - 1) n_y^2
+        (2, 1 << 12, 1 << 20),  # and a row sum, (n_y n_z)^2
+        (1 << 14, 1 << 4, 1 << 14),  # only the total
+    ],
+)
+def test_band_cell_pairs_count_every_pair_exactly_past_int64(sizes):
+    # all-true masks and a band that holds every pair: (prod n)^2 ordered
+    # pairs, less the zero offsets (one per cell) in the open ring
+    masks = tuple(np.ones(n, dtype=bool) for n in sizes)
+    cells = math.prod(sizes)
+    assert cells * cells >= 1 << 63
+    hi = 2.0 * sum(sizes)
+    assert _band_cell_pairs(masks, 1.0, 0.0, hi, round_out=True) == cells * cells
+    assert _band_cell_pairs(masks, 1.0, 0.0, hi, round_out=False) == cells * cells - cells
+
+
+def test_grid_bracket_past_int64_contains_the_atoms_value():
+    # [0, 2]^2 at 2^-18 with cell delta/2: about 2^20 cells per axis, so the
+    # cell-pair counts pass 2^63
+    interval, delta = IntervalUnion.single(0, 2), Fraction(1, 2**18)
+    bracket = pair_band_measure_grid(rasterize([interval] * 2, delta, delta / 2))
+    assert bracket.outer_pairs >= 1 << 63
+    fat = interval.neighborhood(delta)
+    atoms = pair_band_measure_product(fat, fat, delta, method="atoms")
+    assert bracket.inner <= atoms.value - atoms.quadrature_error
+    assert atoms.value + atoms.quadrature_error <= bracket.outer

@@ -160,9 +160,9 @@ def test_product_sweep_matches_grid_window():
 
 def test_sweep_error_names_the_scale():
     axes = [CantorAxis(1, 2), CantorAxis(1, 2), CantorAxis(1, 2)]
-    with pytest.raises(ValueError, match="delta"):
-        # 3-axis grids at this scale blow the occupancy cap
-        sweep(axes, [Fraction(1, 1 << 14)], method="grid")
+    with pytest.raises(ValueError, match="at delta=6.10352e-05: "):
+        # the product route measures one or two axes only
+        sweep(axes, [Fraction(1, 1 << 14)], method="product")
 
 
 # ---- bound tables --------------------------------------------------------------
