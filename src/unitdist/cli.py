@@ -51,6 +51,7 @@ from .scaling import (
     fit_exponent,
     sweep,
     theory_bounds,
+    verdict_table,
 )
 from .spectral import ball_convolution_l2, mollify_transform, weighted_energy
 
@@ -141,6 +142,13 @@ def _finite(x) -> float:
     return v
 
 
+def _string(x) -> str:
+    """A JSON string, nothing else."""
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
 def _boolean(x) -> bool:
     """A JSON boolean: true or false, nothing else."""
     if not isinstance(x, bool):
@@ -177,7 +185,7 @@ def _axis_from_config(spec, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"axis entry must be an object in {where}")
     spec = dict(spec)
-    kind = _take(spec, "kind", required=True, where=where)
+    kind = _take(spec, "kind", required=True, where=where, cast=_string)
     if kind == "cantor":
         p = _take(spec, "p", required=True, where=where, cast=_integer)
         q = _take(spec, "q", required=True, where=where, cast=_integer)
@@ -282,7 +290,7 @@ def _run_count(cfg: dict, run: _Run) -> int:
     _done(cfg, where)
 
     spec = dict(spec if isinstance(spec, dict) else {"kind": spec})
-    kind = _take(spec, "kind", required=True, where="count.set")
+    kind = _take(spec, "kind", required=True, where="count.set", cast=_string)
     if kind in _BUILTIN_SETS:
         _done(spec, "count.set")
         P = PointSet(np.array(_BUILTIN_SETS[kind]), label=kind)
@@ -397,26 +405,6 @@ def _run_cantor(cfg: dict, run: _Run) -> int:
     return 0
 
 
-def _verdict_table(axes, d: int, alpha: float) -> BoundTable:
-    """Bound table for a sweep verdict.
-
-    For the planted-distance product (first axis doubled by a shift) the
-    table's lower bounds -- which constrain the extremal set, not this
-    particular one -- are replaced by the construction's own guaranteed
-    exponent beta + 3 gamma / 2.
-    """
-    table = theory_bounds(d, alpha)
-    shifted = [getattr(ax, "shift", None) is not None for ax in axes]
-    if d == 2 and len(axes) == 2 and shifted[0] and not shifted[1]:
-        beta = axes[0].dimension
-        gamma = axes[1].dimension
-        bounds = tuple(b for b in table.bounds if b.kind == "upper") + (
-            Bound("construction_product", "lower", beta + 1.5 * gamma, alpha, alpha),
-        )
-        return BoundTable(d=d, alpha=alpha, bounds=bounds, open_interval=False)
-    return table
-
-
 def _series_rows(series: ScalingSeries, d: int, alpha: float):
     for s in series.samples:
         yield [series.label, d, alpha, s.delta, s.value, s.low, s.high]
@@ -454,16 +442,14 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
         fit = fit_exponent(series)
     except ValueError as exc:
         raise ConfigError(f"sweep failed: {exc}") from exc
-    verdict = compare_report(fit, _verdict_table(axes, d, alpha), tol)
     emit_csv(run.path("scaling.csv"), _SCALING_SCHEMA, _series_rows(series, d, alpha))
-    payload = verdict.to_json()
-    payload["fit"] = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "max_residual": fit.max_residual,
-        "n_points": fit.n_points,
-    }
-    _write_json(run.path("verdict.json"), payload)
+    return _judge(fit, verdict_table(axes, d, alpha), tol, run)
+
+
+def _judge(fit, table: BoundTable, tol: float, run: _Run) -> int:
+    """Write the verdict of a fit by a bound table: exit 0 within it, else 2."""
+    verdict = compare_report(fit, table, tol)
+    _write_json(run.path("verdict.json"), verdict.to_json())
     return 0 if verdict.within_bounds else 2
 
 
@@ -602,11 +588,29 @@ def _run_incidence(cfg: dict, run: _Run) -> int:
     return 0
 
 
+def _recorded_table(path: Path, d: int, alpha: float) -> BoundTable:
+    """The bound table a sweep judged its scaling.csv by, from the
+    verdict.json it wrote beside it; the generic table where there is none."""
+    if not path.exists():
+        return theory_bounds(d, alpha)
+    try:
+        recorded = json.loads(path.read_text())
+        judged = recorded["d"], recorded["alpha"]
+        items = recorded["bounds"].items()
+        bounds = tuple(Bound(*key.rsplit(":", 1), _finite(value)) for key, value in items)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"bound table '{path}': {type(exc).__name__}: {exc}") from exc
+    if judged != (d, alpha):
+        raise ConfigError(
+            f"bound table '{path}': it is for d={judged[0]}, alpha={judged[1]}; "
+            f"the series has d={d}, alpha={alpha}"
+        )
+    return BoundTable(d=d, alpha=alpha, bounds=bounds)
+
+
 def _run_report(cfg: dict, run: _Run) -> int:
     where = "report config"
-    series_csv = _take(cfg, "series_csv", required=True, where=where)
-    d = _take(cfg, "d", required=True, where=where, cast=_integer)
-    alpha = _take(cfg, "alpha", required=True, where=where, cast=_finite)
+    series_csv = _take(cfg, "series_csv", required=True, where=where, cast=_string)
     tol = _take(cfg, "tol", default=0.2, where=where, cast=_finite)
     _done(cfg, where)
 
@@ -619,6 +623,7 @@ def _run_report(cfg: dict, run: _Run) -> int:
         raise ConfigError(f"'{series_csv}' is not a scaling CSV")
     samples = []
     label = ""
+    first = None  # the first row's d and alpha, which every row must repeat
     for line, parts in enumerate(rows[1:], start=2):
         if len(parts) != len(_SCALING_SCHEMA):
             raise ConfigError(
@@ -627,20 +632,26 @@ def _run_report(cfg: dict, run: _Run) -> int:
             )
         label = parts[0]
         values = []
-        for column in range(3, 7):
+        for column in range(1, 7):
+            name = _SCALING_SCHEMA[column]
             try:
-                values.append(float(parts[column]))
+                values.append((int if name == "d" else float)(parts[column]))
             except ValueError:
                 raise ConfigError(
-                    f"'{series_csv}' line {line} column '{_SCALING_SCHEMA[column]}': "
-                    f"{parts[column]!r} is not a number"
+                    f"field '{name}' in '{series_csv}' line {line}: "
+                    f"{parts[column]!r} is not {'an integer' if name == 'd' else 'a number'}"
                 ) from None
-        samples.append(ScaleSample(*values))
-    series = ScalingSeries(tuple(samples), label=label)
-    fit = fit_exponent(series)
-    verdict = compare_report(fit, theory_bounds(d, alpha), tol)
-    _write_json(run.path("verdict.json"), verdict.to_json())
-    return 0 if verdict.within_bounds else 2
+        first = first or values[:2]
+        for column in (1, 2):
+            if values[column - 1] != first[column - 1]:
+                raise ConfigError(
+                    f"field '{_SCALING_SCHEMA[column]}' in '{series_csv}' line {line}: "
+                    f"{parts[column]!r} differs from line 2's {rows[1][column]!r}"
+                )
+        samples.append(ScaleSample(*values[2:]))
+    fit = fit_exponent(ScalingSeries(tuple(samples), label=label))
+    table = _recorded_table(Path(series_csv).with_name("verdict.json"), *first)
+    return _judge(fit, table, tol, run)
 
 
 _RUNNERS = {

@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import IntervalUnion
-from .grids import GridIndicator, _certified_counts, fft_length
+from .grids import DENSE_CAP, GridIndicator, _certified_counts, fft_length
 
 __all__ = [
     "Correlogram",
@@ -529,10 +529,13 @@ def _convolved_differences(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Values and multiplicities of the differences of {0} + {0, t_1} + ...:
     the convolution of the factors {-t: 1, 0: 2, +t: 1}. The smallest t go
     first; a factor whose t exceeds the span so far leaves three disjoint
-    sorted runs, and the others are merged by a stable sort of the runs."""
+    sorted runs, and the others are merged by a stable sort of the runs.
+    Arrays past the package's array cap are refused before they are built."""
     vals = np.zeros(1, dtype=np.int64)
     cnts = np.ones(1, dtype=np.int64)
     for t in sorted(ts):
+        if 3 * vals.size > DENSE_CAP:
+            raise ValueError(f"{3 * vals.size} difference atoms exceed cap {DENSE_CAP}")
         overlap = t <= 2 * int(vals[-1])  # vals is symmetric about 0
         vals = np.concatenate([vals - t, vals, vals + t])
         cnts = np.concatenate([cnts, 2 * cnts, cnts])

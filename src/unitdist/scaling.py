@@ -4,8 +4,9 @@ A sweep evaluates the band-pair measure |D^delta| of a product set at a
 decreasing ladder of scales and returns a bracketed series; `fit_exponent`
 turns it into a log-log slope, `theory_bounds` tabulates every applicable
 closed-form bound on the box dimension of the unit-distance set for ambient
-dimension d and set dimension alpha, and `compare_report` converts the slope
-into a dimension estimate (2d - slope) and checks it against the table.
+dimension d and set dimension alpha (`verdict_table` adapts it to a planted
+product), and `compare_report` converts the slope into a dimension estimate
+(2d - slope) and checks it against the table.
 
 Everything here is upper Minkowski (box-counting) scaling; the fits never
 attempt to recover logarithmic corrections — tolerances absorb them.
@@ -13,7 +14,7 @@ attempt to recover logarithmic corrections — tolerances absorb them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -37,6 +38,7 @@ __all__ = [
     "Bound",
     "BoundTable",
     "theory_bounds",
+    "verdict_table",
     "ComparisonVerdict",
     "compare_report",
 ]
@@ -254,8 +256,6 @@ class Bound:
     name: str
     kind: str  # "upper" | "lower"
     value: float
-    alpha_lo: float  # closed applicability interval in alpha
-    alpha_hi: float
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ class BoundTable:
     d: int
     alpha: float
     bounds: tuple[Bound, ...]
-    open_interval: bool  # true where no nontrivial bound pair is known
+    open_interval: bool = False  # true where no nontrivial bound pair is known
 
     @property
     def upper(self) -> float:
@@ -292,47 +292,36 @@ def theory_bounds(d: int, alpha: float) -> BoundTable:
         raise ValueError(f"alpha must lie in [0, {d}]")
 
     if d == 1:
-        bounds = (
-            Bound("line_exact", "upper", alpha, 0.0, 1.0),
-            Bound("line_exact", "lower", alpha, 0.0, 1.0),
-        )
-        return BoundTable(d=1, alpha=alpha, bounds=bounds, open_interval=False)
+        bounds = (Bound("line_exact", "upper", alpha), Bound("line_exact", "lower", alpha))
+        return BoundTable(d=1, alpha=alpha, bounds=bounds)
 
     out: list[Bound] = [
-        Bound("pair_trivial", "upper", 2 * alpha, 0.0, float(d)),
-        Bound("neighbor_trivial", "upper", alpha + d - 1, 0.0, float(d)),
+        Bound("pair_trivial", "upper", 2 * alpha),
+        Bound("neighbor_trivial", "upper", alpha + d - 1),
     ]
     top = (d + 1) / 2
     if alpha >= top:
-        out.append(Bound("energy_range", "upper", 2 * alpha - 1, top, float(d)))
-        out.append(Bound("energy_range", "lower", 2 * alpha - 1, top, float(d)))
+        out.append(Bound("energy_range", "upper", 2 * alpha - 1))
+        out.append(Bound("energy_range", "lower", 2 * alpha - 1))
     else:
-        out.append(Bound("energy_tail", "upper", alpha + (d - 1) / 2, 0.0, top))
+        out.append(Bound("energy_tail", "upper", alpha + (d - 1) / 2))
     if alpha >= 1:
-        out.append(Bound("slab_product", "lower", 2 * alpha - 1, 1.0, float(d)))
+        out.append(Bound("slab_product", "lower", 2 * alpha - 1))
     if d == 2:
         if alpha <= 1:
-            out.append(Bound("planar_ratio_a", "upper", 5 * alpha / 3, 0.0, 1.0))
-            out.append(
-                Bound(
-                    "planar_ratio_b",
-                    "upper",
-                    alpha * (2 + alpha) / (1 + alpha),
-                    0.0,
-                    1.0,
-                )
-            )
-            out.append(Bound("planar_half", "lower", 1.5 * alpha, 0.0, 1.0))
+            out.append(Bound("planar_ratio_a", "upper", 5 * alpha / 3))
+            out.append(Bound("planar_ratio_b", "upper", alpha * (2 + alpha) / (1 + alpha)))
+            out.append(Bound("planar_half", "lower", 1.5 * alpha))
         if 1 <= alpha <= 1.5:
-            out.append(Bound("planar_mid", "upper", alpha + 0.5, 1.0, 1.5))
-            out.append(Bound("planar_mid", "lower", alpha + 0.5, 1.0, 1.5))
+            out.append(Bound("planar_mid", "upper", alpha + 0.5))
+            out.append(Bound("planar_mid", "lower", alpha + 0.5))
     if d == 3:
-        out.append(Bound("spatial_upper", "upper", 15 * alpha / 8, 0.0, 3.0))
+        out.append(Bound("spatial_upper", "upper", 15 * alpha / 8))
     open_interval = False
     if d >= 4:
         attained = d // 2 - 1
         if alpha <= attained:
-            out.append(Bound("sphere_product", "lower", 2 * alpha, 0.0, float(attained)))
+            out.append(Bound("sphere_product", "lower", 2 * alpha))
         elif alpha < (d - 1) / 2:
             open_interval = True
 
@@ -345,29 +334,57 @@ def theory_bounds(d: int, alpha: float) -> BoundTable:
     return table
 
 
+def verdict_table(axes, d: int, alpha: float) -> BoundTable:
+    """Bound table for a sweep verdict.
+
+    For the planted-distance product (first axis doubled by a shift) the
+    table's lower bounds -- which constrain the extremal set, not this
+    particular one -- are replaced by the construction's own guaranteed
+    exponent beta + 3 gamma / 2.
+    """
+    table = theory_bounds(d, alpha)
+    shifted = [getattr(ax, "shift", None) is not None for ax in axes]
+    if d == 2 and len(axes) == 2 and shifted[0] and not shifted[1]:
+        beta = axes[0].dimension
+        gamma = axes[1].dimension
+        bounds = tuple(b for b in table.bounds if b.kind == "upper") + (
+            Bound("construction_product", "lower", beta + 1.5 * gamma),
+        )
+        return BoundTable(d=d, alpha=alpha, bounds=bounds)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ComparisonVerdict:
-    dim_estimate: float
-    within_bounds: bool
-    margins: dict
+    """A fit judged against a bound table; d, alpha and the slope are read
+    from the two."""
+
+    fit: ExponentFit
+    table: BoundTable
     tol: float
-    slope: float
-    d: int
-    alpha: float
+    dim_estimate: float
+    margins: dict
+
+    @property
+    def within_bounds(self) -> bool:
+        return all(v >= 0 for v in self.margins.values())
 
     def to_json(self) -> dict:
+        """The verdict and the table it judged by, `bounds` keyed like `margins`."""
         return {
             "dimEstimate": self.dim_estimate,
             "withinBounds": self.within_bounds,
             "margins": dict(self.margins),
+            "bounds": {f"{b.name}:{b.kind}": b.value for b in self.table.bounds},
             "tol": self.tol,
-            "slope": self.slope,
-            "d": self.d,
-            "alpha": self.alpha,
+            "slope": self.fit.slope,
+            "d": self.table.d,
+            "alpha": self.table.alpha,
+            "fit": asdict(self.fit),
         }
 
 
@@ -383,17 +400,5 @@ def compare_report(fit: ExponentFit, table: BoundTable, tol: float = 0.2) -> Com
     margins = {}
     for b in table.bounds:
         key = f"{b.name}:{b.kind}"
-        if b.kind == "upper":
-            margins[key] = b.value + tol - dim
-        else:
-            margins[key] = dim - (b.value - tol)
-    within = all(v >= 0 for v in margins.values())
-    return ComparisonVerdict(
-        dim_estimate=dim,
-        within_bounds=within,
-        margins=margins,
-        tol=tol,
-        slope=fit.slope,
-        d=table.d,
-        alpha=table.alpha,
-    )
+        margins[key] = b.value + tol - dim if b.kind == "upper" else dim - (b.value - tol)
+    return ComparisonVerdict(fit, table, tol, dim, margins)

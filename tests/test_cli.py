@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import unitdist.measure
 from unitdist.cli import main, run_config
 from unitdist.intervals import IntervalUnion
 
@@ -307,7 +308,7 @@ def test_report_verdicts(tmp_path):
 
     good = _write(
         tmp_path / "g.json",
-        {"series_csv": series_csv("good.csv", 1.9), "d": 2, "alpha": 1.5},
+        {"series_csv": series_csv("good.csv", 1.9)},
     )
     out = tmp_path / "rung"
     assert main(["report", "--config", good, "--out", str(out)]) == 0
@@ -317,7 +318,7 @@ def test_report_verdicts(tmp_path):
 
     bad = _write(
         tmp_path / "b.json",
-        {"series_csv": series_csv("bad.csv", 5.0), "d": 2, "alpha": 1.5},
+        {"series_csv": series_csv("bad.csv", 5.0)},
     )
     assert main(["report", "--config", bad, "--out", str(tmp_path / "runb")]) == 2
 
@@ -340,23 +341,13 @@ def test_report_reads_quoted_labels(tmp_path):
     swept = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(swept)]) == 0
     assert '"a,b",2,' in (swept / "scaling.csv").read_text()
-    report_cfg = _write(
-        tmp_path / "r.json",
-        {"series_csv": str(swept / "scaling.csv"), "d": 2, "alpha": 1.5},
-    )
+    report_cfg = _write(tmp_path / "r.json", {"series_csv": str(swept / "scaling.csv")})
     out = tmp_path / "report"
     assert main(["report", "--config", report_cfg, "--out", str(out)]) == 0
     sweep_verdict = json.loads((swept / "verdict.json").read_text())
-    sweep_verdict.pop("fit")
     assert json.loads((out / "verdict.json").read_text()) == sweep_verdict
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="sweep judges a planted product against the construction's own "
-    "lower bound, report against the generic table, so the same series "
-    "gets two verdicts",
-)
 def test_planted_product_sweep_and_report_agree(tmp_path):
     cfg = _write(
         tmp_path / "s.json",
@@ -371,23 +362,18 @@ def test_planted_product_sweep_and_report_agree(tmp_path):
     )
     swept = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(swept)]) == 0
-    report_cfg = _write(
-        tmp_path / "r.json",
-        {"series_csv": str(swept / "scaling.csv"), "d": 2, "alpha": 1.0},
-    )
+    report_cfg = _write(tmp_path / "r.json", {"series_csv": str(swept / "scaling.csv")})
     assert main(["report", "--config", report_cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_report_names_unreadable_series(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("label,d,alpha,delta,value,value_low,value_high\nx,2,1.5,0.5\n")
-    cfg = _write(tmp_path / "a.json", {"series_csv": str(short), "d": 2, "alpha": 1.5})
+    cfg = _write(tmp_path / "a.json", {"series_csv": str(short)})
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r1")]) == 1
     assert "line 2 has 4 fields" in capsys.readouterr().err
 
-    absent = _write(
-        tmp_path / "b.json", {"series_csv": str(tmp_path / "no.csv"), "d": 2, "alpha": 1.5}
-    )
+    absent = _write(tmp_path / "b.json", {"series_csv": str(tmp_path / "no.csv")})
     assert main(["report", "--config", absent, "--out", str(tmp_path / "r2")]) == 1
     assert "cannot read series_csv" in capsys.readouterr().err
 
@@ -399,9 +385,67 @@ def test_report_names_the_line_and_column_of_a_bad_number(tmp_path, capsys):
         "x,2,1.5,0.5,0.25,0.2,0.3\n"
         "x,2,1.5,0.25,abc,0.05,0.07\n"
     )
-    cfg = _write(tmp_path / "a.json", {"series_csv": str(bad), "d": 2, "alpha": 1.5})
+    cfg = _write(tmp_path / "a.json", {"series_csv": str(bad)})
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
-    assert "line 3 column 'value': 'abc' is not a number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"field 'value' in '{bad}' line 3: 'abc' is not a number" in err
+
+
+def test_report_refuses_a_series_whose_rows_disagree_on_d(tmp_path, capsys):
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(
+        "label,d,alpha,delta,value,value_low,value_high\n"
+        "x,2,1.5,0.5,0.25,0.2,0.3\n"
+        "x,3,1.5,0.25,0.06,0.05,0.07\n"
+    )
+    cfg = _write(tmp_path / "a.json", {"series_csv": str(mixed)})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert f"field 'd' in '{mixed}' line 3: '3' differs from line 2's '2'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda v: v.pop("bounds"), "KeyError: 'bounds'"),
+        (lambda v: v.update(alpha=0.5), "for d=2, alpha=0.5; the series has d=2, alpha=1.0"),
+        (lambda v: v.update(d=3), "for d=3, alpha=1.0; the series has d=2, alpha=1.0"),
+        (lambda v: v["bounds"].update({"pair_trivial:upper": "x"}), "ValueError"),
+    ],
+)
+def test_report_refuses_a_recorded_table_it_cannot_use(tmp_path, capsys, edit, message):
+    # report judges by the table the sweep recorded beside the series; one
+    # that is missing or made for another d or alpha is refused, not ignored
+    _, spec = GOLDEN_CASES["sweep_product"]
+    swept = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write(tmp_path / "s.json", spec), "--out", str(swept)]) == 0
+    verdict = json.loads((swept / "verdict.json").read_text())
+    edit(verdict)
+    (swept / "verdict.json").write_text(json.dumps(verdict))
+    cfg = _write(tmp_path / "r.json", {"series_csv": str(swept / "scaling.csv")})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bound table '{swept / 'verdict.json'}': ")
+    assert message in err
+
+
+def test_atoms_past_the_array_cap_end_the_sweep_with_a_manifest(tmp_path, monkeypatch):
+    # the atoms route's difference arrays triple per translate factor; past
+    # the package's array cap the sweep refuses instead of building them
+    monkeypatch.setattr(unitdist.measure, "DENSE_CAP", 1000)
+    cfg = _write(
+        tmp_path / "s.json",
+        {
+            "axes": [_cantor(1, 2, shift=1), _cantor(1, 2)],
+            "deltas": ["2^-18", "2^-19"],
+            "method": "product",
+        },
+    )
+    out = tmp_path / "r"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    manifest = _manifest(out)
+    assert manifest["exit_code"] == 1
+    assert "difference atoms exceed cap 1000" in manifest["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +563,20 @@ def test_artifacts_match_golden_bytes(tmp_path, case):
     assert sorted(_manifest(out)["artifacts"]) == want
     for name in want:
         assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("sweep_")))
+def test_report_repeats_the_sweep_verdict_on_golden_series(tmp_path, case):
+    # one verdict path: report on a sweep's scaling.csv judges by the table
+    # the sweep recorded, with d and alpha from the CSV
+    _, spec = GOLDEN_CASES[case]
+    cfg = _write(tmp_path / "s.json", spec)
+    swept = tmp_path / "sweep"
+    code = main(["sweep", "--config", cfg, "--out", str(swept)])
+    report_cfg = _write(tmp_path / "r.json", {"series_csv": str(swept / "scaling.csv")})
+    out = tmp_path / "report"
+    assert main(["report", "--config", report_cfg, "--out", str(out)]) == code
+    assert (out / "verdict.json").read_bytes() == (swept / "verdict.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +704,9 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
         ),
         ("incidence", {"axes": _AXES, "delta": "2^-4", "lam": "nan"}, "lam", "incidence config"),
         ("incidence", {"axes": _AXES, "delta": "2^-4", "c": float("inf")}, "c", "incidence config"),
-        ("report", {"series_csv": "s.csv", "d": 2, "alpha": "nan"}, "alpha", "report config"),
-        ("report", {"series_csv": "s.csv", "d": 2, "alpha": 1, "tol": "inf"}, "tol", "report config"),
+        # d and alpha come from the CSV, which must hold one of each
+        ("report", {"series_csv": "mixed.csv"}, "alpha", "'mixed.csv' line 3"),
+        ("report", {"series_csv": "s.csv", "tol": "inf"}, "tol", "report config"),
         # census is a JSON boolean, not a truthy value
         ("count", {"set": "triangle", "census": "false"}, "census", "count config"),
         ("count", {"set": "triangle", "census": 0.5}, "census", "count config"),
@@ -673,9 +732,27 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             "sweep.axes[0]",
         ),
         ("count", {"set": "triangle", "eps": False}, "eps", "count config"),
+        # paths and kinds are JSON strings only
+        ("report", {"series_csv": 0}, "series_csv", "report config"),
+        ("report", {"series_csv": ["a"]}, "series_csv", "report config"),
+        ("count", {"set": {"kind": []}}, "kind", "count.set"),
+        ("count", {"set": []}, "kind", "count.set"),
+        ("sweep", {"axes": [{"kind": 1}], "deltas": ["2^-5"]}, "kind", "sweep.axes[0]"),
+        (
+            "incidence",
+            {"axes": [{"kind": ["cantor"]}], "delta": "2^-4"},
+            "kind",
+            "incidence.axes[0]",
+        ),
     ],
 )
-def test_bad_values_name_the_field(tmp_path, capsys, kind, cfg, field, where):
+def test_bad_values_name_the_field(tmp_path, capsys, monkeypatch, kind, cfg, field, where):
+    monkeypatch.chdir(tmp_path)  # where the mixed.csv case finds its series
+    (tmp_path / "mixed.csv").write_text(
+        "label,d,alpha,delta,value,value_low,value_high\n"
+        "x,2,1.5,0.5,0.25,0.2,0.3\n"
+        "x,2,1,0.25,0.06,0.05,0.07\n"
+    )
     path = _write(tmp_path / "c.json", cfg)
     assert main([kind, "--config", path, "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith(f"error: field '{field}' in {where}: ")

@@ -707,6 +707,15 @@ def test_convolved_differences_are_all_pair_differences(ts):
     np.testing.assert_array_equal(cnts, want_cnts)
 
 
+def test_convolved_differences_refuse_arrays_past_the_cap(monkeypatch):
+    # t = 1, 3, 9, 27 never overlap, so the arrays hold 3^k entries: 27 are
+    # built under a cap of 27, and the next 81 are refused before they exist
+    monkeypatch.setattr(unitdist.measure, "DENSE_CAP", 27)
+    assert _convolved_differences([1, 3, 9])[0].size == 27
+    with pytest.raises(ValueError, match="81 difference atoms exceed cap 27"):
+        _convolved_differences([1, 3, 9, 27])
+
+
 # ---- atoms path: Gauss-Legendre pieces and their error bounds -------------
 
 def _gauss_legendre_ld(n):

@@ -21,6 +21,7 @@ from unitdist.scaling import (
     neighborhood_measure_series,
     sweep,
     theory_bounds,
+    verdict_table,
 )
 
 
@@ -243,3 +244,22 @@ def test_compare_report_json_round_trip():
     assert payload["dimEstimate"] == pytest.approx(1.8)
     assert payload["withinBounds"] == verdict.within_bounds
     assert "margins" in payload
+
+
+def test_verdict_table_replaces_lower_bounds_for_a_planted_product():
+    # C(1,2) doubled by a shift times C(1,2): beta + 3 gamma / 2 = 1.25
+    generic = theory_bounds(2, 1.0)
+    planted = verdict_table([CantorAxis(1, 2, shift=1), CantorAxis(1, 2)], 2, 1.0)
+    uppers = [b for b in generic.bounds if b.kind == "upper"]
+    assert planted.bounds == (*uppers, Bound("construction_product", "lower", 1.25))
+    # only a shifted first axis plants the unit distances
+    assert verdict_table([CantorAxis(1, 2), CantorAxis(1, 2, shift=1)], 2, 1.0) == generic
+
+
+def test_verdict_json_records_the_table_it_judged_by():
+    table = theory_bounds(2, 1.5)
+    payload = compare_report(_fit(slope=2.1), table, tol=0.2).to_json()
+    assert payload["bounds"] == {f"{b.name}:{b.kind}": b.value for b in table.bounds}
+    assert payload["bounds"].keys() == payload["margins"].keys()
+    assert payload["fit"] == {"slope": 2.1, "intercept": 0.0, "max_residual": 0.0, "n_points": 4}
+    assert (payload["d"], payload["alpha"], payload["slope"]) == (2, 1.5, 2.1)
