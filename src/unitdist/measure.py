@@ -155,7 +155,9 @@ class Correlogram:
 
 def autocorrelation(A: IntervalUnion, spacing, lags: int | None = None) -> Correlogram:
     """Correlogram of an interval union, at its first `lags` lags if given
-    (the values at those lags are the same either way).
+    (the values at those lags are the same either way). The lags run up to
+    the union's cell span, where the correlogram closes at 0, so it is
+    linear between samples on every cell it covers.
 
     Every endpoint of a positive-length interval must lie on the spacing
     lattice (our constructions and every CLI path); other spacings raise a
@@ -178,7 +180,7 @@ def autocorrelation(A: IntervalUnion, spacing, lags: int | None = None) -> Corre
     if lengths.size and spacing_q > Fraction(int(lengths.min()), 2 * A.den):
         raise ValueError("spacing too coarse for the finest block")
     lo, hi, step, n, _ = A._cells(spacing_q)
-    counts = _lattice_counts(lo, hi, step, n, n if lags is None else min(lags, n))
+    counts = _lattice_counts(lo, hi, step, n, n + 1 if lags is None else lags)
     if counts is None:
         raise ValueError(
             f"spacing {spacing_q} does not hold every interval endpoint on its lattice"
@@ -202,8 +204,9 @@ def _lattice_counts(
     lo: np.ndarray, hi: np.ndarray, step: int, n: int, lags: int
 ) -> np.ndarray | None:
     """counts[k] = number of cell pairs (i, i + k), both inside A, at the
-    first `lags` of the n lags of `IntervalUnion._cells`, as int64; None if
-    a positive-length interval has an endpoint off the cell lattice.
+    first `lags` of lags 0 ... n over the n cells of `IntervalUnion._cells`,
+    as int64 (lag n, where the correlogram closes, is 0); None if a
+    positive-length interval has an endpoint off the cell lattice.
 
     The FFT runs on the coarsest lattice g = m * step that holds every
     positive-length endpoint, measured from the first. Points cover no
@@ -215,7 +218,7 @@ def _lattice_counts(
     """
     solid = hi > lo
     ends = np.column_stack([lo[solid], hi[solid]]).ravel()
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
     if ends.size == 0:
         return counts[:lags]
     runs = np.diff(ends)
