@@ -11,8 +11,9 @@ Three independent computations of the same quantity live here on purpose:
   Correlograms are taken only on a lattice that holds every endpoint, and
   are exact: FFT overlap counts on the coarsest such lattice,
   certified-rounded to integers and expanded to the sample spacing by
-  exact integer interpolation, up to the lags the integral reads. The band kernel m(s) is evaluated only
-  where corrF(s) is nonzero;
+  exact integer interpolation, up to the lags the integral reads. One pass
+  gives the trapezoid value and a certified [low, high] bracket, as corrF
+  is linear on each lattice cell and the band kernel monotone in s;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
   delta = 2^-26. Where a union's blocks are a Minkowski sum of two-point
@@ -27,9 +28,8 @@ Three independent computations of the same quantity live here on purpose:
   so only s >= 0 is integrated. The s-line is cut wherever corrF or G
   changes segment, which leaves pieces on which the integrand is analytic;
   each piece gets a 4-point Gauss-Legendre rule with an a priori truncation
-  bound from its Bernstein ellipse, and a forward rounding bound. Its
-  quadrature error is therefore a certified bound, while the dense route's
-  |I_h - I_2h| is an estimate. Pieces on which W vanishes identically (both
+  bound from its Bernstein ellipse, and a forward rounding bound, so its
+  quadrature error is a certified bound. Pieces on which W vanishes identically (both
   radii in one gap of B's difference set) are not evaluated; their exact
   zeros stay in the sums, so the result is bit for bit the all-pieces one.
 
@@ -387,9 +387,16 @@ def pair_band_measure_grid(
 
 @dataclass(frozen=True)
 class ProductBandMeasure:
+    """|D^delta| and a certified bracket low <= |D^delta| <= high."""
+
     value: float
-    quadrature_error: float
+    low: float
+    high: float
     method: str
+
+    @property
+    def quadrature_error(self) -> float:
+        return max(self.high - self.value, self.value - self.low)
 
 
 def _common_denominator(sets: list[IntervalUnion], cap: int, message: str) -> int:
@@ -413,32 +420,49 @@ def _aligned_spacing(sets: list[IntervalUnion], target: Fraction) -> Fraction:
 
 def _dense_band_integral(
     corr_f: np.ndarray, corr_b: np.ndarray, h: float, lo: float, hi: float
-) -> float:
-    """2 * int_{s>=0} corrF(s) * m(s) ds with m from the corrB running
-    integral; trapezoid rule on the shared lattice. m is evaluated only on
-    corrF's support: elsewhere the integrand is an exact 0 either way, so
-    the sum is bit for bit the one over the full lattice."""
+) -> tuple[float, float, float]:
+    """(value, low, high) of 2 * int_{s>=0} corrF(s) W(s) ds, W(s) = 2 (G(u+)
+    - G(u-)), G = int_0 corrB, u+-(s) = sqrt(r^2 - s^2) for r = hi, lo: the
+    trapezoid value, read at the ends of the cells where corrF is not 0, and a
+    certified bracket. On a cell [s0, s1] corrF is linear, its integral exact,
+    and G(u+-(s)) nonincreasing: 2 (G(u+(s1)) - G(u-(s0)))+ <= W <= 2 (G(u+(s0))
+    - G(u-(s1))). The bracket holds the value cell by cell and is widened by
+    twice a first-order forward bound on its rounding (Higham, section 3.1)."""
+    K = min(corr_f.size, int(math.floor(hi / h)) + 2)
     cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
     top = (corr_b.size - 1) * h
+    reach = min(top, hi)  # u <= reach, so k <= reach / h
+    dq = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2
 
-    def cum_at(u: np.ndarray) -> np.ndarray:
-        u = np.minimum(u, top)
+    def g_at(s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """G(u(s)) and its rounding bound: (r - s)(r + s), from s = k h off by
+        2u s, is off by dq, so u by 2 dq / (u + sqrt(dq)) (0 if q <= -dq) plus
+        3u reach + u h from the root, k h and frac; G by corrB(0) times that,
+        8u h corrB(0) + 2u G from its local term and (k + 5) u cum[k] more."""
+        q = (r - s) * (r + s)
+        u = np.minimum(np.sqrt(np.maximum(q, 0.0)), top)
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
         frac = u - k * h
         b0 = corr_b[k]
         cb = b0 + (corr_b[k + 1] - b0) * (frac / h)
-        return cum[k] + (b0 + cb) * 0.5 * frac
+        g = cum[k] + (b0 + cb) * 0.5 * frac
+        du = 2.0 * dq / (u + math.sqrt(dq)) * (q > -dq) + _UNIT * (3.0 * reach + 9.0 * h)
+        return g, corr_b[0] * du + (reach / h + 8.0) * _UNIT * g
 
-    K = min(corr_f.size, int(math.floor(hi / h)) + 2)
-    live = np.flatnonzero(corr_f[:K])
-    s = live * h
-    u_hi = np.sqrt(np.maximum(0.0, hi * hi - s * s))
-    u_lo = np.sqrt(np.maximum(0.0, lo * lo - s * s))
-    m = np.zeros(K)
-    m[live] = 2.0 * (cum_at(u_hi) - cum_at(u_lo))
-    integrand = corr_f[:K] * m
-    one_sided = h * (integrand.sum() - 0.5 * integrand[0] - 0.5 * integrand[-1])
-    return 2.0 * one_sided
+    # consecutive ends span a cell, or a gap with corrF = 0 at both (adds 0)
+    live = corr_f[:K] != 0.0
+    at = np.flatnonzero(live | np.append(live[1:], False) | np.append(False, live[:-1]))
+    f = corr_f[at]
+    gp, ep = g_at(at * h, hi)
+    gm, em = g_at(at * h, lo)
+    fw = f * (2.0 * (gp - gm))
+    cell = 0.5 * h * (f[:-1] + f[1:])  # exact integrals of corrF over the cells
+    lower = np.maximum(gp[1:] - gm[:-1], 0.0)
+    upper = gp[:-1] - gm[1:]
+    e, slack = ep + em, 7.0 * _UNIT + _gamma(at.size)
+    err = 2.0 * (cell @ (e[:-1] + e[1:] + slack * (lower + np.abs(upper))))
+    low = max(0.0, float(4.0 * (cell @ lower - err)))
+    return float(h * np.sum(fw[:-1] + fw[1:])), low, float(4.0 * (cell @ upper + err))
 
 
 # ---- atoms path -----------------------------------------------------------
@@ -1047,17 +1071,10 @@ def pair_band_measure_product(
 
     The dense method samples both correlograms on an aligned lattice
     (spacing <= delta/4; a given spacing whose lattice does not hold the
-    endpoints raises ValueError) and reports the |I_h - I_2h| quadrature error, an
-    estimate rather than a bound. Two known failures:
-    - the estimate can undershoot the true error about 100-fold. A corner
-      region thinner than the lattice is missed outright: F = {0, 13/16},
-      B = {0}, both fattened by delta = 1/16, w = 1, gives 0 +- 0, while
-      the measure is positive (atoms: 8.6e-8 +- 4.0e-8);
-    - on a product of measure 0 it can return float noise:
-      F = {0, 1/24, 5/4}, B = {0}, same delta and w, gives about 1e-20 at
-      spacings delta/256 ... delta/4096, with an estimate small enough
-      that value +- error excludes 0.
-    The dense correlograms are built only up to the lags both passes read.
+    endpoints raises ValueError), up to the lags the integral reads, and
+    returns the trapezoid value inside the certified lattice bracket of
+    `_dense_band_integral`; its relative width falls linearly with the
+    spacing (about 0.1 at delta/4 on the planted C(1,2) product).
     The atoms method evaluates the same integral from deduplicated block
     differences and scales to delta = 2^-26. It takes them from the union's
     translate structure where it has one (`_translate_atoms`: O(N) to
@@ -1070,12 +1087,12 @@ def pair_band_measure_product(
     tau = sqrt(knot - s). Each piece gets a 4-point Gauss-Legendre rule and
     is bisected until its a priori truncation bound is small. Pieces on
     which W vanishes identically are skipped, with their exact zeros kept
-    in the sums, so skipping changes no bit of the value or the error. The
-    quadrature_error is a certified bound: the pieces' truncation bounds
-    plus a first-order forward bound on the rounding error.
+    in the sums, so skipping changes no bit of the value or the error. Its
+    bracket is value -+ (the pieces' truncation bounds plus a first-order
+    forward bound on the rounding error), clipped at 0.
     """
     if F.is_empty or B.is_empty:
-        return ProductBandMeasure(0.0, 0.0, "empty")
+        return ProductBandMeasure(0.0, 0.0, 0.0, "empty")
     delta_q = Fraction(delta)
     if delta_q <= 0:
         raise ValueError("delta must be positive")
@@ -1095,18 +1112,13 @@ def pair_band_measure_product(
         lattice = (width_f + width_b) / float(spacing_q)
         if lattice <= _DENSE_LATTICE_CAP:
             h = float(spacing_q)
-            # both passes read lags below floor(hi / h) + 2; the coarse one,
-            # on every other lag, reads up to floor(hi / h) + 2 itself
-            lags = int(math.floor(hi / h)) + 3
+            lags = int(math.floor(hi / h)) + 2  # the lags the integral reads
             corr_f = autocorrelation(F, spacing_q, lags=lags)
             corr_b = autocorrelation(B, spacing_q, lags=lags)
-            value = _dense_band_integral(corr_f.values, corr_b.values, h, lo, hi)
-            coarse = _dense_band_integral(
-                corr_f.values[::2], corr_b.values[::2], 2 * h, lo, hi
-            )
-            return ProductBandMeasure(value, abs(value - coarse), "dense")
+            value, low, high = _dense_band_integral(corr_f.values, corr_b.values, h, lo, hi)
+            return ProductBandMeasure(value, low, high, "dense")
         if method == "dense":
             raise ValueError("dense lattice too large; use the atoms method")
 
     value, err = _atoms_band_integral(F, B, lo, hi)
-    return ProductBandMeasure(value, err, "atoms")
+    return ProductBandMeasure(value, max(0.0, value - err), value + err, "atoms")

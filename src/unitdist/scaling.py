@@ -149,7 +149,8 @@ def sweep(
     method="grid" rasterizes the per-axis delta-neighborhoods (cell =
     cell_factor * delta) and brackets the measure by certified cell-pair
     counts; the sample value is the bracket midpoint. method="product"
-    integrates correlograms (exact in 1-D, quadrature-error bracket in 2-D).
+    integrates correlograms: exact in 1-D, and in 2-D the certified bracket
+    of the dense lattice or of the atoms quadrature.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 3:
@@ -178,12 +179,7 @@ def sweep(
                     r = pair_band_measure_product(
                         fat[0], fat[1], delta, width_multiplier=width_multiplier
                     )
-                    lo = max(0.0, r.value - r.quadrature_error)
-                    samples.append(
-                        ScaleSample(
-                            float(delta), r.value, lo, r.value + r.quadrature_error
-                        )
-                    )
+                    samples.append(ScaleSample(float(delta), r.value, r.low, r.high))
                 else:
                     raise ValueError("product method supports 1 or 2 axes")
             else:

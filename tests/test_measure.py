@@ -6,13 +6,15 @@ grid-count bracket, and a Monte-Carlo referee that shares no code with any
 of them.
 """
 
+import decimal
 import math
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
 from unitdist.intervals import IntervalUnion
@@ -22,6 +24,7 @@ from unitdist.measure import (
     _GL_NODES,
     _MAX_SPLITS,
     _PIECE_TOL,
+    _UNIT,
     _PairCum,
     _band_cell_pairs,
     _band_integrand,
@@ -150,7 +153,8 @@ def test_correlogram_closes_with_its_zero_lag():
     np.testing.assert_array_equal(c.values, [1.0, 0.75, 0.5, 0.25, 0.0])
     assert c.sample_spacing * (c.values.sum() - 0.5 * c.values[0] - 0.5 * c.values[-1]) == 0.5
     # a band that holds every pair gives |A|^4 = 1 exactly
-    assert unitdist.measure._dense_band_integral(c.values, c.values, 0.25, 0.0, 10.0) == 1.0
+    value, low, high = unitdist.measure._dense_band_integral(c.values, c.values, 0.25, 0.0, 10.0)
+    assert low <= value == 1.0 <= high
 
 
 def test_autocorrelation_spacing_guard():
@@ -247,9 +251,8 @@ def test_off_lattice_spacing_is_refused():
 @pytest.mark.parametrize("k", [6, 9, 12])
 @pytest.mark.parametrize("w", [1.1, 1.5, 2.0, 2.5])
 def test_dense_route_reads_only_a_prefix_of_the_correlograms(k, w):
-    # the route's lag-limited correlograms give the bits of the full ones;
-    # at w = 1.1, hi / h is not an integer and the coarse pass's last lag
-    # lies inside the band
+    # the route's lag-limited correlograms give the bits of the full ones,
+    # value and bracket alike; at w = 1.1, hi / h is not an integer
     delta = Fraction(1, 2**k)
     spec = CantorSpec(1, 2)
     stage = cantor_stage(spec, stage_for_scale(spec, delta))
@@ -261,13 +264,8 @@ def test_dense_route_reads_only_a_prefix_of_the_correlograms(k, w):
     corr_f = autocorrelation(F, spacing).values
     corr_b = autocorrelation(B, spacing).values
     h, d = float(spacing), w * float(delta)
-    value = unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
-    coarse = unitdist.measure._dense_band_integral(
-        corr_f[::2], corr_b[::2], 2 * h, 1 - d, 1 + d
-    )
-    assert struct.pack("<2d", got.value, got.quadrature_error) == struct.pack(
-        "<2d", value, abs(value - coarse)
-    )
+    want = _full_lattice_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
+    assert struct.pack("<3d", got.value, got.low, got.high) == struct.pack("<3d", *want)
 
 
 def _fft_input_sizes(mp):
@@ -384,15 +382,14 @@ def test_product_routes_agree_at_coarse_scale():
     atoms = pair_band_measure_product(F, B, delta, method="atoms")
     assert dense.method == "dense"
     assert atoms.method == "atoms"
-    # the two quadratures are independent; they must agree within their own
-    # reported error budgets
-    tol = dense.quadrature_error + atoms.quadrature_error
-    assert abs(dense.value - atoms.value) <= tol
+    # the two quadratures are independent; both brackets are certified
+    assert dense.low <= atoms.value <= dense.high
+    assert dense.low <= atoms.high and atoms.low <= dense.high
 
     mc, se = _mc_band_measure(
         F, B, 1 - 2 * float(delta), 1 + 2 * float(delta), 4_000_000, seed=9
     )
-    assert abs(dense.value - mc) < 5 * se + dense.quadrature_error
+    assert dense.low - 5 * se < mc < dense.high + 5 * se
 
 
 def test_product_value_bracketed_by_grid_route():
@@ -441,26 +438,38 @@ def test_product_deep_scale_uses_atoms():
 
 
 def _full_lattice_band_integral(corr_f, corr_b, h, lo, hi):
-    """Reference for `_dense_band_integral`: the same trapezoid sum, with
-    m(s) evaluated at every lattice lag instead of on corrF's support."""
+    """Reference for `_dense_band_integral`: the same formulas, with G and
+    its rounding bound evaluated at every lattice lag below K; the ends of
+    the cells where corrF is not 0 are then found by a scan, and the same
+    sums taken over them."""
+    K = min(corr_f.size, int(math.floor(hi / h)) + 2)
     cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
     top = (corr_b.size - 1) * h
+    reach = min(top, hi)  # u <= reach, so k <= reach / h
+    dq = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2
+    s = np.arange(K) * h
 
-    def cum_at(u):
-        u = np.minimum(u, top)
+    def g_at(r):
+        q = (r - s) * (r + s)
+        u = np.minimum(np.sqrt(np.maximum(q, 0.0)), top)
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
         frac = u - k * h
         cb = corr_b[k] + (corr_b[k + 1] - corr_b[k]) * (frac / h)
-        return cum[k] + (corr_b[k] + cb) * 0.5 * frac
+        g = cum[k] + (corr_b[k] + cb) * 0.5 * frac
+        du = 2.0 * dq / (u + math.sqrt(dq)) * (q > -dq) + _UNIT * (3.0 * reach + 9.0 * h)
+        return g, corr_b[0] * du + (reach / h + 8.0) * _UNIT * g
 
-    K = min(corr_f.size, int(math.floor(hi / h)) + 2)
-    s = np.arange(K) * h
-    u_hi = np.sqrt(np.maximum(0.0, hi * hi - s * s))
-    u_lo = np.sqrt(np.maximum(0.0, lo * lo - s * s))
-    m = 2.0 * (cum_at(u_hi) - cum_at(u_lo))
-    integrand = corr_f[:K] * m
-    one_sided = h * (integrand.sum() - 0.5 * integrand[0] - 0.5 * integrand[-1])
-    return 2.0 * one_sided
+    (gp, ep), (gm, em) = g_at(hi), g_at(lo)
+    at = [j for j in range(K) if corr_f[max(j - 1, 0) : min(j + 2, K)].any()]
+    f, gp, ep, gm, em = (x[at] for x in (corr_f, gp, ep, gm, em))
+    fw = f * (2.0 * (gp - gm))
+    cell = 0.5 * h * (f[:-1] + f[1:])
+    lower = np.maximum(gp[1:] - gm[:-1], 0.0)
+    upper = gp[:-1] - gm[1:]
+    e, slack = ep + em, 7.0 * _UNIT + _gamma(len(at))
+    err = 2.0 * (cell @ (e[:-1] + e[1:] + slack * (lower + np.abs(upper))))
+    low = max(0.0, float(4.0 * (cell @ lower - err)))
+    return float(h * np.sum(fw[:-1] + fw[1:])), low, float(4.0 * (cell @ upper + err))
 
 
 def _lattice_with_zero_runs(rng, n, h):
@@ -490,9 +499,7 @@ def _dense_integral_cases():
                 (int(2.5 / h), (0.0, hi)),
                 (int(rng.integers(2, 1 / h)), (lo, hi)),
             ]:
-                corr_f = _lattice_with_zero_runs(rng, n_f, h)
-                yield corr_f, corr_b, h, *band
-                yield corr_f[::2], corr_b[::2], 2 * h, *band
+                yield _lattice_with_zero_runs(rng, n_f, h), corr_b, h, *band
     # a points-only F: its correlogram is all zero
     delta = Fraction(1, 64)
     F = IntervalUnion.points([0, Fraction(13, 16), 1])
@@ -505,7 +512,6 @@ def _dense_integral_cases():
     h = float(spacing)
     for lo, hi in [(1 - 2 * float(delta), 1 + 2 * float(delta)), (0.0, 1.5)]:
         yield corr_f, corr_b, h, lo, hi
-        yield corr_f[::2], corr_b[::2], 2 * h, lo, hi
 
 
 def test_dense_band_integral_is_bit_identical_to_the_full_lattice():
@@ -514,25 +520,23 @@ def test_dense_band_integral_is_bit_identical_to_the_full_lattice():
         got = unitdist.measure._dense_band_integral(corr_f, corr_b, h, lo, hi)
         want = _full_lattice_band_integral(corr_f, corr_b, h, lo, hi)
         # bits, not ==: the sign of a zero result must match too
-        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+        assert struct.pack("<3d", *got) == struct.pack("<3d", *want), (got, want)
         cases += 1
-    assert cases == 6 * 6 * 3 * 2 + 4
+    assert cases == 6 * 6 * 3 + 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="with the closing zero lag, |I_h - I_2h| reads 0 at both spacings "
-    "while the value is 1.5e-11 above the atoms value: the estimate is no bound",
-)
 def test_product_dense_spacing_override_converges():
+    # the bracket narrows about linearly with the spacing, and both hold the
+    # atoms value (the trapezoid value itself is 2^-19 at both spacings)
     delta = Fraction(1, 64)
     F = IntervalUnion.points([0, 1]).neighborhood(delta)
     B = IntervalUnion.points([0]).neighborhood(delta)
     coarse = pair_band_measure_product(F, B, delta, spacing=Fraction(1, 512))
     fine = pair_band_measure_product(F, B, delta, spacing=Fraction(1, 4096))
-    assert fine.quadrature_error < coarse.quadrature_error
-    assert abs(fine.value - coarse.value) <= coarse.quadrature_error + fine.quadrature_error
+    assert fine.high - fine.low < (coarse.high - coarse.low) / 4
+    atoms = pair_band_measure_product(F, B, delta, method="atoms")
+    for r in (coarse, fine):
+        assert r.low <= atoms.value <= r.high
 
 
 # ---- atoms path: the B-side band-mass profile ------------------------------
@@ -1026,8 +1030,8 @@ def test_grid_bracket_contains_atoms_value_and_error(case):
         width_multiplier=w, method="atoms",
     )
     bracket = pair_band_measure_grid(rasterize([F0, B0], delta, delta / 4), w)
-    assert bracket.inner <= max(0.0, atoms.value - atoms.quadrature_error)
-    assert atoms.value + atoms.quadrature_error <= bracket.outer
+    assert bracket.inner <= atoms.low
+    assert atoms.high <= bracket.outer
 
 
 @st.composite
@@ -1076,9 +1080,9 @@ def _dense_value_at_any_spacing(F, B, delta, spacing, w):
     """`pair_band_measure_product(..., spacing, method="dense").value`,
     with the correlograms of `_any_spacing_correlogram`."""
     h, d = float(spacing), w * float(delta)
-    lags = int(math.floor((1 + d) / h)) + 3
+    lags = int(math.floor((1 + d) / h)) + 2
     corr_f, corr_b = (_any_spacing_correlogram(U, spacing, lags) for U in (F, B))
-    return unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)
+    return unitdist.measure._dense_band_integral(corr_f, corr_b, h, 1 - d, 1 + d)[0]
 
 
 def _assert_atoms_contain_dense_limit(F0, B0, delta, w):
@@ -1096,7 +1100,7 @@ def _assert_atoms_contain_dense_limit(F0, B0, delta, w):
     )
     tol = max(abs(fine - mid), abs(mid - coarse))
     tol += 2.0**-50 * float(F.total_length * B.total_length) ** 2
-    assert abs(atoms.value - fine) <= atoms.quadrature_error + tol
+    assert atoms.low - tol <= fine <= atoms.high + tol
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1113,28 +1117,94 @@ def test_atoms_error_contains_the_dense_limit_on_cantor_products(case):
     _assert_atoms_contain_dense_limit(*case)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the dense route's quadrature_error |I_h - I_2h| is only an estimate "
-    "(the atoms error is a bound): on a few percent of these products the two "
-    "routes differ by more than the sum",
-)
-@settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=(Phase.generate, Phase.shrink),
-)
-@given(_lattice_products())
-def test_dense_and_atoms_agree_within_their_errors(case):
-    F0, B0, delta, w = case
+# The products on which the dense route's earlier error estimate, the
+# difference of its values at spacings h and 2h, missed the atoms value: a
+# corner region thinner than the lattice, a product of measure 0, and the
+# first derandomized counterexample among `_lattice_products`.
+_DENSE_FOUND_PRODUCTS = [
+    _FOUND_PRODUCTS[1],
+    (
+        IntervalUnion.points([0, Fraction(1, 24), Fraction(5, 4)]),
+        IntervalUnion.points([0]),
+        Fraction(1, 16),
+        1.0,
+    ),
+    (IntervalUnion.points([0, Fraction(7, 8)]), IntervalUnion.points([0]), Fraction(1, 16), 1.0),
+]
+
+
+def _dense_and_atoms(F0, B0, delta, w):
     F, B = F0.neighborhood(delta), B0.neighborhood(delta)
     dense = pair_band_measure_product(F, B, delta, width_multiplier=w, method="dense")
     atoms = pair_band_measure_product(F, B, delta, width_multiplier=w, method="atoms")
-    tol = dense.quadrature_error + atoms.quadrature_error
-    assert abs(dense.value - atoms.value) <= tol
+    return dense, atoms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_lattice_products(), _coarse_cantor_products()))
+@example(_DENSE_FOUND_PRODUCTS[0])
+@example(_DENSE_FOUND_PRODUCTS[1])
+@example(_DENSE_FOUND_PRODUCTS[2])
+def test_atoms_value_lies_in_the_dense_bracket(case):
+    dense, atoms = _dense_and_atoms(*case)
+    assert dense.low <= atoms.value <= dense.high
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_lattice_products(), _coarse_cantor_products()))
+@example(_DENSE_FOUND_PRODUCTS[1])
+def test_dense_value_lies_in_its_own_bracket(case):
+    F0, B0, delta, w = case
+    F, B = F0.neighborhood(delta), B0.neighborhood(delta)
+    r = pair_band_measure_product(F, B, delta, width_multiplier=w, method="dense")
+    assert 0.0 <= r.low <= r.value <= r.high
+
+
+def _decimal_bracket(F, B, spacing, lo, hi):
+    """The dense route's [low, high] in 50-digit decimal arithmetic, from
+    the exact lattice counts, over every cell of corrF's lattice."""
+    cf, cb = (_lattice_overlaps(U, spacing) for U in (F, B))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        h = Decimal(spacing.numerator) / spacing.denominator
+        cum = [Decimal(0)]
+        for i in range(cb.size - 1):
+            cum.append(cum[-1] + int(cb[i] + cb[i + 1]) * h * h / 2)
+
+        def g(r, s):  # G(sqrt(r^2 - s^2)), G = int_0 corrB
+            u = max(Decimal(0), r * r - s * s).sqrt()
+            j = min(int(u / h), cb.size - 1)
+            t = min(u - j * h, h) if j < cb.size - 1 else Decimal(0)
+            k = min(j + 1, cb.size - 1)
+            return cum[j] + int(cb[j]) * h * t + int(cb[k] - cb[j]) * t * t / 2
+
+        r_hi, r_lo = Decimal(hi), Decimal(lo)
+        low = high = Decimal(0)
+        for k in range(cf.size - 1):
+            if cf[k] or cf[k + 1]:
+                cell = int(cf[k] + cf[k + 1]) * h * h / 2
+                s0, s1 = k * h, (k + 1) * h
+                low += cell * max(Decimal(0), g(r_hi, s1) - g(r_lo, s0))
+                high += cell * (g(r_hi, s0) - g(r_lo, s1))
+        return 4 * low, 4 * high
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_lattice_products())
+@example(_DENSE_FOUND_PRODUCTS[0])
+@example(_DENSE_FOUND_PRODUCTS[1])
+@example(_DENSE_FOUND_PRODUCTS[2])
+def test_dense_bracket_holds_the_exact_lattice_bracket(case):
+    # the float bracket, widened by its rounding bound, contains the same
+    # bracket computed from the exact counts (the spacing is 1/(3 2^k) for
+    # L = 24 and 48, where every correlogram value is rounded)
+    F0, B0, delta, w = case
+    F, B = F0.neighborhood(delta), B0.neighborhood(delta)
+    r = pair_band_measure_product(F, B, delta, width_multiplier=w, method="dense")
+    spacing = unitdist.measure._aligned_spacing([F, B], delta / 4)
+    d = w * float(delta)
+    low, high = _decimal_bracket(F, B, spacing, 1.0 - d, 1.0 + d)
+    assert Decimal(r.low) <= low <= high <= Decimal(r.high)
 
 
 # ---- grid bracket: ring counts against brute-force pair enumeration -------
@@ -1216,5 +1286,5 @@ def test_grid_bracket_past_int64_contains_the_atoms_value():
     assert bracket.outer_pairs >= 1 << 63
     fat = interval.neighborhood(delta)
     atoms = pair_band_measure_product(fat, fat, delta, method="atoms")
-    assert bracket.inner <= atoms.value - atoms.quadrature_error
-    assert atoms.value + atoms.quadrature_error <= bracket.outer
+    assert bracket.inner <= atoms.low
+    assert atoms.high <= bracket.outer
