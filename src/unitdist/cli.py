@@ -3,7 +3,7 @@
 Every experiment is a JSON config executed by a subcommand of the same
 kind; runs are deterministic (seeds always explicit) and leave behind
 CSV/JSON artifacts plus a manifest echoing the config and recording package
-versions. Exit codes: 0 success, 1 config or operational error, 2 "ran
+versions. Exit codes: 0 success, 1 usage, config or operational error, 2 "ran
 fine, but a bound was violated" -- CI treats 2 as a red experiment rather
 than a crash.
 
@@ -133,8 +133,8 @@ def _integer(x) -> int:
 
 
 def _finite(x) -> float:
-    """A finite float; NaN, +-inf and bools are refused."""
-    if isinstance(x, bool):
+    """A finite JSON number; NaN, +-inf, strings and bools are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"expected a number, got {x!r}")
     v = float(x)
     if not math.isfinite(v):
@@ -169,8 +169,8 @@ def _at_least(lo: int):
 
 
 def _unit_open(x) -> float:
-    """A float strictly between 0 and 1; NaN is refused."""
-    v = float(x)
+    """A JSON number strictly between 0 and 1."""
+    v = _finite(x)
     if not 0 < v < 1:
         raise ValueError(f"expected a value in (0, 1), got {x!r}")
     return v
@@ -705,8 +705,9 @@ def run_config(
 
     out = Path(out_override) if out_override else Path(cfg.pop("out", f"runs/{kind}"))
     if seed_override is not None:
-        if "set" in cfg and isinstance(cfg["set"], dict):
-            cfg["set"] = {**cfg["set"], "seed": seed_override}
+        if kind == "count" and "set" in cfg:
+            s = cfg["set"]  # a builtin set then refuses the seed by name
+            cfg["set"] = {**(s if isinstance(s, dict) else {"kind": s}), "seed": seed_override}
         else:
             cfg["seed"] = seed_override
 
@@ -738,8 +739,11 @@ def main(argv=None) -> int:
         sp = sub.add_parser(kind, help=f"run a '{kind}' experiment config")
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
-    args = parser.parse_args(argv)
-    return run_config(
-        args.config, kind=args.kind, out_override=args.out, seed_override=args.seed
-    )
+        if kind in ("count", "frames", "alpha-verify"):  # the configs with a seed
+            sp.add_argument("--seed", type=int, default=None, help="seed override")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is a config error: exit 1
+        return 1 if exc.code else 0
+    seed = getattr(args, "seed", None)
+    return run_config(args.config, kind=args.kind, out_override=args.out, seed_override=seed)

@@ -410,7 +410,8 @@ def test_report_refuses_a_series_whose_rows_disagree_on_d(tmp_path, capsys):
         (lambda v: v.pop("bounds"), "KeyError: 'bounds'"),
         (lambda v: v.update(alpha=0.5), "for d=2, alpha=0.5; the series has d=2, alpha=1.0"),
         (lambda v: v.update(d=3), "for d=3, alpha=1.0; the series has d=2, alpha=1.0"),
-        (lambda v: v["bounds"].update({"pair_trivial:upper": "x"}), "ValueError"),
+        (lambda v: v["bounds"].update({"pair_trivial:upper": float("nan")}), "ValueError"),
+        (lambda v: v["bounds"].update({"pair_trivial:upper": "x"}), "TypeError"),
     ],
 )
 def test_report_refuses_a_recorded_table_it_cannot_use(tmp_path, capsys, edit, message):
@@ -674,9 +675,9 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             "alpha-verify config",
         ),
         ("sweep", {"axes": _AXES, "deltas": ["2^-4"], "method": "foo"}, "method", "sweep config"),
-        # every float field refuses NaN and +-inf (JSON NaN, Infinity or strings)
-        ("count", {"set": "triangle", "eps": "nan"}, "eps", "count config"),
-        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "tol": "nan"}, "tol", "sweep config"),
+        # every float field refuses NaN and +-inf (JSON NaN and Infinity)
+        ("count", {"set": "triangle", "eps": float("nan")}, "eps", "count config"),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "tol": float("nan")}, "tol", "sweep config"),
         (
             "sweep",
             {"axes": _AXES, "deltas": ["2^-5"], "width_multiplier": float("inf")},
@@ -686,27 +687,32 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
         ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "alpha": float("nan")}, "alpha", "sweep config"),
         (
             "alpha-verify",
-            {"p": 1, "q": 2, "delta": "2^-6", "max_ratio": "nan"},
+            {"p": 1, "q": 2, "delta": "2^-6", "max_ratio": float("nan")},
             "max_ratio",
             "alpha-verify config",
         ),
         (
             "alpha-verify",
-            {"p": 1, "q": 2, "delta": "2^-6", "alpha": "-inf"},
+            {"p": 1, "q": 2, "delta": "2^-6", "alpha": float("-inf")},
             "alpha",
             "alpha-verify config",
         ),
         (
             "spectral",
-            {"p": 1, "q": 2, "delta_exps": [6], "max_abs_slope": "nan"},
+            {"p": 1, "q": 2, "delta_exps": [6], "max_abs_slope": float("nan")},
             "max_abs_slope",
             "spectral config",
         ),
-        ("incidence", {"axes": _AXES, "delta": "2^-4", "lam": "nan"}, "lam", "incidence config"),
+        (
+            "incidence",
+            {"axes": _AXES, "delta": "2^-4", "lam": float("nan")},
+            "lam",
+            "incidence config",
+        ),
         ("incidence", {"axes": _AXES, "delta": "2^-4", "c": float("inf")}, "c", "incidence config"),
         # d and alpha come from the CSV, which must hold one of each
         ("report", {"series_csv": "mixed.csv"}, "alpha", "'mixed.csv' line 3"),
-        ("report", {"series_csv": "s.csv", "tol": "inf"}, "tol", "report config"),
+        ("report", {"series_csv": "s.csv", "tol": float("inf")}, "tol", "report config"),
         # census is a JSON boolean, not a truthy value
         ("count", {"set": "triangle", "census": "false"}, "census", "count config"),
         ("count", {"set": "triangle", "census": 0.5}, "census", "count config"),
@@ -743,6 +749,15 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             {"axes": [{"kind": ["cantor"]}], "delta": "2^-4"},
             "kind",
             "incidence.axes[0]",
+        ),
+        # float fields take JSON numbers only; scale fields keep "1/64" and "2^-6"
+        ("count", {"set": "triangle", "eps": "1e-9"}, "eps", "count config"),
+        ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "tol": "0.2"}, "tol", "sweep config"),
+        (
+            "spectral",
+            {"p": 1, "q": 2, "delta_exps": [6], "alpha": "0.5"},
+            "alpha",
+            "spectral config",
         ),
     ],
 )
@@ -807,8 +822,47 @@ def test_integral_float_is_an_integer(tmp_path):
 
 
 def test_subcommand_required():
-    with pytest.raises(SystemExit):
-        main([])
+    assert main([]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep"], "the following arguments are required: --config"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["count", "--config", "c.json", "--seed", "abc"], "invalid int value: 'abc'"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 is kept for "ran fine, but a bound was violated"
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cantor", "sweep", "spectral", "incidence", "report"])
+def test_seed_is_offered_only_where_a_config_has_one(tmp_path, capsys, kind):
+    cfg = _write(tmp_path / "c.json", {})
+    assert main([kind, "--config", cfg, "--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_seed_override_is_refused_by_a_builtin_set(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {"set": "triangle"})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "r"), "--seed", "3"]) == 1
+    assert "unknown field 'seed' in count.set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [
+        ("frames", {"d": 2, "count": 3}),
+        ("alpha-verify", {"p": 1, "q": 2, "delta": "2^-6", "samples": 20}),
+    ],
+)
+def test_seed_override_reaches_a_top_level_seed(tmp_path, kind, cfg):
+    path, out = _write(tmp_path / "c.json", cfg), tmp_path / "r"
+    assert main([kind, "--config", path, "--out", str(out), "--seed", "7"]) == 0
+    assert _manifest(out)["config"]["seed"] == 7
 
 
 # ---------------------------------------------------------------------------
