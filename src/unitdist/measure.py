@@ -421,48 +421,49 @@ def _aligned_spacing(sets: list[IntervalUnion], target: Fraction) -> Fraction:
 def _dense_band_integral(
     corr_f: np.ndarray, corr_b: np.ndarray, h: float, lo: float, hi: float
 ) -> tuple[float, float, float]:
-    """(value, low, high) of 2 * int_{s>=0} corrF(s) W(s) ds, W(s) = 2 (G(u+)
-    - G(u-)), G = int_0 corrB, u+-(s) = sqrt(r^2 - s^2) for r = hi, lo: the
-    trapezoid value, read at the ends of the cells where corrF is not 0, and a
-    certified bracket. On a cell [s0, s1] corrF is linear, its integral exact,
-    and G(u+-(s)) nonincreasing: 2 (G(u+(s1)) - G(u-(s0)))+ <= W <= 2 (G(u+(s0))
-    - G(u-(s1))). The bracket holds the value cell by cell and is widened by
-    twice a first-order forward bound on its rounding (Higham, section 3.1)."""
+    """(value, low, high) of 2 * int_{s>=0} corrF(s) W(s) ds, W = 2 (G(u+) - G(u-)),
+    G = int_0 corrB, u+-(s) = sqrt(r^2 - s^2), r = hi, lo, read at the ends of
+    the cells where corrF is not 0. On a cell [s0, s1] corrF is linear, its
+    integral exact, and G(u+-) nonincreasing: 2 (G(u+(s1)) - G(u-(s0)))+ <= W
+    <= 2 (G(u+(s0)) - G(u-(s1))). This bracket holds the trapezoid value cell by
+    cell and is widened by twice a first-order forward rounding bound (Higham, 3.1)."""
     K = min(corr_f.size, int(math.floor(hi / h)) + 2)
     cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
     top = (corr_b.size - 1) * h
     reach = min(top, hi)  # u <= reach, so k <= reach / h
     dq = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2
 
-    def g_at(s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """G(u(s)) and its rounding bound: (r - s)(r + s), from s = k h off by
-        2u s, is off by dq, so u by 2 dq / (u + sqrt(dq)) (0 if q <= -dq) plus
-        3u reach + u h from the root, k h and frac; G by corrB(0) times that,
-        8u h corrB(0) + 2u G from its local term and (k + 5) u cum[k] more."""
-        q = (r - s) * (r + s)
-        u = np.minimum(np.sqrt(np.maximum(q, 0.0)), top)
+    def g_at(s: np.ndarray, r: float, bound: np.ndarray) -> np.ndarray:
+        """G(u(s)), adding its rounding bound to `bound`: (r - s)(r + s) is off by
+        dq (s = k h by 2u s), u by 2 dq / (u + sqrt(dq)) if q > -dq, plus 3u reach
+        + u h; G by corrB(0) times that, plus 8u h corrB(0) + 2u G + (k + 5) u cum[k]."""
+        u = (r - s) * (r + s)
+        near = u > -dq
+        u = np.minimum(np.sqrt(np.maximum(u, 0.0, out=u), out=u), top, out=u)
+        du = 2.0 * dq / (u + math.sqrt(dq)) * near + _UNIT * (3.0 * reach + 9.0 * h)
+        bound += corr_b[0] * du
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
-        frac = u - k * h
+        frac = np.subtract(u, k * h, out=u)
         b0 = corr_b[k]
         cb = b0 + (corr_b[k + 1] - b0) * (frac / h)
         g = cum[k] + (b0 + cb) * 0.5 * frac
-        du = 2.0 * dq / (u + math.sqrt(dq)) * (q > -dq) + _UNIT * (3.0 * reach + 9.0 * h)
-        return g, corr_b[0] * du + (reach / h + 8.0) * _UNIT * g
+        bound += (reach / h + 8.0) * _UNIT * g
+        return g
 
     # consecutive ends span a cell, or a gap with corrF = 0 at both (adds 0)
     live = corr_f[:K] != 0.0
-    at = np.flatnonzero(live | np.append(live[1:], False) | np.append(False, live[:-1]))
-    f = corr_f[at]
-    gp, ep = g_at(at * h, hi)
-    gm, em = g_at(at * h, lo)
+    s = np.flatnonzero(live | np.append(live[1:], False) | np.append(False, live[:-1]))
+    f, s = corr_f[s], s * h  # corrF and s at the ends of the cells where corrF is not 0
+    e = np.zeros(f.size)
+    gp, gm = g_at(s, hi, e), g_at(s, lo, e)
     fw = f * (2.0 * (gp - gm))
+    value = h * np.sum(fw[:-1] + fw[1:])
     cell = 0.5 * h * (f[:-1] + f[1:])  # exact integrals of corrF over the cells
-    lower = np.maximum(gp[1:] - gm[:-1], 0.0)
+    low = cell @ np.maximum(gp[1:] - gm[:-1], 0.0)
     upper = gp[:-1] - gm[1:]
-    e, slack = ep + em, 7.0 * _UNIT + _gamma(at.size)
-    err = 2.0 * (cell @ (e[:-1] + e[1:] + slack * (lower + np.abs(upper))))
-    low = max(0.0, float(4.0 * (cell @ lower - err)))
-    return float(h * np.sum(fw[:-1] + fw[1:])), low, float(4.0 * (cell @ upper + err))
+    slack = 7.0 * _UNIT + _gamma(f.size)
+    err = 2.0 * (cell @ (e[:-1] + e[1:]) + slack * (low + cell @ np.abs(upper)))
+    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * (cell @ upper + err))
 
 
 # ---- atoms path -----------------------------------------------------------

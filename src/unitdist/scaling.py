@@ -149,8 +149,7 @@ def sweep(
     method="grid" rasterizes the per-axis delta-neighborhoods (cell =
     cell_factor * delta) and brackets the measure by certified cell-pair
     counts; the sample value is the bracket midpoint. method="product"
-    integrates correlograms: exact in 1-D, and in 2-D the certified bracket
-    of the dense lattice or of the atoms quadrature.
+    integrates correlograms (exact in 1-D, a certified bracket in 2-D).
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 3:

@@ -449,27 +449,31 @@ def _full_lattice_band_integral(corr_f, corr_b, h, lo, hi):
     dq = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2
     s = np.arange(K) * h
 
-    def g_at(r):
-        q = (r - s) * (r + s)
-        u = np.minimum(np.sqrt(np.maximum(q, 0.0)), top)
+    def g_at(r, bound):
+        u = (r - s) * (r + s)
+        near = u > -dq
+        u = np.minimum(np.sqrt(np.maximum(u, 0.0)), top)
+        du = 2.0 * dq / (u + math.sqrt(dq)) * near + _UNIT * (3.0 * reach + 9.0 * h)
+        bound += corr_b[0] * du
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
         frac = u - k * h
         cb = corr_b[k] + (corr_b[k + 1] - corr_b[k]) * (frac / h)
         g = cum[k] + (corr_b[k] + cb) * 0.5 * frac
-        du = 2.0 * dq / (u + math.sqrt(dq)) * (q > -dq) + _UNIT * (3.0 * reach + 9.0 * h)
-        return g, corr_b[0] * du + (reach / h + 8.0) * _UNIT * g
+        bound += (reach / h + 8.0) * _UNIT * g
+        return g
 
-    (gp, ep), (gm, em) = g_at(hi), g_at(lo)
+    e = np.zeros(K)
+    gp, gm = g_at(hi, e), g_at(lo, e)
     at = [j for j in range(K) if corr_f[max(j - 1, 0) : min(j + 2, K)].any()]
-    f, gp, ep, gm, em = (x[at] for x in (corr_f, gp, ep, gm, em))
+    f, gp, gm, e = (x[at] for x in (corr_f, gp, gm, e))
     fw = f * (2.0 * (gp - gm))
     cell = 0.5 * h * (f[:-1] + f[1:])
-    lower = np.maximum(gp[1:] - gm[:-1], 0.0)
+    low = cell @ np.maximum(gp[1:] - gm[:-1], 0.0)
     upper = gp[:-1] - gm[1:]
-    e, slack = ep + em, 7.0 * _UNIT + _gamma(len(at))
-    err = 2.0 * (cell @ (e[:-1] + e[1:] + slack * (lower + np.abs(upper))))
-    low = max(0.0, float(4.0 * (cell @ lower - err)))
-    return float(h * np.sum(fw[:-1] + fw[1:])), low, float(4.0 * (cell @ upper + err))
+    slack = 7.0 * _UNIT + _gamma(len(at))
+    err = 2.0 * (cell @ (e[:-1] + e[1:]) + slack * (low + cell @ np.abs(upper)))
+    value = h * np.sum(fw[:-1] + fw[1:])
+    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * (cell @ upper + err))
 
 
 def _lattice_with_zero_runs(rng, n, h):
