@@ -431,7 +431,7 @@ def _dense_band_integral(
     cum = np.concatenate([[0.0], np.cumsum((corr_b[1:] + corr_b[:-1]) * 0.5 * h)])
     top = (corr_b.size - 1) * h
     reach = min(top, hi)  # u <= reach, so k <= reach / h
-    dq = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2
+    dq, slop = 11.0 * _UNIT * max(hi, (K - 1) * h) ** 2, _UNIT * (3.0 * reach + 9.0 * h)
 
     def g_at(s: np.ndarray, r: float, bound: np.ndarray) -> np.ndarray:
         """G(u(s)), adding its rounding bound to `bound`: (r - s)(r + s) is off by
@@ -440,8 +440,7 @@ def _dense_band_integral(
         u = (r - s) * (r + s)
         near = u > -dq
         u = np.minimum(np.sqrt(np.maximum(u, 0.0, out=u), out=u), top, out=u)
-        du = 2.0 * dq / (u + math.sqrt(dq)) * near + _UNIT * (3.0 * reach + 9.0 * h)
-        bound += corr_b[0] * du
+        bound += corr_b[0] * (2.0 * dq / (u + math.sqrt(dq)) * near + slop)
         k = np.minimum(np.floor(u / h).astype(np.int64), corr_b.size - 2)
         frac = np.subtract(u, k * h, out=u)
         b0 = corr_b[k]

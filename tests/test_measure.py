@@ -1200,8 +1200,8 @@ def _decimal_bracket(F, B, spacing, lo, hi):
 @example(_DENSE_FOUND_PRODUCTS[2])
 def test_dense_bracket_holds_the_exact_lattice_bracket(case):
     # the float bracket, widened by its rounding bound, contains the same
-    # bracket computed from the exact counts (the spacing is 1/(3 2^k) for
-    # L = 24 and 48, where every correlogram value is rounded)
+    # bracket computed from the exact counts (for L = 24, 40 and 48 the
+    # spacing is not dyadic, so the correlogram values are rounded)
     F0, B0, delta, w = case
     F, B = F0.neighborhood(delta), B0.neighborhood(delta)
     r = pair_band_measure_product(F, B, delta, width_multiplier=w, method="dense")
