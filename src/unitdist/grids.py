@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 1 << 26
+INT64_LIMIT = 1 << 63  # an exact integer sum bounded below this fits int64
 
 
 def fft_length(m: int) -> int:

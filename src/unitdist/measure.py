@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import IntervalUnion
-from .grids import DENSE_CAP, GridIndicator, _certified_counts, fft_length
+from .grids import DENSE_CAP, INT64_LIMIT, GridIndicator, _certified_counts, fft_length
 
 __all__ = [
     "Correlogram",
@@ -249,12 +249,12 @@ class PairBandBracket:
 
 
 _RING_BLOCK = 1 << 15  # (x, y) offsets per last-axis ring evaluation
-_INT64_LIMIT = 1 << 63
 
 
-def _axis_pair_counts(mask: np.ndarray) -> np.ndarray:
-    """counts[k] = number of index pairs (i, i+k) both occupied, k >= 0."""
-    return _certified_counts(_fft_autocorrelation(mask.astype(np.float64)))
+def _axis_pair_counts(mask: np.ndarray, lags: int) -> np.ndarray:
+    """counts[k] = number of index pairs (i, i+k) both occupied, for the
+    first `lags` lags k >= 0."""
+    return _certified_counts(_fft_autocorrelation(mask.astype(np.float64), lags))
 
 
 def _ring_limits(
@@ -285,28 +285,36 @@ def _band_cell_pairs(
 
     The pair count factors over the axes' offset correlograms counts[k]:
     each signed offset vector (x, y, z) in the ring contributes the product
-    of its axes' counts. Fewer than three axes are padded in front with
-    one-cell axes, whose only offset, 0, counts 1. The last axis is summed
-    with one prefix sum over |z| ranges; each x offset with a nonzero count
-    is a row of the y offsets within the outer radius, evaluated in blocks
-    of at most _RING_BLOCK offsets.
+    of its axes' counts. Fewer than three axes are padded with one-cell
+    axes, whose only offset, 0, counts 1. Only offsets k <= sqrt(t_hi) + 1
+    (t = squared radius in cells) can reach the ring, so the correlograms
+    stop there, and only those with a nonzero count add anything: these
+    are an axis's live offsets. The axes
+    are reordered, stably, by their live offsets: the most are summed last,
+    with one prefix sum over |z| ranges; each live x offset is a row of
+    the live y offsets within the outer radius, evaluated in blocks of at
+    most _RING_BLOCK offsets. The count is a sum over all offset vectors,
+    so the order of the axes does not change it.
 
     Every term counts ordered pairs, so no term or partial sum exceeds the
     whole it belongs to: (ny nz)^2 for a row and (nx ny nz)^2 for the total,
-    with n the occupied cells of an axis. Where such a bound reaches 2^63,
-    that sum runs in Python ints, so the count is exact. (A last-axis sum
-    stays below nz^2 + nz, far inside int64 for any mask that fits in
-    memory.)
+    with n the occupied cells of an axis in the order summed. Where such a
+    bound reaches 2^63, that sum runs in Python ints, so the count is exact.
+    (A last-axis sum stays below nz^2 + nz, far inside int64 for any mask
+    that fits in memory.)
     """
     if lo > hi:
         return 0
-    pad = 3 - len(masks)
-    n_x, n_y, n_z = [1] * pad + [int(m.sum()) for m in masks]
-    if 0 in (n_x, n_y, n_z):
+    sizes = [int(m.sum()) for m in masks]
+    if 0 in sizes:
         return 0
-    one = np.ones(1, dtype=np.int64)
-    cx, cy, cz = [one] * pad + [_axis_pair_counts(m) for m in masks]
     t_lo, t_hi = (lo / cell) ** 2, (hi / cell) ** 2
+    reach = int(math.sqrt(t_hi)) + 2  # offsets k >= reach have k^2 > t_hi + 1
+    one = np.ones(1, dtype=np.int64)
+    axes = [(1, one)] * (3 - len(masks))
+    axes += [(n, _axis_pair_counts(m, reach)) for n, m in zip(sizes, masks)]
+    axes.sort(key=lambda axis: np.count_nonzero(axis[1]))
+    (n_x, cx), (n_y, cy), (n_z, cz) = axes
     P = np.concatenate([[0], np.cumsum(cz)])
 
     def last_axis_sum(prefix_sq: np.ndarray) -> np.ndarray:
@@ -321,24 +329,28 @@ def _band_cell_pairs(
         doubled = 2 * sums - np.where(valid & (y_lo == 0), cz[0], 0)
         return doubled
 
-    ky = np.arange(cy.size, dtype=np.float64)
-    ky_sq = ky * ky
-    wy = 2 * cy
-    wy[0] = cy[0]
-    rows = np.flatnonzero(cx)
-    wx = 2 * cx[rows]
-    wx[rows == 0] = cx[0]
-    if (n_y * n_z) ** 2 >= _INT64_LIMIT:
+    def live(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Live offsets of an axis and their weights: 2 counts[k] for the
+        signed pair +-k, counts[0] for k = 0."""
+        k = np.flatnonzero(counts)
+        w = 2 * counts[k]
+        w[k == 0] = counts[0]
+        return k, w
+
+    cols, wy = live(cy)
+    ky_sq = cols.astype(np.float64) ** 2
+    rows, wx = live(cx)
+    if (n_y * n_z) ** 2 >= INT64_LIMIT:
         wy = wy.astype(object)
-    if (n_x * n_y * n_z) ** 2 >= _INT64_LIMIT:
+    if (n_x * n_y * n_z) ** 2 >= INT64_LIMIT:
         wx = wx.astype(object)
     total = 0
     at = 0
     while at < rows.size:
         # Rows ascend, so no row of this block reaches a y beyond its first
         # row's outer radius (y^2 > t_hi - x^2 + 1): those columns count 0.
-        reach = int(np.searchsorted(ky_sq, t_hi - float(rows[at]) ** 2, "right"))
-        width = min(ky_sq.size, reach + 1)
+        near = int(np.searchsorted(ky_sq, t_hi - float(rows[at]) ** 2, "right"))
+        width = min(ky_sq.size, near + 1)
         stop = at + max(1, _RING_BLOCK // width)
         i = rows[at:stop]
         per = last_axis_sum((i * i)[:, None] + ky_sq[:width])
@@ -458,11 +470,13 @@ def _dense_band_integral(
     fw = f * (2.0 * (gp - gm))
     value = h * np.sum(fw[:-1] + fw[1:])
     cell = 0.5 * h * (f[:-1] + f[1:])  # exact integrals of corrF over the cells
-    low = cell @ np.maximum(gp[1:] - gm[:-1], 0.0)
+    # np.sum, not a BLAS dot: its order, and so its bits, are fixed
+    low = np.sum(cell * np.maximum(gp[1:] - gm[:-1], 0.0))
     upper = gp[:-1] - gm[1:]
+    high = np.sum(cell * upper)
     slack = 7.0 * _UNIT + _gamma(f.size)
-    err = 2.0 * (cell @ (e[:-1] + e[1:]) + slack * (low + cell @ np.abs(upper)))
-    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * (cell @ upper + err))
+    err = 2.0 * (np.sum(cell * (e[:-1] + e[1:])) + slack * (low + np.sum(cell * np.abs(upper))))
+    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * (high + err))
 
 
 # ---- atoms path -----------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .grids import GridIndicator
+from .grids import INT64_LIMIT, GridIndicator
 
 __all__ = [
     "MollifierSpec",
@@ -148,14 +149,19 @@ class BallConvolutionReport:
     r: float
 
 
-def _ball_kernel_1d(r: float, cell: float) -> np.ndarray:
-    """Cellwise exact coverage of [-r, r], scaled so the discrete
-    convolution sum approximates the integral (entries are overlap lengths)."""
-    K = int(math.ceil(r / cell)) + 1
-    edges = (np.arange(-K, K + 1)) * cell
-    lo = np.maximum(edges[:-1], -r)
-    hi = np.minimum(edges[1:], r)
-    return np.maximum(hi - lo, 0.0)
+def _sqrt_rounded(x: Fraction) -> float:
+    """The float nearest sqrt(x) for a rational x >= 0.
+
+    The root of x 4^k, with k chosen to give it at least 55 bits, is
+    floor-rooted in integers; a last bit set when that root is inexact
+    sits below float()'s rounding position, so float() rounds as the
+    exact root would (and rounds a true tie to even).
+    """
+    num, den = x.numerator, x.denominator
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    n, rem = divmod(num << (2 * k), den)
+    q = math.isqrt(n)
+    return math.ldexp(float(2 * q + (q * q != n or rem != 0)), -k - 1)
 
 
 def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
@@ -164,20 +170,42 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
     The convolution value at x is the measure of K_delta within distance r
     of x; its L2 norm obeys r^((1+alpha)/2) delta^(1-alpha) scaling exactly
     when the set is a true alpha-set.
+
+    On the grid, [-r, r] covers 2R whole cells, R = floor(r / cell), and
+    two edge cells by a = r - R cell each, so the convolution at a window
+    of 2R cells is cell W + a E: W occupied cells inside (from one prefix
+    sum of the mask), E occupied edge cells. Its squared norm
+    cell (cell^2 sum W^2 + 2 cell a sum W E + a^2 sum E^2) is an exact
+    rational (three integer sums, two of them 0 when r / cell is an
+    integer), and l2_norm its correctly rounded root. Each sum is at most
+    sum (W + E)^2 <= (2R + 2) n min(2R + 2, n) over n occupied cells;
+    where that bound reaches 2^63 the sums run in Python ints.
     """
     _require_line(G)
     delta = float(G.delta)
-    cell = float(G.cell)
     if r < delta:
         raise ValueError("need r >= delta")
     if not math.isfinite(G.alpha):
         raise ValueError("grid carries no alpha")
-    mask = np.asarray(G.axis_masks[0], dtype=np.float64)
-    ker = _ball_kernel_1d(r, cell)
-    n = mask.size + ker.size - 1
-    size = 1 << (n - 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(mask, size) * np.fft.rfft(ker, size), size)[:n]
-    l2 = math.sqrt(float((conv * conv).sum()) * cell)
+    cell = G.cell
+    R, a = divmod(Fraction(r), cell)
+    R = int(R)
+    mask = np.asarray(G.axis_masks[0])
+    n = int(mask.sum())
+    span = 2 * R + 2  # cells a window and its two edge cells cover
+    # every window meeting the mask, with its edge cells, is read in bounds
+    padded = np.concatenate([np.zeros(span, np.int64), mask, np.zeros(span, np.int64)])
+    prefix = np.concatenate([[0], np.cumsum(padded)])
+    top = padded.size - 2 * R  # windows [s, s + 2R) for s = 1 ... top - 1
+    W = prefix[2 * R + 1 : -1] - prefix[1:top]
+    if span * n * min(span, n) >= INT64_LIMIT:
+        W = W.astype(object)
+    norm_sq = cell**2 * int(W @ W)
+    if a:
+        E = padded[: top - 1] + padded[2 * R + 1 :]
+        E = E.astype(W.dtype)
+        norm_sq += 2 * cell * a * int(W @ E) + a * a * int(E @ E)
+    l2 = _sqrt_rounded(cell * norm_sq)
     ref = r ** ((1 + G.alpha) / 2) * delta ** (1 - G.alpha)
     return BallConvolutionReport(l2_norm=l2, ratio=l2 / ref, r=r)
 

@@ -7,10 +7,15 @@ of them.
 """
 
 import decimal
+import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,12 +473,13 @@ def _full_lattice_band_integral(corr_f, corr_b, h, lo, hi):
     f, gp, gm, e = (x[at] for x in (corr_f, gp, gm, e))
     fw = f * (2.0 * (gp - gm))
     cell = 0.5 * h * (f[:-1] + f[1:])
-    low = cell @ np.maximum(gp[1:] - gm[:-1], 0.0)
+    low = np.sum(cell * np.maximum(gp[1:] - gm[:-1], 0.0))
     upper = gp[:-1] - gm[1:]
     slack = 7.0 * _UNIT + _gamma(len(at))
-    err = 2.0 * (cell @ (e[:-1] + e[1:]) + slack * (low + cell @ np.abs(upper)))
+    err = 2.0 * (np.sum(cell * (e[:-1] + e[1:])) + slack * (low + np.sum(cell * np.abs(upper))))
     value = h * np.sum(fw[:-1] + fw[1:])
-    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * (cell @ upper + err))
+    high = np.sum(cell * upper) + err
+    return float(value), max(0.0, float(4.0 * (low - err))), float(4.0 * high)
 
 
 def _lattice_with_zero_runs(rng, n, h):
@@ -527,6 +533,39 @@ def test_dense_band_integral_is_bit_identical_to_the_full_lattice():
         assert struct.pack("<3d", *got) == struct.pack("<3d", *want), (got, want)
         cases += 1
     assert cases == 6 * 6 * 3 + 2
+
+
+_DENSE_BITS_PROBE = """
+from fractions import Fraction
+import struct
+from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
+from unitdist.measure import pair_band_measure_product
+spec = CantorSpec(1, 2)
+for k in (12, 16):
+    delta = Fraction(1, 2**k)
+    stage = cantor_stage(spec, stage_for_scale(spec, delta))
+    F, B = shift_union(stage, 1).neighborhood(delta), stage.neighborhood(delta)
+    r = pair_band_measure_product(F, B, delta, method="dense")
+    print(struct.pack("<3d", r.value, r.low, r.high).hex())
+"""
+
+
+def test_dense_bracket_bits_do_not_depend_on_the_blas_thread_count():
+    # the thread count is read when NumPy loads, so each runs in its own
+    # process; a threaded BLAS dot splits long sums differently by count
+    src = str(Path(unitdist.measure.__file__).parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _DENSE_BITS_PROBE],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(runs[0].split()) == 2
+    assert runs[0] == runs[1]
 
 
 def test_product_dense_spacing_override_converges():
@@ -1214,10 +1253,10 @@ def test_dense_bracket_holds_the_exact_lattice_bracket(case):
 # ---- grid bracket: ring counts against brute-force pair enumeration -------
 
 @st.composite
-def _masks_and_rings(draw):
-    """1-3 small random axis masks and a ring whose squared radii, in cell
-    units, are perfect squares (pairs on the boundary) or half-integers."""
-    d = draw(st.integers(1, 3))
+def _masks_and_rings(draw, min_d=1):
+    """min_d to 3 small random axis masks and a ring whose squared radii, in
+    cell units, are perfect squares (pairs on the boundary) or half-integers."""
+    d = draw(st.integers(min_d, 3))
     n_max = (24, 14, 9)[d - 1]
     masks = tuple(
         np.array(draw(st.lists(st.booleans(), min_size=1, max_size=n_max)))
@@ -1260,6 +1299,17 @@ def test_band_cell_pairs_match_brute_force(case):
     # the inner bracket counts the open ring exactly, including the pairs
     # that share their last-axis cell
     assert _band_cell_pairs(masks, cell, lo, hi, round_out=False) == open_
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_masks_and_rings(min_d=2))
+def test_band_cell_pairs_do_not_depend_on_the_axis_order(case):
+    # the axes are reordered by their live offsets inside; the count over
+    # every order of the masks is the brute-force one
+    masks, cell, lo, hi, t_lo, t_hi = case
+    for round_out, want in zip((True, False), _ring_pairs_brute(masks, t_lo, t_hi)):
+        for order in itertools.permutations(masks):
+            assert _band_cell_pairs(order, cell, lo, hi, round_out) == want
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage
-from unitdist.grids import rasterize
+from unitdist.grids import GridIndicator, rasterize
 from unitdist.intervals import IntervalUnion
 from unitdist.spectral import (
     MollifierSpec,
@@ -167,3 +168,46 @@ def test_ball_convolution_ratio_bounded_across_dyadic_r():
     G = rasterize(A, delta, delta / 2, alpha=0.5)
     ratios = [ball_convolution_l2(G, 2.0**-k).ratio for k in range(4, 11, 2)]
     assert max(ratios) / min(ratios) <= 4.0
+
+
+def _exact_ball_norm_sq(mask, cell, r):
+    """||1_mask * 1_[-r, r]||_2^2 on the grid, in Fractions from the
+    definition: cell offset j weighs the overlap of [j cell, (j + 1) cell]
+    with [-r, r], and the squared norm is cell times the sum of squares."""
+    r = Fraction(r)
+    K = int(r / cell) + 1
+    ker = {}
+    for j in range(-K - 1, K + 1):
+        w = min((j + 1) * cell, r) - max(j * cell, -r)
+        if w > 0:
+            ker[j] = w
+    conv = {}
+    for i in np.flatnonzero(mask).tolist():
+        for j, w in ker.items():
+            conv[i + j] = conv.get(i + j, 0) + w
+    return cell * sum(v * v for v in conv.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    mask=st.lists(st.booleans(), min_size=1, max_size=40),
+    R=st.integers(1, 12),
+    edge=st.sampled_from([0, 1, 3, 7]),  # eighths of a cell past R cells
+    cell=st.sampled_from([Fraction(1, 4), Fraction(1, 64), Fraction(1, 3), Fraction(5, 7)]),
+)
+def test_ball_convolution_is_the_rounded_root_of_the_exact_norm(mask, R, edge, cell):
+    mask = np.array(mask)
+    G = GridIndicator((mask,), (mask,), (Fraction(0),), cell, cell, alpha=0.5)
+    r = float((R + Fraction(edge, 8)) * cell)
+    exact = _exact_ball_norm_sq(mask, cell, r)
+    got = ball_convolution_l2(G, r).l2_norm
+    if Fraction(r) % cell == 0:
+        # r / cell is an integer: l2_norm is the float nearest the exact
+        # root, so the exact square lies between the squares of the
+        # midpoints to its float neighbours
+        y = Fraction(got)
+        below = (y + Fraction(math.nextafter(got, 0.0))) / 2
+        above = (y + Fraction(math.nextafter(got, math.inf))) / 2
+        assert below * below <= exact <= above * above
+    else:
+        assert got == pytest.approx(math.sqrt(exact), rel=4 * 2.0**-52, abs=0.0)
