@@ -321,13 +321,9 @@ def _band_cell_pairs(
         """sum over signed offsets z of counts_last[|z|] with
         prefix_sq + z^2 in the ring, vectorized over prefix_sq."""
         y_lo, y_hi = _ring_limits(t_lo, t_hi, prefix_sq, round_out)
-        y_hi = np.minimum(y_hi, cz.size - 1)
-        valid = y_hi >= y_lo
-        lo_c = np.clip(y_lo, 0, cz.size)
-        hi_c = np.clip(y_hi + 1, 0, cz.size)
-        sums = np.where(valid, P[hi_c] - P[lo_c], 0).astype(np.int64)
-        doubled = 2 * sums - np.where(valid & (y_lo == 0), cz[0], 0)
-        return doubled
+        stop = np.minimum(y_hi + 1, cz.size)  # y_hi >= -1 and y_lo >= 0
+        start = np.minimum(y_lo, stop)  # an empty range sums to 0
+        return 2 * (P[stop] - P[start]) - np.where((start == 0) & (stop > 0), cz[0], 0)
 
     def live(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Live offsets of an axis and their weights: 2 counts[k] for the
