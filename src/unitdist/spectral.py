@@ -189,7 +189,6 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
         raise ValueError("grid carries no alpha")
     cell = G.cell
     R, a = divmod(Fraction(r), cell)
-    R = int(R)
     mask = np.asarray(G.axis_masks[0])
     n = int(mask.sum())
     span = 2 * R + 2  # cells a window and its two edge cells cover
@@ -202,8 +201,7 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
         W = W.astype(object)
     norm_sq = cell**2 * int(W @ W)
     if a:
-        E = padded[: top - 1] + padded[2 * R + 1 :]
-        E = E.astype(W.dtype)
+        E = (padded[: top - 1] + padded[2 * R + 1 :]).astype(W.dtype)
         norm_sq += 2 * cell * a * int(W @ E) + a * a * int(E @ E)
     l2 = _sqrt_rounded(cell * norm_sq)
     ref = r ** ((1 + G.alpha) / 2) * delta ** (1 - G.alpha)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage
 from unitdist.grids import GridIndicator, rasterize
+import unitdist.spectral
 from unitdist.intervals import IntervalUnion
 from unitdist.spectral import (
     MollifierSpec,
@@ -211,3 +212,14 @@ def test_ball_convolution_is_the_rounded_root_of_the_exact_norm(mask, R, edge, c
         assert below * below <= exact <= above * above
     else:
         assert got == pytest.approx(math.sqrt(exact), rel=4 * 2.0**-52, abs=0.0)
+
+
+def test_ball_convolution_sums_past_the_int64_bound_in_python_ints(monkeypatch):
+    # with the bound at 0 every sum takes the Python-int path, which must
+    # give the same bits, with and without edge cells
+    delta = Fraction(1, 2**10)
+    G = _line_grid(cantor_stage(CantorSpec(1, 2), 5), delta, alpha=0.5)
+    radii = (2.0**-4, 0.1)
+    want = [ball_convolution_l2(G, r) for r in radii]
+    monkeypatch.setattr(unitdist.spectral, "INT64_LIMIT", 0)
+    assert [ball_convolution_l2(G, r) for r in radii] == want
