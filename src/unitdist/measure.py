@@ -289,12 +289,12 @@ def _band_cell_pairs(
     axes, whose only offset, 0, counts 1. Only offsets k <= sqrt(t_hi) + 1
     (t = squared radius in cells) can reach the ring, so the correlograms
     stop there, and only those with a nonzero count add anything: these
-    are an axis's live offsets. The axes
-    are reordered, stably, by their live offsets: the most are summed last,
-    with one prefix sum over |z| ranges; each live x offset is a row of
-    the live y offsets within the outer radius, evaluated in blocks of at
-    most _RING_BLOCK offsets. The count is a sum over all offset vectors,
-    so the order of the axes does not change it.
+    are an axis's live offsets. The axes are reordered, stably, by their
+    live offsets: the most are summed last, with one prefix sum over |z|
+    ranges; each live x offset is a row of the live y offsets within the
+    outer radius, evaluated in blocks of at most _RING_BLOCK offsets. The
+    count is a sum over all offset vectors, so the order of the axes does
+    not change it.
 
     Every term counts ordered pairs, so no term or partial sum exceeds the
     whole it belongs to: (ny nz)^2 for a row and (nx ny nz)^2 for the total,

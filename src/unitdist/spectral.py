@@ -176,8 +176,8 @@ def ball_convolution_l2(G: GridIndicator, r: float) -> BallConvolutionReport:
     of 2R cells is cell W + a E: W occupied cells inside (from one prefix
     sum of the mask), E occupied edge cells. Its squared norm
     cell (cell^2 sum W^2 + 2 cell a sum W E + a^2 sum E^2) is an exact
-    rational (three integer sums, two of them 0 when r / cell is an
-    integer), and l2_norm its correctly rounded root. Each sum is at most
+    rational (when r / cell is an integer, a = 0 and only sum W^2 is
+    taken), and l2_norm its correctly rounded root. Each sum is at most
     sum (W + E)^2 <= (2R + 2) n min(2R + 2, n) over n occupied cells;
     where that bound reaches 2^63 the sums run in Python ints.
     """
