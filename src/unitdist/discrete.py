@@ -4,9 +4,11 @@ Ordered-pair convention throughout: the count is over ordered pairs
 (p1, p2), p1 != p2, with | |p1 - p2| - 1 | <= eps. The literature often
 reports unordered edges; ordered counts here are exactly twice those.
 
-The grid counter runs the package's one near-pair search, `geom._near_pairs`,
-on cells of side 1/sqrt(d). Both counters take squared distances from the one
-kernel `geom._sq_dist`, so the two agree bit-for-bit, not just approximately.
+The brute force evaluates every unordered pair once. The grid counter runs
+the package's one near-pair search, `geom._near_pairs`, on the neighbour grid
+(cells just wider than the unit band). Both counters take squared distances
+from the one kernel `geom._sq_dist`, so the two agree bit-for-bit, not just
+approximately.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import _compatible_offsets, _near_pairs, _sq_dist, general_position_check
 
@@ -74,46 +77,72 @@ def _band_limits(eps: float) -> tuple[float, float]:
     return lo * lo, hi * hi
 
 
-def _inband_blocks(P: PointSet) -> Iterator[np.ndarray]:
-    """Rows of the (n, n) in-band matrix, about `_BLOCK_PAIRS` entries at a
-    time: entry (i, j) is whether |p_i - p_j| is within eps of 1, with
-    i == j excluded."""
+def _inband_blocks(P: PointSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The unordered pairs {i, j}, i != j, each once, in blocks of about
+    `_BLOCK_PAIRS` pairs: (i, s, inband), where i and s broadcast to the
+    block's shape, the pair is {i, (i + s) mod n}, and inband is whether
+    its distance is within eps of 1.
+
+    Shifts s = 1 .. (n - 1) // 2 are taken from every i, read as a sliding
+    window over the coordinates repeated once, so a block is a plain
+    broadcast with no gather; for even n the shift n / 2 is taken from
+    i < n / 2 only. |p - q|^2 has the same bits as |q - p|^2, so every pair
+    is decided as in the full (n, n) matrix.
+    """
     cols = np.ascontiguousarray(P.points.T)
     lo2, hi2 = _band_limits(P.eps)
     n = P.n
-    rows = max(1, _BLOCK_PAIRS // max(n, 1))
-    for i0 in range(0, n, rows):
-        blk = cols[:, i0 : i0 + rows, None]
-        d2 = _sq_dist(blk, cols[:, None, :])
-        inband = (d2 >= lo2) & (d2 <= hi2)
-        # the diagonal has distance 0; it is in-band only if eps >= 1
-        if lo2 == 0.0:
-            idx = np.arange(blk.shape[1])
-            inband[idx, i0 + idx] = False
-        yield inband
+    h = (n - 1) // 2
+    if h > 0:
+        # window[k, i, s - 1] = coordinate k of p_{(i + s) mod n}
+        ext = np.concatenate([cols[:, 1:], cols[:, :h]], axis=1)
+        window = sliding_window_view(ext, h, axis=1)
+        shifts = np.arange(1, h + 1)
+        rows = max(1, _BLOCK_PAIRS // h)
+        for i0 in range(0, n, rows):
+            d2 = _sq_dist(cols[:, i0 : i0 + rows, None], window[:, i0 : i0 + rows])
+            i = np.arange(i0, i0 + d2.shape[0])[:, None]
+            yield i, shifts, (d2 >= lo2) & (d2 <= hi2)
+    if n and n % 2 == 0:
+        d2 = _sq_dist(cols[:, : n // 2], cols[:, n // 2 :])
+        yield np.arange(n // 2), np.intp(n // 2), (d2 >= lo2) & (d2 <= hi2)
 
 
 def count_unit_pairs_bruteforce(P: PointSet) -> int:
-    """O(n^2) reference count of ordered unit pairs."""
-    return sum(int(np.count_nonzero(inband)) for inband in _inband_blocks(P))
+    """O(n^2) reference count of ordered unit pairs: twice the unordered
+    pairs in the band, each evaluated once."""
+    blocks = _inband_blocks(P)
+    return 2 * sum(int(np.count_nonzero(inband)) for _, _, inband in blocks)
+
+
+def _neighbour_grid(d: int, eps: float) -> tuple[float, np.ndarray]:
+    """Cell side and offset table of the grid counter.
+
+    The side is the band's outer radius 1 + eps widened by 2^-20, which
+    covers the rounding of the cell quotients and of the squared distances
+    for coordinates below 2^30. A pair in the band then lies in one cell or
+    in two cells that touch, so the table is the zero offset and the
+    (3^d - 1) / 2 positive neighbours.
+    """
+    side = (1.0 + eps) * (1.0 + 2.0**-20)
+    # the band 1 +- eps measured in cell sides
+    return side, _compatible_offsets(d, (1.0 - eps) / side, (1.0 + eps) / side)
 
 
 def count_unit_pairs_grid(P: PointSet) -> int:
     """Cell-grid count, exactly equal to the brute-force count.
 
     Twice the number of unordered pairs that `geom._near_pairs` finds in
-    the band on cells of side 1/sqrt(d); the brute force's diagonal is out
-    of band.
+    the band on the neighbour grid (`_neighbour_grid`); the brute force's
+    diagonal is out of band.
 
-    Requires eps < 0.1: the offset pruning certifies cell pairs only for
-    bands well inside the cell geometry.
+    Requires eps < 0.1, the band the counters are specified for; the brute
+    force takes any eps.
     """
     if P.eps >= 0.1:
         raise ValueError("grid counter requires eps < 0.1")
-    root = math.sqrt(P.d)
-    # the band 1 +- eps measured in cell sides
-    offsets = _compatible_offsets(P.d, (1.0 - P.eps) * root, (1.0 + P.eps) * root)
-    pairs = _near_pairs(P.points, 1.0 / root, offsets, *_band_limits(P.eps))
+    side, offsets = _neighbour_grid(P.d, P.eps)
+    pairs = _near_pairs(P.points, side, offsets, *_band_limits(P.eps))
     return 2 * sum(i.size for i, _ in pairs)
 
 
@@ -192,8 +221,17 @@ class UnitPairReport:
 
 
 def _unit_neighbor_lists(P: PointSet) -> list[np.ndarray]:
-    """neighbors[i] = indices j != i with |p_i - p_j| within eps of 1."""
-    return [np.nonzero(row)[0] for inband in _inband_blocks(P) for row in inband]
+    """neighbors[i] = indices j != i with |p_i - p_j| within eps of 1, in
+    ascending order, from the unordered pairs of `_inband_blocks`."""
+    pairs = [(np.zeros(0, dtype=np.intp),) * 2]
+    for i, s, inband in _inband_blocks(P):
+        i, s = (a[inband] for a in np.broadcast_arrays(i, s))
+        pairs.append((i, (i + s) % P.n))
+    i, j = (np.concatenate(a) for a in zip(*pairs))
+    owner, other = np.concatenate([i, j]), np.concatenate([j, i])
+    other = other[np.argsort(owner * P.n + other)]
+    ends = np.bincount(owner, minlength=P.n).cumsum().tolist()
+    return [other[a:b] for a, b in zip([0, *ends], ends)]
 
 
 _TUPLE_CAP = 10**7

@@ -1,13 +1,17 @@
 """Discrete unit-distance counting: two independent counters and the census."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitdist import discrete
 from unitdist.discrete import (
     PointSet,
+    _neighbour_grid,
+    _unit_neighbor_lists,
     count_unit_pairs_bruteforce,
     count_unit_pairs_grid,
     normalized_pair_count_value,
@@ -89,10 +93,16 @@ def _grid_equals_brute(pts, eps):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("eps", _EDGE_EPS)
 def test_grid_counter_on_cell_boundaries(d, eps):
-    # every coordinate a multiple of the cell side 1/sqrt(d), so every point
-    # sits on cell boundaries; the all-ones step has length ~1
-    side = 1.0 / np.sqrt(d)
-    count = _grid_equals_brute(_lattice(d) * side, eps)
+    # every coordinate a multiple of the counter's cell side, so every point
+    # sits on cell boundaries, together with its copy one unit down the
+    # first axis
+    side = _neighbour_grid(d, eps)[0]
+    pts = _lattice(d) * side
+    count = _grid_equals_brute(np.vstack([pts, pts - np.eye(d)[0]]), eps)
+    if eps > 0:
+        assert count > 0
+    # on multiples of 1/sqrt(d) the all-ones step has length ~1
+    count = _grid_equals_brute(_lattice(d) / np.sqrt(d), eps)
     if eps > 0:
         assert count > 0
     # a slab one cell thick along the first axis, on the boundary x = 0
@@ -122,7 +132,7 @@ def test_grid_counter_when_cell_keys_wrap():
     # A cell box 2^32 cells wide on two axes has 2^64 cells per layer of the
     # third, so its linear cell keys, taken modulo 2^64, collapse that axis.
     # The width is scanned past any padding the counter adds to the box.
-    side = 1.0 / np.sqrt(3.0)
+    side = _neighbour_grid(3, 1e-3)[0]
     for k in range(1, 24):
         far = (2.0**32 - k + 0.5) * side
         pts = np.array(
@@ -190,10 +200,11 @@ def test_random_general_position_is_reproducible():
 def test_compatible_offsets_are_cached_read_only():
     from unitdist.geom import _compatible_offsets
 
-    # the counter's band 1 +- 1e-3 in R^3, in cell sides 1/sqrt(3)
-    band = ((1.0 - 1e-3) * np.sqrt(3.0), (1.0 + 1e-3) * np.sqrt(3.0))
-    cached = _compatible_offsets(3, *band)
+    # the counter's band 1 +- 1e-3 in R^3, in its cell sides
+    side, cached = _neighbour_grid(3, 1e-3)
+    band = ((1.0 - 1e-3) / side, (1.0 + 1e-3) / side)
     assert _compatible_offsets(3, *band) is cached
+    assert _neighbour_grid(3, 1e-3)[1] is cached
     np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, *band))
     with pytest.raises(ValueError):
         cached[0, 0] = 7
@@ -236,8 +247,6 @@ def test_sq_dist_matches_the_stacked_expression(d, a, b, seed, spread):
 def test_counters_agree_in_every_dimension(d, n, seed, eps):
     # half-lattice points realize distance 1 exactly (four half steps),
     # the rest are uniform at about unit spacing
-    if d == 8:
-        eps = 1e-3  # one 51 MB offset table for R^8 is enough
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, np.sqrt(6.0 / d), (n, d))
     pts[: n // 2] = rng.integers(0, 3, (n // 2, d)) / 2.0
@@ -249,3 +258,100 @@ def test_counters_agree_in_every_dimension(d, n, seed, eps):
 def test_counters_agree_on_two_circles(N, eps):
     P = two_circles_r4(N, seed=N)
     assert _grid_equals_brute(P.points, eps) >= 2 * N * N
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_grid_offset_table_is_the_neighbour_set(d):
+    # the zero offset, then the lexicographically positive half of
+    # {-1, 0, 1}^d in lexicographic order
+    want = [
+        v for v in itertools.product((-1, 0, 1), repeat=d) if next((x for x in v if x), 1) > 0
+    ]
+    want.sort(key=lambda v: any(v))
+    for eps in (0.0, 1e-9, 1e-3, 0.099):
+        table = _neighbour_grid(d, eps)[1]
+        assert table.shape == (1 + (3**d - 1) // 2, d)
+        assert [tuple(r) for r in table.tolist()] == want
+
+
+def _lattice_unit_pairs(N, d, m):
+    """Ordered unit pairs of {0, ..., N-1}^d / sqrt(m): the sum over the
+    integer vectors v with |v|^2 = m of prod_i (N - |v_i|)_+."""
+    r = math.isqrt(m)
+    total = 0
+    for v in itertools.product(range(-r, r + 1), repeat=d):
+        if sum(x * x for x in v) == m:
+            total += math.prod(max(N - abs(x), 0) for x in v)
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 4),
+    N=st.integers(1, 9),
+    m=st.integers(1, 30),
+)
+def test_counters_equal_the_lattice_closed_form(d, N, m):
+    # the neighbouring squared distances (m +- 1) / m are far outside the band
+    N = min(N, (40, 14, 7, 5)[d - 1] if d > 1 else N * 4)
+    grid = np.array(list(itertools.product(range(N), repeat=d)), dtype=float)
+    P = PointSet(grid / math.sqrt(m), eps=1e-9)
+    want = _lattice_unit_pairs(N, d, m)
+    assert count_unit_pairs_bruteforce(P) == want
+    assert count_unit_pairs_grid(P) == want
+
+
+def _full_matrix_neighbors(P):
+    """The in-band lists from the whole (n, n) distance matrix, diagonal
+    excluded: the construction the triangular pass replaced."""
+    cols = P.points.T
+    d2 = _sq_dist(cols[:, :, None], cols[:, None, :])
+    lo, hi = max(0.0, 1.0 - P.eps), 1.0 + P.eps
+    inband = (d2 >= lo * lo) & (d2 <= hi * hi)
+    np.fill_diagonal(inband, False)
+    return [np.flatnonzero(row) for row in inband]
+
+
+def _assert_matches_full_matrix(P):
+    want = _full_matrix_neighbors(P)
+    got = _unit_neighbor_lists(P)
+    assert len(got) == len(want) == P.n
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+    assert count_unit_pairs_bruteforce(P) == sum(w.size for w in want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 40, 41])
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3, 0.5, 1.0, 1.5])
+def test_unordered_pass_equals_the_full_matrix(n, eps):
+    # eps >= 1 puts distance 0 in the band: duplicates count, the diagonal
+    # does not
+    rng = np.random.default_rng(n)
+    pts = rng.integers(0, 3, (n, 2)) / 2.0
+    pts[n // 2 :] = rng.uniform(0.0, 2.0, (n - n // 2, 2))
+    _assert_matches_full_matrix(PointSet(pts, eps=eps))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 19, 64])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 30])
+def test_unordered_pass_across_block_boundaries(monkeypatch, block, n):
+    monkeypatch.setattr(discrete, "_BLOCK_PAIRS", block)
+    pts = np.random.default_rng(block * n).integers(0, 3, (n, 3)) / 2.0
+    for eps in (1e-9, 1.0):
+        P = PointSet(pts, eps=eps)
+        _assert_matches_full_matrix(P)
+        # the census reads the same lists
+        monkeypatch.setattr(discrete, "_unit_neighbor_lists", _full_matrix_neighbors)
+        want = unit_step_census(P)
+        monkeypatch.undo()
+        monkeypatch.setattr(discrete, "_BLOCK_PAIRS", block)
+        assert unit_step_census(P) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-9, 1.0, 2.0])
+def test_census_of_tiny_sets_equals_the_full_matrix(monkeypatch, n, eps):
+    P = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])[:n], eps=eps)
+    got = unit_step_census(P)
+    monkeypatch.setattr(discrete, "_unit_neighbor_lists", _full_matrix_neighbors)
+    assert got == unit_step_census(P)
