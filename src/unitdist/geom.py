@@ -119,7 +119,7 @@ def _compatible_offsets(d: int, lo: float, hi: float) -> np.ndarray:
 
     Memoized per (d, lo, hi), since every search at the same dimension and
     band rebuilds the same table; the shared array is read-only. The cache
-    is bounded because a d = 8 table for a unit band alone holds 51 MB.
+    is bounded because every new band is a new key.
     """
     reach = int(math.ceil(hi)) + 1
     steps = np.arange(-reach, reach + 1)
@@ -287,15 +287,22 @@ def general_position_check(
 
     # Floyd's algorithm, one column for all rows at a time: column k draws
     # t uniform on [0, j], j = n - d + k, and takes j instead if the row
-    # already holds t.
+    # already holds t. The columns are rows of a (d, m) array, and an
+    # odd-even transposition network of d rounds sorts each tuple.
     rng = np.random.default_rng(seed)
-    combos = np.empty((sample_count, d), dtype=np.intp)
+    cols = np.empty((d, sample_count), dtype=np.intp)
     for k, j in enumerate(range(n - d, n)):
         t = rng.integers(0, j + 1, size=sample_count)
-        taken = (combos[:, :k] == t[:, None]).any(axis=1)
-        combos[:, k] = np.where(taken, j, t)
-    combos.sort(axis=1)
-    bad = _first_bad(pts, combos, tol)
+        taken = np.zeros(sample_count, dtype=bool)
+        for earlier in cols[:k]:
+            taken |= earlier == t
+        cols[k] = np.where(taken, j, t)
+    for r in range(d):
+        for a in range(r % 2, d - 1, 2):
+            low = np.minimum(cols[a], cols[a + 1])
+            np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
+            cols[a] = low
+    bad = _first_bad(pts, cols.T, tol)
     return GeneralPositionReport(bad is None, bad, mode, sample_count)
 
 
@@ -331,18 +338,21 @@ def _independent_screen(pts: np.ndarray, combos: np.ndarray, tol: float) -> np.n
     each h_k^2 in the normal range, where the analysis holds. Overflow
     (F = inf) and zero heights give NaN or 0, which never pass.
     """
-    cols = pts.T[:, combos.T]  # (axis, point, tuple)
-    rows = np.moveaxis(cols[:, 1:] - cols[:, :1], 1, 0)  # (row, axis, tuple)
+    # one contiguous (axis, point, tuple) gather; the differences, then the
+    # orthonormal rows, overwrite it in place
+    cols = np.take(pts.T, combos.T, axis=1)
+    cols[:, 1:] -= cols[:, :1]
+    rows = np.moveaxis(cols[:, 1:], 1, 0)  # (row, axis, tuple)
     fro = np.sqrt(np.einsum("rkm,rkm->m", rows, rows))
     bound = fro.copy()
     basis = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for row in rows:
-            v = row.copy()
+        for v in rows:
             for q in basis:
                 v -= np.einsum("km,km->m", v, q) * q
             h = np.sqrt(np.einsum("km,km->m", v, v))
-            basis.append(v / h)
+            v /= h
+            basis.append(v)
             bound *= h / fro
         return bound * (1.0 - _SCREEN_MARGIN) > (
             max(tol, _SCREEN_FLOOR) + _SCREEN_MARGIN * fro

@@ -428,3 +428,79 @@ def test_squared_limits_decide_like_the_square_root(lo, hi):
         for _ in range(80):
             assert (lo2 <= s <= hi2) == (lo <= math.sqrt(s) <= hi)
             s = math.nextafter(s, math.inf)
+
+
+def _floyd_rows(n, d, sample_count, seed):
+    """The sampled mode's tuples as first built: Floyd's columns against an
+    (m, k) comparison of the earlier ones, then a row sort."""
+    rng = np.random.default_rng(seed)
+    combos = np.empty((sample_count, d), dtype=np.intp)
+    for k, j in enumerate(range(n - d, n)):
+        t = rng.integers(0, j + 1, size=sample_count)
+        taken = (combos[:, :k] == t[:, None]).any(axis=1)
+        combos[:, k] = np.where(taken, j, t)
+    combos.sort(axis=1)
+    return combos
+
+
+def _oracle_report(pts, tol, mode, sample_count, seed):
+    """(ok, witness, subsets_tested) from the first-built tuples and the
+    SVD alone, in blocks of 65536 exhaustive tuples."""
+    n, d = pts.shape
+    if n < d:
+        return True, None, 0
+    if mode == "sampled":
+        bad = _svd_first_bad(pts, _floyd_rows(n, d, sample_count, seed), tol)
+        return bad is None, bad, sample_count
+    combos = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
+    for end in range(65536, combos.shape[0] + 65536, 65536):
+        bad = _svd_first_bad(pts, combos[end - 65536 : end], tol)
+        if bad is not None:
+            return False, bad, min(end, combos.shape[0])
+    return True, None, combos.shape[0]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("sample_count", [1, 10_000])
+def test_sampled_tuples_equal_the_first_built_draws(monkeypatch, d, sample_count):
+    import unitdist.geom as geom
+
+    drawn = []
+    first_bad = geom._first_bad
+
+    def record(pts, combos, tol):
+        drawn.append(np.array(combos))
+        return first_bad(pts, combos, tol)
+
+    monkeypatch.setattr(geom, "_first_bad", record)
+    for n in (d, d + 1, 3 * d, 200):
+        pts = np.random.default_rng(n).normal(size=(n, d))
+        general_position_check(pts, mode="sampled", sample_count=sample_count, seed=n + d)
+        want = _floyd_rows(n, d, sample_count, n + d)
+        assert drawn.pop().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("kind", ["random", "duplicate", "collinear", "flat", "grid"])
+def test_reports_equal_the_svd_oracle_on_degenerate_sets(d, kind):
+    rng = np.random.default_rng(d)
+    n = 3 * d + 4
+    pts = rng.uniform(0.0, 3.0, (n, d))
+    if kind == "duplicate":
+        pts[n - 2] = pts[1]
+    elif kind == "collinear":
+        pts[n // 2] = pts[0] + 0.3 * (pts[1] - pts[0])
+    elif kind == "flat":
+        pts[:, -1] = 0.0  # every point in one hyperplane
+    elif kind == "grid":
+        pts = rng.integers(0, 2, (n, d)).astype(float)
+    for mode, sample_count, seed in (
+        ("exhaustive", 0, 0),
+        ("sampled", 1, 3),
+        ("sampled", 400, 5),
+        ("sampled", 10_000, 7),
+    ):
+        for tol in (1e-9, 1e-3):
+            rep = general_position_check(pts, tol, mode, sample_count, seed)
+            want = _oracle_report(pts, tol, mode, sample_count, seed)
+            assert (rep.ok, rep.witness, rep.subsets_tested) == want
