@@ -483,6 +483,15 @@ def _lattice_blocks(U: IntervalUnion, den: int) -> tuple[np.ndarray, np.ndarray]
     return a + b, 2 * (b - a)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending: what np.unique(x) returns, from
+    one sort. (NumPy 2.4's np.unique(x) imports numpy.ma on first use.)"""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _sum_by_value(vals: np.ndarray, cnts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of vals, ascending, each with the sum of its
     cnts. vals is a few sorted runs laid end to end, which the stable sort
@@ -533,7 +542,7 @@ def _difference_atoms(
     integers on the shared lattice. This is the generic path: it forms all
     N^2 differences, whatever the union.
     """
-    by_class = [(centers[lengths == la], int(la)) for la in np.unique(lengths)]
+    by_class = [(centers[lengths == la], int(la)) for la in _distinct(lengths)]
     return [
         (*_pair_differences(ca, cb), la, lb) for ca, la in by_class for cb, lb in by_class
     ]
@@ -615,7 +624,7 @@ def _translate_atoms(
     cut = overlap > 0
     classes = [(unit, int(L), 1)]
     for cs, ls, sign in ((centers[long], lengths[long], 1), (c[cut], overlap[cut], -1)):
-        classes += [(cs[ls == la], int(la), sign) for la in np.unique(ls)]
+        classes += [(cs[ls == la], int(la), sign) for la in _distinct(ls)]
     out = [(*_convolved_differences(ts), int(L), int(L))]
     for ca, la, sa in classes:
         for cb, lb, sb in classes:
@@ -783,7 +792,7 @@ def _kink_free_pieces(fn: _BandIntegrand):
         parts = [breaks[i0 : i0 + _WINDOW], [s1], fixed[(fixed > s0) & (fixed < s1)]]
         for k in kinks:
             parts.append(k[np.searchsorted(k, s0, "right") : np.searchsorted(k, s1)])
-        cuts = np.unique(np.concatenate(parts))
+        cuts = _distinct(np.concatenate(parts))
         a, b = cuts[:-1], cuts[1:]
         mid = 0.5 * (a + b)
         kf = np.searchsorted(fn.fx, mid, "right") - 1

@@ -568,6 +568,56 @@ def test_dense_bracket_bits_do_not_depend_on_the_blas_thread_count():
     assert runs[0] == runs[1]
 
 
+_MA_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit()
+from unitdist import cli
+cantor = {"kind": "cantor", "p": 1, "q": 2}
+configs = [
+    {"axes": [dict(cantor, shift=1), cantor], "deltas": ["2^-18", "2^-19"]},
+    {"axes": [{"kind": "points", "at": [0, "1/3", 1]}, cantor], "deltas": ["2^-18", "2^-19"]},
+]
+with tempfile.TemporaryDirectory() as tmp:
+    for i, cfg in enumerate(configs):
+        path = Path(tmp) / f"{i}.json"
+        path.write_text(json.dumps({**cfg, "method": "product"}))
+        # exit 2: a two-scale fit falls outside the bound table
+        assert cli.run_config(path, kind="sweep", out_override=Path(tmp) / str(i)) in (0, 2)
+        assert (Path(tmp) / str(i) / "scaling.csv").exists()
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_atoms_sweeps_do_not_import_numpy_ma():
+    # np.unique(x) imports numpy.ma on first use (NumPy 2.4), a cost every
+    # product run would pay; the atoms route dedupes by one sort instead
+    src = str(Path(unitdist.measure.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    if out == ["preloaded"]:
+        pytest.skip("this NumPy loads numpy.ma with numpy itself")
+    assert out == ["False"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-5, 5) | st.floats(-3.0, 3.0, width=16), max_size=30))
+def test_distinct_equals_unique(values):
+    for dtype in (np.int64, np.float64):
+        x = np.array(values).astype(dtype)
+        want = np.unique(x)
+        got = unitdist.measure._distinct(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_product_dense_spacing_override_converges():
     # the bracket narrows about linearly with the spacing, and both hold the
     # atoms value (the trapezoid value itself is 2^-19 at both spacings)
