@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import _compatible_offsets, _near_pairs, _sq_dist, general_position_check
 
@@ -77,13 +76,13 @@ def _band_limits(eps: float) -> tuple[float, float]:
     return lo * lo, hi * hi
 
 
-def _inband_blocks(P: PointSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _inband_blocks(P: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The unordered pairs {i, j}, i != j, each once, in blocks of about
-    `_BLOCK_PAIRS` pairs: (i, s, inband), where i and s broadcast to the
-    block's shape, the pair is {i, (i + s) mod n}, and inband is whether
-    its distance is within eps of 1.
+    `_BLOCK_PAIRS` pairs: (i0, shifts, inband), where entry (r, c) of the
+    bool array inband is whether pair {i, (i + shifts[c]) mod n}, i = i0 + r,
+    has its distance within eps of 1.
 
-    Shifts s = 1 .. (n - 1) // 2 are taken from every i, read as a sliding
+    Shifts 1 .. (n - 1) // 2 are taken from every i, read as a sliding
     window over the coordinates repeated once, so a block is a plain
     broadcast with no gather; for even n the shift n / 2 is taken from
     i < n / 2 only. |p - q|^2 has the same bits as |q - p|^2, so every pair
@@ -91,21 +90,21 @@ def _inband_blocks(P: PointSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     """
     cols = np.ascontiguousarray(P.points.T)
     lo2, hi2 = _band_limits(P.eps)
-    n = P.n
+    d, n = cols.shape
     h = (n - 1) // 2
     if h > 0:
-        # window[k, i, s - 1] = coordinate k of p_{(i + s) mod n}
+        # window[k, i, s - 1] = ext[k, i + s - 1] = coordinate k of p_{(i + s) mod n}
         ext = np.concatenate([cols[:, 1:], cols[:, :h]], axis=1)
-        window = sliding_window_view(ext, h, axis=1)
+        step = ext.strides[1]
+        window = np.ndarray((d, n, h), ext.dtype, ext, 0, (ext.strides[0], step, step))
         shifts = np.arange(1, h + 1)
         rows = max(1, _BLOCK_PAIRS // h)
         for i0 in range(0, n, rows):
             d2 = _sq_dist(cols[:, i0 : i0 + rows, None], window[:, i0 : i0 + rows])
-            i = np.arange(i0, i0 + d2.shape[0])[:, None]
-            yield i, shifts, (d2 >= lo2) & (d2 <= hi2)
+            yield i0, shifts, (d2 >= lo2) & (d2 <= hi2)
     if n and n % 2 == 0:
-        d2 = _sq_dist(cols[:, : n // 2], cols[:, n // 2 :])
-        yield np.arange(n // 2), np.intp(n // 2), (d2 >= lo2) & (d2 <= hi2)
+        d2 = _sq_dist(cols[:, : n // 2, None], cols[:, n // 2 :, None])
+        yield 0, np.array([n // 2]), (d2 >= lo2) & (d2 <= hi2)
 
 
 def count_unit_pairs_bruteforce(P: PointSet) -> int:
@@ -223,14 +222,15 @@ class UnitPairReport:
 def _unit_neighbor_lists(P: PointSet) -> list[np.ndarray]:
     """neighbors[i] = indices j != i with |p_i - p_j| within eps of 1, in
     ascending order, from the unordered pairs of `_inband_blocks`."""
+    n = P.n
     pairs = [(np.zeros(0, dtype=np.intp),) * 2]
-    for i, s, inband in _inband_blocks(P):
-        i, s = (a[inband] for a in np.broadcast_arrays(i, s))
-        pairs.append((i, (i + s) % P.n))
+    for i0, shifts, inband in _inband_blocks(P):
+        r, c = inband.nonzero()
+        pairs.append((i0 + r, (i0 + r + shifts[c]) % n))
     i, j = (np.concatenate(a) for a in zip(*pairs))
     owner, other = np.concatenate([i, j]), np.concatenate([j, i])
-    other = other[np.argsort(owner * P.n + other)]
-    ends = np.bincount(owner, minlength=P.n).cumsum().tolist()
+    other = other[np.argsort(owner * n + other)]
+    ends = np.bincount(owner, minlength=n).cumsum().tolist()
     return [other[a:b] for a, b in zip([0, *ends], ends)]
 
 
