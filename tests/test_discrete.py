@@ -102,7 +102,7 @@ def test_grid_counter_on_cell_boundaries(d, eps):
     if eps > 0:
         assert count > 0
     # on multiples of 1/sqrt(d) the all-ones step has length ~1
-    count = _grid_equals_brute(_lattice(d) / np.sqrt(d), eps)
+    count = _grid_equals_brute(_lattice(d) * (1.0 / np.sqrt(d)), eps)
     if eps > 0:
         assert count > 0
     # a slab one cell thick along the first axis, on the boundary x = 0
