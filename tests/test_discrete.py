@@ -312,6 +312,13 @@ def _full_matrix_neighbors(P):
     return [np.flatnonzero(row) for row in inband]
 
 
+def _full_matrix_census(monkeypatch, P):
+    """The census computed from the full-matrix neighbour lists."""
+    with monkeypatch.context() as m:
+        m.setattr(discrete, "_unit_neighbor_lists", _full_matrix_neighbors)
+        return unit_step_census(P)
+
+
 def _assert_matches_full_matrix(P):
     want = _full_matrix_neighbors(P)
     got = _unit_neighbor_lists(P)
@@ -340,18 +347,11 @@ def test_unordered_pass_across_block_boundaries(monkeypatch, block, n):
     for eps in (1e-9, 1.0):
         P = PointSet(pts, eps=eps)
         _assert_matches_full_matrix(P)
-        # the census reads the same lists
-        monkeypatch.setattr(discrete, "_unit_neighbor_lists", _full_matrix_neighbors)
-        want = unit_step_census(P)
-        monkeypatch.undo()
-        monkeypatch.setattr(discrete, "_BLOCK_PAIRS", block)
-        assert unit_step_census(P) == want
+        assert unit_step_census(P) == _full_matrix_census(monkeypatch, P)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("eps", [1e-9, 1.0, 2.0])
 def test_census_of_tiny_sets_equals_the_full_matrix(monkeypatch, n, eps):
     P = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])[:n], eps=eps)
-    got = unit_step_census(P)
-    monkeypatch.setattr(discrete, "_unit_neighbor_lists", _full_matrix_neighbors)
-    assert got == unit_step_census(P)
+    assert unit_step_census(P) == _full_matrix_census(monkeypatch, P)
