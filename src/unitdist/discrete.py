@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import _compatible_offsets, _near_pairs, _sq_dist, general_position_check
+from .geom import _near_pairs, _sq_dist, general_position_check
 
 __all__ = [
     "PointSet",
@@ -114,18 +114,15 @@ def count_unit_pairs_bruteforce(P: PointSet) -> int:
     return 2 * sum(int(np.count_nonzero(inband)) for _, _, inband in blocks)
 
 
-def _neighbour_grid(d: int, eps: float) -> tuple[float, np.ndarray]:
-    """Cell side and offset table of the grid counter.
+def _neighbour_grid(eps: float) -> float:
+    """Cell side of the grid counter.
 
     The side is the band's outer radius 1 + eps widened by 2^-20, which
     covers the rounding of the cell quotients and of the squared distances
     for coordinates below 2^30. A pair in the band then lies in one cell or
-    in two cells that touch, so the table is the zero offset and the
-    (3^d - 1) / 2 positive neighbours.
+    in two cells that touch, which is what `geom._near_pairs` searches.
     """
-    side = (1.0 + eps) * (1.0 + 2.0**-20)
-    # the band 1 +- eps measured in cell sides
-    return side, _compatible_offsets(d, (1.0 - eps) / side, (1.0 + eps) / side)
+    return (1.0 + eps) * (1.0 + 2.0**-20)
 
 
 def count_unit_pairs_grid(P: PointSet) -> int:
@@ -140,8 +137,7 @@ def count_unit_pairs_grid(P: PointSet) -> int:
     """
     if P.eps >= 0.1:
         raise ValueError("grid counter requires eps < 0.1")
-    side, offsets = _neighbour_grid(P.d, P.eps)
-    pairs = _near_pairs(P.points, side, offsets, *_band_limits(P.eps))
+    pairs = _near_pairs(P.points, _neighbour_grid(P.eps), *_band_limits(P.eps))
     return 2 * sum(i.size for i, _ in pairs)
 
 

@@ -18,9 +18,10 @@ circumcenter and unit normal; d = 1 is the frame with no rows.
 The squared distances between point arrays in `discrete`, `geom` and
 `incidence` are all summed one axis at a time by the one kernel `_sq_dist`.
 `_near_pairs` is the package's one near-pair search: the unordered pairs of a
-point array whose squared distance lies in a closed band, found through
-sorted linear cell keys and a memoized table of compatible cell offsets. The
-grid unit-pair counter and the separated nets both run on it.
+point array whose squared distance lies in a closed band narrower than one
+cell side, found through sorted linear cell keys and one fixed stencil of
+neighbouring cells, {-1, 0, 1}^d up to sign. The grid unit-pair counter and
+the separated nets both run on it.
 """
 from __future__ import annotations
 
@@ -102,42 +103,15 @@ def _sq_dist(x, y) -> np.ndarray:
     return acc
 
 
-@functools.lru_cache(maxsize=16)
-def _compatible_offsets(d: int, lo: float, hi: float) -> np.ndarray:
-    """Integer cell offsets that can realize a distance in [lo, hi], measured
-    in cell sides: the zero offset, then the nonzero ones.
-
-    For offset Delta the distance between points of cells k and k + Delta
-    lies in [sqrt(sum max(0,|Di|-1)^2), sqrt(sum (|Di|+1)^2)]; keep offsets
-    whose range meets the band. Only the lexicographically positive half is
-    kept (each unordered cell pair is visited once).
-
-    Returned as a (k, d) int64 array, nonzero rows in lexicographic order.
-    The cube is built one axis at a time, dropping a prefix once its near
-    bound exceeds the band (the bound only grows with more axes) or its
-    first nonzero step is negative.
-
-    Memoized per (d, lo, hi), since every search at the same dimension and
-    band rebuilds the same table; the shared array is read-only. The cache
-    is bounded because every new band is a new key.
+@functools.cache
+def _neighbour_stencil(d: int) -> np.ndarray:
+    """The cell offsets that can hold a pair closer than one cell side, each
+    unordered cell pair once: the zero row, then the lexicographically
+    positive half of {-1, 0, 1}^d in lexicographic order, which are the
+    cube's middle row and the rows after it. Memoized per d, read-only.
     """
-    reach = int(math.ceil(hi)) + 1
-    steps = np.arange(-reach, reach + 1)
-    out = np.zeros((1, 0), dtype=np.int8)
-    near2 = far2 = lead = np.zeros(1, dtype=np.int64)
-    for _ in range(d):
-        k = out.shape[0]
-        out = np.column_stack(
-            [np.repeat(out, steps.size, axis=0), np.tile(steps.astype(np.int8), k)]
-        )
-        near2 = (near2[:, None] + np.maximum(0, np.abs(steps) - 1) ** 2).ravel()
-        far2 = (far2[:, None] + (np.abs(steps) + 1) ** 2).ravel()
-        # sign of the first nonzero step so far
-        lead = np.where(lead[:, None] != 0, lead[:, None], np.sign(steps)).ravel()
-        keep = (np.sqrt(near2) <= hi) & (lead >= 0)
-        out, near2, far2, lead = out[keep], near2[keep], far2[keep], lead[keep]
-    keep = (np.sqrt(far2) >= lo) & (lead > 0)
-    out = np.concatenate([np.zeros((1, d), dtype=np.int64), out[keep]])
+    cube = np.indices((3,) * d).reshape(d, -1).T - 1
+    out = np.ascontiguousarray(cube[(3**d - 1) // 2 :])
     out.setflags(write=False)
     return out
 
@@ -147,15 +121,14 @@ def _linear_keys(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """uint64 keys of cells and of offsets with key(k + D) = key(k) + key(D).
 
-    Mixed-radix over the occupied box padded by the largest offset, so a
+    Mixed-radix over the occupied box padded by the stencil's one cell, so a
     neighbor cell never wraps into another row. The keys are exact (one key
     per cell) when the padded box has at most 2^64 cells; otherwise they
     wrap modulo 2^64, the additive identity still holds, and the returned
     flag tells the caller to check candidate pairs' cells.
     """
-    pad = int(np.abs(offsets).max(initial=0))
-    base = cells.min(axis=0) - pad
-    spans = [s + pad + 1 for s in (cells.max(axis=0) - base).tolist()]
+    base = cells.min(axis=0) - 1
+    spans = [s + 2 for s in (cells.max(axis=0) - base).tolist()]
     strides = [math.prod(spans[:i]) for i in range(len(spans))]
     exact = math.prod(spans) <= 2**64
     radix = np.array([s % 2**64 for s in strides], dtype=np.uint64)
@@ -166,25 +139,32 @@ def _linear_keys(
 
 
 def _near_pairs(
-    pts: np.ndarray, side: float, offsets: np.ndarray, lo2: float, hi2: float
+    pts: np.ndarray, side: float, lo2: float, hi2: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Blocks (i, j) of the unordered pairs of rows of `pts`, i != j, whose
     `_sq_dist` lies in the closed band [lo2, hi2]; each pair appears once.
 
-    Rows go to cells of side `side` (floor(p / side)) and are sorted by
-    linear cell key. Every occupied cell looks up its neighbors at
-    `offsets` (a `_compatible_offsets` table covering the band in cell
-    units) with `searchsorted` on the sorted keys; when the keys wrap, a
-    candidate pair is kept only if its cells differ by its offset. Inside
-    one cell (the zero offset) each pair is taken once, with i < j; a
-    nonzero offset is one of a +-pair, so its pairs are unordered already.
-    Queries go in blocks of `_CHUNK` offsets (at most `_CHUNK * n` keys)
-    and candidate pairs in blocks of `_CHUNK * n // 4`, which keeps working
-    memory O(`_CHUNK` n).
+    The band must lie inside one cell side (hi2 < side^2), so a pair in it
+    lies in one cell or in two cells that touch; a wider band raises
+    ValueError rather than losing pairs. Rows go to cells of side `side`
+    (floor(p / side)) and are sorted by linear cell key. Every occupied
+    cell looks up its neighbors at the offsets of `_neighbour_stencil` with
+    `searchsorted` on the sorted keys; when the keys wrap, a candidate pair
+    is kept only if its cells differ by its offset. Inside one cell (the
+    zero offset) each pair is taken once, with i < j; a nonzero offset is
+    one of a +-pair, so its pairs are unordered already. Queries go in
+    blocks of `_CHUNK` offsets (at most `_CHUNK * n` keys) and candidate
+    pairs in blocks of `_CHUNK * n // 4`, which keeps working memory
+    O(`_CHUNK` n).
     """
-    n = pts.shape[0]
+    n, d = pts.shape
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension {d} outside 1..{MAX_DIM}")
+    if not hi2 < side * side:
+        raise ValueError(f"band [{lo2}, {hi2}] does not fit inside cell side {side}")
     if n == 0:
         return
+    offsets = _neighbour_stencil(d)
     cells = np.floor(pts / side).astype(np.int64)
     keys, okeys, exact = _linear_keys(cells, offsets)
     order = keys.argsort(kind="stable")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import _compatible_offsets, _near_pairs, _sq_dist, _squared_limits
+from .geom import _near_pairs, _sq_dist, _squared_limits
 from .grids import GridIndicator, _certified_counts, fft_length
 
 __all__ = [
@@ -106,23 +106,21 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
 
     The selection is a sweep over a neighbor graph: its edges are the pairs
     whose squared distance is below r * r, found by `geom._near_pairs` on
-    cubes of side r, where only the zero offset and one of each +-pair of
-    neighboring cubes can hold them. One pass in row order over each
-    point's later neighbors then keeps every point that no earlier kept
-    point has blocked.
+    cubes of side r, where only one cube or two that touch can hold them.
+    One pass in row order over each point's later neighbors then keeps
+    every point that no earlier kept point has blocked.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2:
         raise ValueError("points must be an (n, d) array")
     if not (r > 0):
         raise ValueError("r must be positive")
-    n, d = pts.shape
+    n = pts.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    # closed bands just short of one cube side and of r * r: a pair is an
-    # edge exactly when its squared distance is below r * r
-    offsets = _compatible_offsets(d, 0.0, math.nextafter(1.0, 0.0))
-    pairs = list(_near_pairs(pts, r, offsets, 0.0, math.nextafter(r * r, 0.0)))
+    # a closed band just short of r * r: a pair is an edge exactly when its
+    # squared distance is below r * r
+    pairs = list(_near_pairs(pts, r, 0.0, math.nextafter(r * r, 0.0)))
     p, q = (np.concatenate(c) for c in zip(*pairs))
     first = np.minimum(p, q)
     by_first = np.argsort(first)

@@ -19,7 +19,7 @@ from unitdist.discrete import (
     two_circles_r4,
     unit_step_census,
 )
-from unitdist.geom import _sq_dist
+from unitdist.geom import _near_pairs, _neighbour_stencil, _sq_dist
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -96,7 +96,7 @@ def test_grid_counter_on_cell_boundaries(d, eps):
     # every coordinate a multiple of the counter's cell side, so every point
     # sits on cell boundaries, together with its copy one unit down the
     # first axis
-    side = _neighbour_grid(d, eps)[0]
+    side = _neighbour_grid(eps)
     pts = _lattice(d) * side
     count = _grid_equals_brute(np.vstack([pts, pts - np.eye(d)[0]]), eps)
     if eps > 0:
@@ -132,7 +132,7 @@ def test_grid_counter_when_cell_keys_wrap():
     # A cell box 2^32 cells wide on two axes has 2^64 cells per layer of the
     # third, so its linear cell keys, taken modulo 2^64, collapse that axis.
     # The width is scanned past any padding the counter adds to the box.
-    side = _neighbour_grid(3, 1e-3)[0]
+    side = _neighbour_grid(1e-3)
     for k in range(1, 24):
         far = (2.0**32 - k + 0.5) * side
         pts = np.array(
@@ -197,22 +197,19 @@ def test_random_general_position_is_reproducible():
     assert not np.array_equal(A.points, C.points)
 
 
-def test_compatible_offsets_are_cached_read_only():
-    from unitdist.geom import _compatible_offsets
-
-    # the counter's band 1 +- 1e-3 in R^3, in its cell sides
-    side, cached = _neighbour_grid(3, 1e-3)
-    band = ((1.0 - 1e-3) / side, (1.0 + 1e-3) / side)
-    assert _compatible_offsets(3, *band) is cached
-    assert _neighbour_grid(3, 1e-3)[1] is cached
-    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, *band))
+def test_neighbour_stencil_is_cached_read_only():
+    cached = _neighbour_stencil(3)
+    assert _neighbour_stencil(3) is cached
+    np.testing.assert_array_equal(cached, _neighbour_stencil.__wrapped__(3))
     with pytest.raises(ValueError):
         cached[0, 0] = 7
-    # counting reuses the table and leaves it as built
+    # counting reuses the stencil and leaves it as built
+    hits = _neighbour_stencil.cache_info().hits
     pts = random_general_position(40, 3, seed=2).points
     P = PointSet(pts, eps=1e-3)
     assert count_unit_pairs_grid(P) == count_unit_pairs_bruteforce(P)
-    np.testing.assert_array_equal(cached, _compatible_offsets.__wrapped__(3, *band))
+    assert _neighbour_stencil.cache_info().hits > hits
+    np.testing.assert_array_equal(cached, _neighbour_stencil.__wrapped__(3))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -268,10 +265,30 @@ def test_grid_offset_table_is_the_neighbour_set(d):
         v for v in itertools.product((-1, 0, 1), repeat=d) if next((x for x in v if x), 1) > 0
     ]
     want.sort(key=lambda v: any(v))
-    for eps in (0.0, 1e-9, 1e-3, 0.099):
-        table = _neighbour_grid(d, eps)[1]
-        assert table.shape == (1 + (3**d - 1) // 2, d)
-        assert [tuple(r) for r in table.tolist()] == want
+    table = _neighbour_stencil(d)
+    assert table.shape == (1 + (3**d - 1) // 2, d)
+    assert table.dtype == np.int64
+    assert [tuple(r) for r in table.tolist()] == want
+
+
+@pytest.mark.parametrize("side", [1.0, 0.75, 1e-3])
+@pytest.mark.parametrize("n", [0, 2])
+def test_near_pairs_refuses_a_band_wider_than_one_cell(side, n):
+    # the stencil reaches one cell, so a band reaching side^2 could lose
+    # pairs; it is refused even for an empty point array
+    pts = np.zeros((n, 2))
+    inside = math.nextafter(side * side, 0.0)
+    assert sum(i.size for i, _ in _near_pairs(pts, side, 0.0, inside)) == n // 2
+    for hi2 in (side * side, 4.0 * side * side, math.inf, math.nan):
+        with pytest.raises(ValueError, match="does not fit inside cell side"):
+            list(_near_pairs(pts, side, 0.0, hi2))
+
+
+@pytest.mark.parametrize("d", [0, 9])
+def test_near_pairs_refuses_dimensions_outside_1_to_8(d):
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"dimension {d} outside 1..8"):
+            list(_near_pairs(np.zeros((n, d)), 1.0, 0.0, 0.5))
 
 
 def _lattice_unit_pairs(N, d, m):
