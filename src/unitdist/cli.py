@@ -55,18 +55,6 @@ from .scaling import (
 )
 from .spectral import ball_convolution_l2, mollify_transform, weighted_energy
 
-KINDS = (
-    "count",
-    "frames",
-    "cantor",
-    "sweep",
-    "alpha-verify",
-    "spectral",
-    "incidence",
-    "report",
-)
-
-
 class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
@@ -176,9 +164,16 @@ def _unit_open(x) -> float:
     return v
 
 
+def _list(x) -> list:
+    """A JSON list, nothing else: no string, number or null."""
+    if not isinstance(x, list):
+        raise TypeError(f"expected a list, got {x!r}")
+    return x
+
+
 def _each(convert):
-    """A cast that converts every entry of a list, into a tuple."""
-    return lambda xs: tuple(convert(x) for x in xs)
+    """A cast that converts every entry of a JSON list, into a tuple."""
+    return lambda xs: tuple(convert(x) for x in _list(xs))
 
 
 def _axis_from_config(spec, where: str):
@@ -415,14 +410,14 @@ _SCALING_SCHEMA = ["label", "d", "alpha", "delta", "value", "value_low", "value_
 
 def _run_sweep(cfg: dict, run: _Run) -> int:
     where = "sweep config"
-    axes_cfg = _take(cfg, "axes", required=True, where=where)
+    axes_cfg = _take(cfg, "axes", required=True, where=where, cast=_list)
     deltas = _take(cfg, "deltas", required=True, where=where, cast=_each(_scale))
     method = _take(cfg, "method", default="grid", where=where)
     if method not in ("grid", "product"):
         raise ConfigError(f"field 'method' in {where}: unknown sweep method {method!r}")
     widthm = _take(cfg, "width_multiplier", default=2.0, where=where, cast=_finite)
     tol = _take(cfg, "tol", default=0.2, where=where, cast=_finite)
-    label = _take(cfg, "label", default="sweep", where=where, cast=str)
+    label = _take(cfg, "label", default="sweep", where=where, cast=_string)
     alpha_cfg = _take(cfg, "alpha", where=where, cast=_finite)
     _done(cfg, where)
 
@@ -542,7 +537,7 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
 
 def _run_incidence(cfg: dict, run: _Run) -> int:
     where = "incidence config"
-    axes_cfg = _take(cfg, "axes", required=True, where=where)
+    axes_cfg = _take(cfg, "axes", required=True, where=where, cast=_list)
     delta = _take(cfg, "delta", required=True, where=where, cast=_scale)
     cell = _take(cfg, "cell", where=where, cast=_scale)
     lam = _take(cfg, "lam", where=where, cast=_finite)
@@ -735,7 +730,7 @@ def main(argv=None) -> int:
         "unit-distance measurements",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind in _RUNNERS:
         sp = sub.add_parser(kind, help=f"run a '{kind}' experiment config")
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
