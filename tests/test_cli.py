@@ -761,6 +761,28 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
         ),
         # a sweep label is a JSON string, as every other label and kind
         ("sweep", {"axes": _AXES, "deltas": ["2^-5"], "label": ["x"]}, "label", "sweep config"),
+        # list fields take JSON lists only; a string is not a list of its characters
+        ("sweep", {"axes": 5, "deltas": ["2^-5"]}, "axes", "sweep config"),
+        ("sweep", {"axes": None, "deltas": ["2^-5"]}, "axes", "sweep config"),
+        ("incidence", {"axes": _AXES[0], "delta": "2^-4"}, "axes", "incidence config"),
+        ("sweep", {"axes": _AXES, "deltas": "2^-5"}, "deltas", "sweep config"),
+        (
+            "sweep",
+            {
+                "axes": [{"kind": "points", "at": "01"}],
+                "deltas": ["2^-5", "2^-6"],
+                "method": "product",
+            },
+            "at",
+            "sweep.axes[0]",
+        ),
+        ("spectral", {"p": 1, "q": 2, "delta_exps": 6}, "delta_exps", "spectral config"),
+        (
+            "spectral",
+            {"p": 1, "q": 2, "delta_exps": [6], "r_exps": "45"},
+            "r_exps",
+            "spectral config",
+        ),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, monkeypatch, kind, cfg, field, where):
@@ -810,37 +832,6 @@ def test_integer_fields_refuse_fractions_booleans_and_negative_exponents(
     path = _write(tmp_path / "c.json", cfg)
     assert main([kind, "--config", path, "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith(f"error: field '{field}' in {where}: ")
-
-
-_SWEEP = {"axes": _AXES, "deltas": ["2^-5", "2^-6"]}
-
-
-@pytest.mark.parametrize(
-    "kind, cfg, field, where",
-    [
-        ("sweep", {**_SWEEP, "axes": 5}, "axes", "sweep config"),
-        ("sweep", {**_SWEEP, "axes": None}, "axes", "sweep config"),
-        ("incidence", {"axes": _AXES[0], "delta": "2^-4"}, "axes", "incidence config"),
-        ("sweep", {**_SWEEP, "deltas": "2^-5"}, "deltas", "sweep config"),
-        # a string is not a list of its characters
-        (
-            "sweep",
-            {**_SWEEP, "axes": [{"kind": "points", "at": "01"}], "method": "product"},
-            "at",
-            "sweep.axes[0]",
-        ),
-        ("spectral", {**_SPECTRAL, "delta_exps": 6}, "delta_exps", "spectral config"),
-        ("spectral", {**_SPECTRAL, "r_exps": "45"}, "r_exps", "spectral config"),
-    ],
-)
-def test_list_fields_take_json_lists_only(tmp_path, capsys, kind, cfg, field, where):
-    out = tmp_path / "r"
-    assert main([kind, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: field '{field}' in {where}: expected a list, got ")
-    man = _manifest(out)
-    assert man["artifacts"] == []
-    assert man["error"] == err.removeprefix("error: ").rstrip("\n")
 
 
 def test_integral_float_is_an_integer(tmp_path):
