@@ -15,8 +15,8 @@ inside int64. An operation whose lattice would leave that range raises a
 ValueError that names the denominator; there is no second, slower path.
 `fractions.Fraction` appears only at the edges: exact input (`from_pairs`,
 `single`, `points`), the scalars `total_length` and `span`, and the
-read-only `intervals` view. Floats appear only when a union is exported to
-numpy for quadrature, and each equals float(Fraction) bit for bit.
+read-only `intervals` view. No method returns a float; a consumer that
+needs one divides the numerators by `den` itself.
 
 Text form: a union with a power-of-two `den` is written as
 `intervals <count>` followed by one `num_lo exp_lo num_hi exp_hi` line per
@@ -36,8 +36,6 @@ __all__ = ["IntervalUnion"]
 
 # bound on |numerator|: a sum or difference of two stays inside int64
 _LIMIT = 1 << 62
-# integers below this are exact doubles, so one IEEE division rounds correctly
-_EXACT_FLOAT = 1 << 53
 
 
 def _as_rational(x) -> Fraction:
@@ -61,19 +59,6 @@ def check_lattice(den: int, reach: int) -> None:
             f"interval lattice 1/{den} needs numerators up to {reach}, "
             "beyond the int64 range with headroom (2**62)"
         )
-
-
-def float_quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """nums / den as float64, each equal to float(Fraction(num, den)).
-
-    int64 / int64 in numpy when both operands are exact doubles (one
-    correctly rounded IEEE division), Python int division otherwise.
-    """
-    if den < _EXACT_FLOAT and (
-        nums.size == 0 or max(-int(nums.min()), int(nums.max())) < _EXACT_FLOAT
-    ):
-        return nums / den
-    return np.array([n / den for n in nums.tolist()], dtype=np.float64)
 
 
 def _dyadic_parts(nums: np.ndarray, exp: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,12 +258,6 @@ class IntervalUnion:
         return IntervalUnion._merged(den, lo - r, hi + r)
 
     # -- export ------------------------------------------------------------
-
-    def as_float_array(self) -> np.ndarray:
-        """(n, 2) float64 array of endpoints (rounded to nearest float)."""
-        return np.column_stack(
-            [float_quotients(self.lo, self.den), float_quotients(self.hi, self.den)]
-        )
 
     def to_text(self) -> str:
         """Serialize the union, exactly.

@@ -34,6 +34,9 @@ Three independent computations of the same quantity live here on purpose:
   zeros stay in the sums, so the result is bit for bit the all-pieces one.
 
 They cross-check each other in the test-suite; none is derived from another.
+The 1-D band mass `pair_band_mass` is exact: one integer sum over block
+pairs on a common lattice, returned as a `Fraction`. It shares no code with
+the atoms path, whose test oracle it is.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geom import _ranges
 from .intervals import IntervalUnion
 from .grids import DENSE_CAP, INT64_LIMIT, GridIndicator, _certified_counts, fft_length
 
@@ -61,68 +65,53 @@ __all__ = [
 # exact interval-pair band masses
 # ---------------------------------------------------------------------------
 
-def _blocks(U: IntervalUnion) -> tuple[np.ndarray, np.ndarray]:
-    """Float centers and lengths of the intervals (exact for dyadics)."""
-    if U.is_empty:
-        return np.empty(0), np.empty(0)
-    arr = U.as_float_array()
-    return (arr[:, 0] + arr[:, 1]) / 2.0, arr[:, 1] - arr[:, 0]
-
-
-def _dq(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """int_a^b |y| dy computed cancellation-free; width = b - a exactly."""
-    same_sign = (a >= 0) == (b >= 0)
-    return np.where(
-        same_sign,
-        width * (np.abs(a) + np.abs(b)) / 2.0,
-        (b * np.abs(b) - a * np.abs(a)) / 2.0,
-    )
-
-
-def _trap_band(x1, x2, h, pl) -> np.ndarray:
-    """int_{x1}^{x2} trap(t) dt for the trapezoid of half-support h and
-    plateau half-width pl (the density of the difference of two uniform
-    blocks, un-normalized: peak value = min of the two lengths)."""
-    width = x2 - x1
-    return 0.5 * (
-        _dq(x1 + h, x2 + h, width)
-        + _dq(x1 - h, x2 - h, width)
-        - _dq(x1 + pl, x2 + pl, width)
-        - _dq(x1 - pl, x2 - pl, width)
-    )
-
-
-_PAIR_CHUNK = 512
-
-
-def pair_band_mass(U1: IntervalUnion, U2: IntervalUnion, lo: float, hi: float) -> float:
+def pair_band_mass(U1: IntervalUnion, U2: IntervalUnion, lo, hi) -> Fraction:
     """Exact measure of {(x1, x2) in U1 x U2 : lo <= |x1 - x2| <= hi}.
 
-    Evaluated pair-of-blocks by pair-of-blocks through the trapezoid
-    antiderivative, after shifting each pair to its own small coordinate
-    (arguments stay O(band width), so no catastrophic cancellation).
+    For one block pair [a1, b1] x [a2, b2], twice the mass of x1 - x2 <= t
+    is the signed sum of (t - e)_+^2 over the corners e = a1 - b2 (+),
+    b1 - b2 (-), a1 - a2 (-), b1 - a2 (+), and the band mass is
+    M(hi) - M(lo) + M(-lo) - M(-hi). On the lattice 1/L that holds every
+    endpoint and both edges, each edge t is an integer sum: a pair whose
+    largest corner is <= t adds 2 len1 len2, one whose smallest corner is
+    >= t adds 0, and a pair that straddles t adds its terms z_+^2 with
+    z <= len1 + len2. The straddlers of t are the blocks of U2 that meet
+    the open window (a1 - t, b1 - t), and two families of disjoint
+    intervals meet in fewer than n1 + n2 pairs. Every difference is below
+    3 reach and every square or partial sum below (T1 + T2)^2, in 1/L
+    units (reach: the largest endpoint or edge; T: a union's total
+    length), so the sums run in int64 where these stay below 2^63 and in
+    Python ints otherwise. One Fraction is formed at the end.
     """
+    lo, hi = Fraction(lo), Fraction(hi)
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
-    c1, l1 = _blocks(U1)
-    c2, l2 = _blocks(U2)
-    if c1.size == 0 or c2.size == 0:
-        return 0.0
-    total = 0.0
-    for i0 in range(0, c1.size, _PAIR_CHUNK):
-        cc = c1[i0 : i0 + _PAIR_CHUNK, None]
-        ll = l1[i0 : i0 + _PAIR_CHUNK, None]
-        D = cc - c2[None, :]
-        h = (ll + l2[None, :]) / 2.0
-        pl = np.abs(ll - l2[None, :]) / 2.0
-        for sign in (1.0, -1.0):
-            x1 = sign * lo - D
-            x2 = sign * hi - D
-            x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
-            sel = (x2 > -h) & (x1 < h)
-            if sel.any():
-                total += float(_trap_band(x1[sel], x2[sel], h[sel], pl[sel]).sum())
-    return total
+    if U1.is_empty or U2.is_empty:
+        return Fraction(0)
+    L = math.lcm(U1.den, U2.den, lo.denominator, hi.denominator)
+    scale = [L // U.den for U in (U1, U2)]
+    reach = max(
+        int(hi * L),
+        *(max(-int(U.lo[0]), int(U.hi[-1])) * f for U, f in zip((U1, U2), scale)),
+    )
+    total = sum(int((U.hi - U.lo).sum()) * f for U, f in zip((U1, U2), scale))
+    dtype = np.int64 if max(3 * reach, total * total) < INT64_LIMIT else object
+    (a1, b1), (a2, b2) = (
+        (U.lo.astype(dtype) * f, U.hi.astype(dtype) * f) for U, f in zip((U1, U2), scale)
+    )
+    len1, len2 = b1 - a1, b2 - a2
+    tail = np.append(np.cumsum(len2[::-1])[::-1], 0)  # tail[j] = len2[j:].sum()
+    twice = 0
+    for t, sign in ((hi * L, 1), (lo * L, -1), (-lo * L, 1), (-hi * L, -1)):
+        t = int(t)
+        full = np.searchsorted(a2, b1 - t)  # largest corner b1 - a2 <= t from here
+        first = np.searchsorted(b2, a1 - t, "right")  # smallest corner a1 - b2 < t
+        count = np.maximum(full - first, 0)
+        i, j = np.repeat(np.arange(a1.size), count), _ranges(first, count)
+        z = t - a1[i] + b2[j]  # t - (a1 - b2), in (0, len1 + len2]
+        part = z * z - np.maximum(z - len1[i], 0) ** 2 - np.maximum(z - len2[j], 0) ** 2
+        twice += sign * (2 * int((len1 * tail[full]).sum()) + int(part.sum()))
+    return Fraction(twice, 2 * L * L)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1105,7 @@ def pair_band_measure_product(
     if delta_q <= 0:
         raise ValueError("delta must be positive")
     w = width_multiplier * float(delta_q)
-    lo, hi = 1.0 - w, 1.0 + w
+    lo, hi = max(0.0, 1.0 - w), 1.0 + w  # a band reaching below 0 starts at 0
 
     if method in ("auto", "dense"):
         spacing_q = (

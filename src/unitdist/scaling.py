@@ -119,7 +119,7 @@ class ScalingSeries:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
         for s in self.samples:
-            if not (s.low - 1e-15 <= s.value <= s.high + 1e-15):
+            if not s.low <= s.value <= s.high:
                 raise ValueError("sample value outside its own bracket")
             if s.value <= 0:
                 raise ValueError("nonpositive value in series")
@@ -149,7 +149,10 @@ def sweep(
     method="grid" rasterizes the per-axis delta-neighborhoods (cell =
     cell_factor * delta) and brackets the measure by certified cell-pair
     counts; the sample value is the bracket midpoint. method="product"
-    integrates correlograms (exact in 1-D, a certified bracket in 2-D).
+    measures one axis exactly (`pair_band_mass`: the value is the correctly
+    rounded mass, the bracket its adjacent floats, or the value itself where
+    the mass is a float) and two axes by `pair_band_measure_product`'s
+    certified bracket. A band edge 1 - w delta below 0 is taken as 0.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 3:
@@ -172,8 +175,11 @@ def sweep(
                 fat = [s.neighborhood(delta) for s in sets]
                 if len(fat) == 1:
                     w = width_multiplier * float(delta)
-                    val = pair_band_mass(fat[0], fat[0], 1.0 - w, 1.0 + w)
-                    samples.append(ScaleSample(float(delta), val, val, val))
+                    mass = pair_band_mass(fat[0], fat[0], max(0.0, 1.0 - w), 1.0 + w)
+                    val = float(mass)  # correctly rounded; the bracket is outward
+                    low = val if val <= mass else float(np.nextafter(val, -np.inf))
+                    high = val if val >= mass else float(np.nextafter(val, np.inf))
+                    samples.append(ScaleSample(float(delta), val, low, high))
                 elif len(fat) == 2:
                     r = pair_band_measure_product(
                         fat[0], fat[1], delta, width_multiplier=width_multiplier

@@ -138,6 +138,23 @@ def test_sweep_in_bounds(tmp_path):
     )
 
 
+def test_one_axis_product_sweep_with_a_band_reaching_below_0(tmp_path):
+    # at delta = 1/2, w = 2.5 the band 1 +- 5/4 starts at 0
+    cfg = _write(
+        tmp_path / "s.json",
+        {
+            "axes": [{"kind": "cantor", "p": 1, "q": 2, "shift": 1}],
+            "deltas": ["2^-1", "2^-2", "2^-3"],
+            "method": "product",
+            "width_multiplier": 2.5,
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "scaling.csv").read_text().splitlines()
+    assert rows[1] == "sweep,1,0.5,0.5,8.4375,8.4375,8.4375"
+
+
 def test_sweep_escape_exits_2(tmp_path):
     # the full square carries far more unit pairs than a 2-dimensional
     # alpha-regular set is allowed to: the verdict must escape the bounds

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,13 +69,6 @@ def test_contains_union():
     outer = IntervalUnion.single(0, 1)
     assert outer.union(inner) == outer
     assert inner.union(outer) != inner
-
-
-def test_as_float_array():
-    u = IntervalUnion.from_pairs([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
-    arr = u.as_float_array()
-    assert arr.shape == (2, 2)
-    np.testing.assert_allclose(arr, [[0.0, 0.25], [0.5, 1.0]])
 
 
 def test_text_round_trip():
@@ -200,7 +192,6 @@ def test_lattice_overflow_examples():
     assert tiny.den == 1 << 63
     assert tiny.span == (Fraction(-1, 1 << 63), Fraction(1, 1 << 63))
     assert IntervalUnion.from_text(tiny.to_text()) == tiny
-    assert tiny.as_float_array().tolist() == [[-(2.0**-63), 2.0**-63]]
 
 
 def test_dyadic_text_form_is_lowest_terms():

@@ -57,15 +57,71 @@ from unitdist.grids import _certified_counts, rasterize
 
 # ---- 1-D pair band mass ----------------------------------------------------
 
+def _endpoints(U):
+    """(n, 2) float64 endpoints of U, each the quotient num / den."""
+    return np.column_stack([U.lo / U.den, U.hi / U.den])
+
+
+def _block_pair_band_mass(U1, U2, lo, hi):
+    """|{(x, y) in U1 x U2 : lo <= |x - y| <= hi}| in Fractions, block pair
+    by block pair: for [a, b] x [c, e], the mass of x - y <= t is the
+    integral over x in [a, b] of |[c, e] n [x - t, oo)|, which is
+    Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b) with
+    Q(z) = max(z, 0)^2 / 2."""
+
+    def Q(z):
+        return z * z / 2 if z > 0 else 0
+
+    total = Fraction(0)
+    for a, b in U1.intervals:
+        for c, e in U2.intervals:
+            for t, sign in ((hi, 1), (lo, -1), (-lo, 1), (-hi, -1)):
+                total += sign * (Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b))
+    return total
+
+
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_two_point_neighborhoods_have_exact_band_mass(k):
     # A = [-d, d] u [1-d, 1+d]: pairs at distance ~1 fill two 2d x 2d squares,
     # and the band [1-2d, 1+2d] captures them entirely: mass 2 * (2d)^2 = 8 d^2
     delta = Fraction(1, 2**k)
     A = IntervalUnion.points([0, 1]).neighborhood(delta)
-    d = float(delta)
-    got = pair_band_mass(A, A, 1 - 2 * d, 1 + 2 * d)
-    assert got == pytest.approx(8 * d * d, rel=0, abs=0)
+    got = pair_band_mass(A, A, 1 - 2 * delta, 1 + 2 * delta)
+    assert isinstance(got, Fraction) and got == 8 * delta**2
+
+
+@st.composite
+def _band_mass_cases(draw):
+    """(U1, U2, lo, hi): Cantor stages fattened by dyadic and non-dyadic
+    radii, planted doubles, a second union or the first again, and band
+    edges that are floats, hairlines of width below 1e-9, or lattice
+    points."""
+
+    def union():
+        spec = draw(st.sampled_from([CantorSpec(1, 2), CantorSpec(2, 3), CantorSpec(1, 3)]))
+        U = cantor_stage(spec, draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            U = shift_union(U, 1)
+        return U.neighborhood(Fraction(1, draw(st.sampled_from([64, 96, 100, 640]))))
+
+    U1 = union()
+    U2 = U1 if draw(st.booleans()) else union()
+    kind = draw(st.sampled_from(["float", "hairline", "lattice"]))
+    if kind == "lattice":
+        lo = Fraction(draw(st.integers(0, 48)), 16)
+        return U1, U2, lo, lo + Fraction(draw(st.integers(0, 16)), draw(st.sampled_from([16, 96])))
+    lo = draw(st.floats(0.0, 2.5))
+    width = draw(st.floats(0.0, 1e-9 if kind == "hairline" else 1.0))
+    return U1, U2, lo, lo + width
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_band_mass_cases())
+def test_pair_band_mass_equals_block_pair_fraction_oracle(case):
+    U1, U2, lo, hi = case
+    got = pair_band_mass(U1, U2, lo, hi)
+    assert isinstance(got, Fraction)
+    assert got == _block_pair_band_mass(U1, U2, Fraction(lo), Fraction(hi))
 
 
 def test_pair_band_mass_monte_carlo_referee():
@@ -73,10 +129,10 @@ def test_pair_band_mass_monte_carlo_referee():
     U1 = IntervalUnion.from_pairs([(0, Fraction(1, 4)), (Fraction(3, 8), Fraction(5, 8))])
     U2 = IntervalUnion.from_pairs([(Fraction(1, 8), Fraction(1, 2)), (Fraction(3, 4), 1)])
     lo, hi = 0.2, 0.45
-    exact = pair_band_mass(U1, U2, lo, hi)
+    exact = float(pair_band_mass(U1, U2, lo, hi))
 
     def draw(U, n):
-        arr = U.as_float_array()
+        arr = _endpoints(U)
         lens = arr[:, 1] - arr[:, 0]
         rows = rng.choice(len(lens), size=n, p=lens / lens.sum())
         return arr[rows, 0] + rng.random(n) * lens[rows], lens.sum()
@@ -93,8 +149,8 @@ def test_pair_band_mass_monte_carlo_referee():
 
 def test_pair_band_mass_empty_and_degenerate():
     U = IntervalUnion.single(0, 1)
-    assert pair_band_mass(IntervalUnion.from_pairs([]), U, 0.1, 0.2) == 0.0
-    assert pair_band_mass(U, U, 5.0, 6.0) == 0.0  # band beyond the span
+    assert pair_band_mass(IntervalUnion.from_pairs([]), U, 0.1, 0.2) == 0
+    assert pair_band_mass(U, U, 5.0, 6.0) == 0  # band beyond the span
     with pytest.raises(ValueError):
         pair_band_mass(U, U, 0.5, 0.4)
 
@@ -102,9 +158,7 @@ def test_pair_band_mass_empty_and_degenerate():
 def test_pair_band_mass_symmetry():
     U1 = IntervalUnion.from_pairs([(0, Fraction(1, 3))])
     U2 = IntervalUnion.from_pairs([(Fraction(1, 2), Fraction(7, 8))])
-    a = pair_band_mass(U1, U2, 0.1, 0.6)
-    b = pair_band_mass(U2, U1, 0.1, 0.6)
-    assert a == pytest.approx(b, rel=1e-14)
+    assert pair_band_mass(U1, U2, 0.1, 0.6) == pair_band_mass(U2, U1, 0.1, 0.6)
 
 
 # ---- correlograms ----------------------------------------------------------
@@ -114,7 +168,7 @@ def _block_pair_correlogram(A, h):
     the overlap of two blocks is a trapezoid in the lag, evaluated directly."""
     span_lo, span_hi = A.span
     at = np.arange(int(math.floor(float(span_hi - span_lo) / float(h))) + 1) * float(h)
-    arr = A.as_float_array()
+    arr = _endpoints(A)
     c, l = (arr[:, 0] + arr[:, 1]) / 2.0, arr[:, 1] - arr[:, 0]
     D = c[:, None] - c[None, :]
     hh = (l[:, None] + l[None, :]) / 2.0
@@ -361,7 +415,7 @@ def _mc_band_measure(F, B, lo, hi, n, seed):
     rng = np.random.default_rng(seed)
 
     def draw(U, k):
-        arr = U.as_float_array()
+        arr = _endpoints(U)
         lens = arr[:, 1] - arr[:, 0]
         rows = rng.choice(len(lens), size=k, p=lens / lens.sum())
         return arr[rows, 0] + rng.random(k) * lens[rows], lens.sum()
@@ -374,6 +428,27 @@ def _mc_band_measure(F, B, lo, hi, n, seed):
     frac = ((dist >= lo) & (dist <= hi)).mean()
     area = (mf * mb) ** 2
     return frac * area, area * math.sqrt(frac * (1 - frac) / n)
+
+
+@pytest.mark.parametrize(
+    "delta, w, atoms",
+    [
+        (Fraction(1, 2), 2.5, 32.48963033351296),
+        (Fraction(1, 2), 3.0, 34.21380801678885),
+        (Fraction(1, 4), 4.5, 13.539432753762409),
+    ],
+)
+def test_band_reaching_below_0_starts_at_0(delta, w, atoms):
+    # 1 - w delta < 0: the band is [0, 1 + w delta]; the dense route once
+    # measured [|1 - w delta|, 1 + w delta], a bracket that missed the atoms
+    # value, which never read the lower edge there and stays bit for bit
+    spec = CantorSpec(1, 2)
+    base = cantor_stage(spec, stage_for_scale(spec, delta))
+    F, B = (U.neighborhood(delta) for U in (shift_union(base, 1), base))
+    got = pair_band_measure_product(F, B, delta, width_multiplier=w, method="atoms")
+    assert got.value == atoms
+    dense = pair_band_measure_product(F, B, delta, width_multiplier=w, method="dense")
+    assert dense.low <= atoms <= dense.high
 
 
 def test_product_routes_agree_at_coarse_scale():
@@ -665,7 +740,7 @@ def test_pair_cum_matches_band_mass_oracle(p, q, stage, delta):
     mass = float(B.total_length) ** 2
     for lo, hi in ends:
         got = 2.0 * (_pair_cum_at(cum, hi) - _pair_cum_at(cum, lo))
-        want = pair_band_mass(B, B, lo, hi)
+        want = float(pair_band_mass(B, B, lo, hi))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-14 * mass)
     # the whole line holds every pair
     assert 2.0 * _pair_cum_at(cum, top) == pytest.approx(mass, rel=1e-12)

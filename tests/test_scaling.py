@@ -60,6 +60,9 @@ def test_series_validation():
     assert len(good.samples) == 2
     with pytest.raises(ValueError):
         ScalingSeries(samples=(ScaleSample(0.25, 1.0, 1.05, 1.1),))  # value below low
+    with pytest.raises(ValueError, match="outside its own bracket"):
+        # deep samples are far below any absolute slack: the check is exact
+        ScalingSeries(samples=(ScaleSample(0.25, 1e-19, 2e-19, 3e-19),))
     with pytest.raises(ValueError):
         ScalingSeries(
             samples=(
@@ -160,45 +163,54 @@ def test_product_sweep_matches_grid_window():
 
 
 def _exact_band_mass(U, lo, hi):
-    """|{(x, y) in U x U : lo <= |x - y| <= hi}| in Fractions, summed block
-    pair by block pair. For blocks [a, b] x [c, e], the mass of x - y <= t
-    is Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b) with
-    Q(z) = max(z, 0)^2 / 2."""
+    """|{(x, y) in U x U : lo <= |x - y| <= hi}|, summed block pair by block
+    pair in integers over the lattice 1/L of the endpoints and edges. For
+    blocks [a, b] x [c, e], twice the mass of x - y <= t is 0 if t <= a - e,
+    2 (b - a)(e - c) if t >= b - c, and otherwise
+    Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b), Q(z) = max(z, 0)^2."""
+    L = math.lcm(U.den, lo.denominator, hi.denominator)
+    blocks = [(int(a * L), int(b * L)) for a, b in U.intervals]
+    edges = [(int(t * L), sign) for t, sign in ((hi, 1), (lo, -1), (-lo, 1), (-hi, -1))]
 
     def Q(z):
-        return z * z / 2 if z > 0 else 0
+        return z * z if z > 0 else 0
 
-    total = Fraction(0)
-    for a, b in U.intervals:
-        for c, e in U.intervals:
-            for t, sign in ((hi, 1), (lo, -1), (-lo, 1), (-hi, -1)):
-                total += sign * (Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b))
-    return total
+    twice = 0
+    for a, b in blocks:
+        for c, e in blocks:
+            for t, sign in edges:
+                if t >= b - c:
+                    twice += sign * 2 * (b - a) * (e - c)
+                elif t > a - e:
+                    twice += sign * (Q(e + t - a) - Q(e + t - b) - Q(c + t - a) + Q(c + t - b))
+    return Fraction(twice, 2 * L * L)
 
 
-@pytest.mark.parametrize(
-    "k",
-    [
-        6,
-        pytest.param(
-            7,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="a one-axis product row writes pair_band_mass's float sum "
-                "as value_low = value = value_high, which misses the exact mass "
-                "by 5e-16 relative here",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("k", [6, 7, 10, 13])
 def test_one_axis_product_row_brackets_the_exact_band_mass(k):
-    # C(2, 3) + 1 at delta = 2^-k fattens to 7 blocks at k = 6, 31 at k = 7
+    # C(2, 3) + 1 at delta = 2^-k fattens to 7 blocks at k = 6, 31 at k = 7;
+    # at k = 7, 10 and 13 the float sum once used here missed the exact mass
     ax, delta = CantorAxis(2, 3, shift=1), Fraction(1, 2**k)
     (row,) = sweep([ax], [delta], method="product", width_multiplier=2.5).samples
     w = 2.5 * float(delta)
     U = ax.at_scale(delta).neighborhood(delta)
     exact = _exact_band_mass(U, Fraction(1.0 - w), Fraction(1.0 + w))
+    assert row.value == float(exact)
     assert Fraction(row.low) <= exact <= Fraction(row.high)
+    # equal floats, or adjacent ones
+    assert row.high in (row.low, np.nextafter(row.low, np.inf))
+
+
+def test_one_axis_product_row_takes_a_negative_lower_edge_as_0():
+    # at delta = 1/2, w = 2.5 the band 1 +- 5/4 reaches below 0
+    ax, delta = CantorAxis(1, 2, shift=1), Fraction(1, 2)
+    (row,) = sweep([ax], [delta], method="product", width_multiplier=2.5).samples
+    U = ax.at_scale(delta).neighborhood(delta)
+    assert _exact_band_mass(U, Fraction(0), Fraction(9, 4)) == Fraction(135, 16)
+    assert row.low == row.value == row.high == 135 / 16
+    (grid,) = sweep([ax], [delta], method="grid", width_multiplier=2.5).samples
+    assert (grid.low, grid.high) == (7.0, 8.875)
+    assert grid.low <= row.value <= grid.high
 
 
 def test_sweep_error_names_the_scale():
