@@ -76,12 +76,11 @@ def pair_band_mass(U1: IntervalUnion, U2: IntervalUnion, lo, hi) -> Fraction:
     largest corner is <= t adds 2 len1 len2, one whose smallest corner is
     >= t adds 0, and a pair that straddles t adds its terms z_+^2 with
     z <= len1 + len2. The straddlers of t are the blocks of U2 that meet
-    the open window (a1 - t, b1 - t), and two families of disjoint
-    intervals meet in fewer than n1 + n2 pairs. Every difference is below
-    3 reach and every square or partial sum below (T1 + T2)^2, in 1/L
-    units (reach: the largest endpoint or edge; T: a union's total
-    length), so the sums run in int64 where these stay below 2^63 and in
-    Python ints otherwise. One Fraction is formed at the end.
+    the open window (a1 - t, b1 - t): fewer than n1 + n2 pairs, as both
+    families are disjoint. In 1/L units every difference is below 3 reach
+    (the largest |endpoint| or edge) and every square or partial sum below
+    (T1 + T2)^2 (T: total lengths), so the sums run in int64 where these
+    stay below 2^63 and in Python ints otherwise; one Fraction is formed.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 <= lo <= hi:
@@ -89,15 +88,11 @@ def pair_band_mass(U1: IntervalUnion, U2: IntervalUnion, lo, hi) -> Fraction:
     if U1.is_empty or U2.is_empty:
         return Fraction(0)
     L = math.lcm(U1.den, U2.den, lo.denominator, hi.denominator)
-    scale = [L // U.den for U in (U1, U2)]
-    reach = max(
-        int(hi * L),
-        *(max(-int(U.lo[0]), int(U.hi[-1])) * f for U, f in zip((U1, U2), scale)),
-    )
-    total = sum(int((U.hi - U.lo).sum()) * f for U, f in zip((U1, U2), scale))
-    dtype = np.int64 if max(3 * reach, total * total) < INT64_LIMIT else object
+    reach = max(hi, *(abs(x) for U in (U1, U2) for x in U.span)) * L
+    total = (U1.total_length + U2.total_length) * L
+    dtype = np.int64 if max(3 * reach, total**2) < INT64_LIMIT else object
     (a1, b1), (a2, b2) = (
-        (U.lo.astype(dtype) * f, U.hi.astype(dtype) * f) for U, f in zip((U1, U2), scale)
+        (U.lo.astype(dtype) * (L // U.den), U.hi.astype(dtype) * (L // U.den)) for U in (U1, U2)
     )
     len1, len2 = b1 - a1, b2 - a2
     tail = np.append(np.cumsum(len2[::-1])[::-1], 0)  # tail[j] = len2[j:].sum()

@@ -108,7 +108,7 @@ def _circle_hits(a_list):
     return mesh[ok]
 
 
-def _sphere_hits(a_list):
+def _sphere_hits_full(a_list):
     """theta/phi grid on the unit sphere at _MESH_STEP, chunked over theta."""
     th = np.arange(0.0, np.pi + _MESH_STEP, _MESH_STEP)
     ph = np.arange(0.0, 2 * np.pi, _MESH_STEP)
@@ -127,6 +127,83 @@ def _sphere_hits(a_list):
         if ii.size:
             found.append(np.column_stack([x[ii, jj], y[ii, jj], z[ii, jj]]))
     return np.concatenate(found) if found else np.empty((0, 3))
+
+
+_ARC_PAD = 3  # mesh steps added on each side of a row's phi-arcs
+
+
+def _sphere_hits(a_list):
+    """`_sphere_hits_full`'s hits, in its order, from the mesh points near
+    the phi-arcs of each theta row that the first constraint allows.
+
+    On the unit sphere |x + a|^2 = 1 + 2 x.a + |a|^2, so the first test
+    holds where x.a = s rho cos(phi - psi) + c a_z, with s, c = sin, cos of
+    theta and rho, psi the polar form of (a_x, a_y), lies in (lo, hi): where
+    |phi - psi| is in [arccos(u_hi), arccos(u_lo)], u = (lo, hi - c a_z) /
+    (s rho). The unchanged float test runs on those two arcs widened by
+    _ARC_PAD steps, which covers the rounding of u (below 1e-7 where
+    s rho > 1e-9), and on the whole of the rows where s rho <= 1e-9.
+    """
+    th = np.arange(0.0, np.pi + _MESH_STEP, _MESH_STEP)
+    ph = np.arange(0.0, 2 * np.pi, _MESH_STEP)
+    st, ct, cph, sph = np.sin(th), np.cos(th), np.cos(ph), np.sin(ph)
+    a = a_list[0]
+    rho, psi = math.hypot(a[0], a[1]), math.atan2(a[1], a[0])
+    lo, hi = (((1.0 + sign * _MESH_TOL) ** 2 - 1.0 - float(a @ a)) / 2 for sign in (-1, 1))
+    arcs = st * rho > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_lo, u_hi = ((edge - a[2] * ct) / (st * rho) for edge in (lo, hi))
+    near, far = np.arccos(np.clip(u_hi, -1.0, 1.0)), np.arccos(np.clip(u_lo, -1.0, 1.0))
+    rows = np.flatnonzero(~arcs | ((u_lo < 1.0 + 1e-6) & (u_hi > -1.0 - 1e-6)))
+    near, far, whole = near[rows], far[rows], ~arcs[rows]
+    n = ph.size
+    starts, stops = [], []
+    for first, last in ((psi + near, psi + far), (psi - far, psi - near)):
+        starts.append(np.where(whole, 0, np.floor(first / _MESH_STEP) - _ARC_PAD))
+        stops.append(np.where(whole, n, np.ceil(last / _MESH_STEP) + _ARC_PAD + 1))
+    # [start, stop) in mesh steps, moved into [0, 2n); a piece past n wraps
+    start = np.concatenate(starts).astype(np.int64)
+    stop = np.minimum(np.concatenate(stops).astype(np.int64), start + n)
+    turn = start // n * n
+    start, stop, row = start - turn, stop - turn, np.tile(rows, 2)
+    wraps = stop > n
+    row = np.concatenate([row, row[wraps]])
+    start = np.concatenate([start, np.zeros(wraps.sum(), dtype=np.int64)])
+    stop = np.concatenate([np.minimum(stop, n), stop[wraps] - n])
+    # one sorted run of disjoint pieces per row, as the full mesh orders them
+    order = np.lexsort((start, row))
+    row = row[order]
+    key_lo, key_hi = row * (n + 1) + start[order], row * (n + 1) + stop[order]
+    reach = np.maximum.accumulate(key_hi)
+    head = np.flatnonzero(np.concatenate([[True], key_lo[1:] > reach[:-1]]))
+    tail = np.concatenate([head[1:], [key_lo.size]]) - 1
+    row = row[head]
+    start, count = key_lo[head] - row * (n + 1), reach[tail] - key_lo[head]
+    found = []
+    for k in np.array_split(np.arange(row.size), max(1, int(count.sum()) >> 20)):
+        i = row[k].repeat(count[k])
+        j = np.arange(count[k].sum()) + (start[k] - count[k].cumsum() + count[k]).repeat(count[k])
+        x, y, z = st[i] * cph[j], st[i] * sph[j], ct[i]
+        ok = np.ones(x.shape, dtype=bool)
+        for aj in a_list:
+            r2 = (x + aj[0]) ** 2 + (y + aj[1]) ** 2 + (z + aj[2]) ** 2
+            ok &= np.abs(np.sqrt(r2) - 1.0) < _MESH_TOL
+        found.append(np.column_stack([x[ok], y[ok], z[ok]]))
+    return np.concatenate(found)
+
+
+def test_sphere_windows_give_the_full_mesh_hits():
+    # two generic frames and one whose first constraint has rho = 0, where
+    # every row is evaluated whole; hits must match bit for bit
+    frames = [
+        [np.array([0.31, -0.22, 0.52]), np.array([-0.41, 0.13, 0.24])],
+        [np.array([0.04, 0.03, -0.02]), np.array([0.05, -0.01, 0.02])],
+        [np.array([0.0, 0.0, 0.7]), np.array([0.6, 0.1, -0.3])],
+    ]
+    for a in frames:
+        want = _sphere_hits_full(a)
+        assert want.shape[0] > 0
+        np.testing.assert_array_equal(_sphere_hits(a), want)
 
 
 def _constraint_conditioning(a, b):
