@@ -201,9 +201,9 @@ def test_sphere_windows_give_the_full_mesh_hits():
         [np.array([0.0, 0.0, 0.7]), np.array([0.6, 0.1, -0.3])],
     ]
     for a in frames:
-        want = _sphere_hits_full(a)
+        want, got = _sphere_hits_full(a), _sphere_hits(a)
         assert want.shape[0] > 0
-        np.testing.assert_array_equal(_sphere_hits(a), want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _constraint_conditioning(a, b):
