@@ -698,7 +698,15 @@ def run_config(
         print(f"error: unknown experiment kind '{kind}'", file=sys.stderr)
         return 1
 
-    out = Path(out_override) if out_override else Path(cfg.pop("out", f"runs/{kind}"))
+    # the config's out is read (and checked) even when --out wins
+    try:
+        cfg_out = _take(
+            cfg, "out", default=f"runs/{kind}", where=f"{kind} config", cast=_string
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    out = Path(out_override or cfg_out)
     if seed_override is not None:
         if kind == "count" and "set" in cfg:
             s = cfg["set"]  # a builtin set then refuses the seed by name

@@ -36,8 +36,6 @@ import numpy as np
 __all__ = [
     "general_position_check",
     "GeneralPositionReport",
-    "SphereSection",
-    "TupleSolution",
     "FrameBatch",
     "unit_frame_batch",
     "unit_frame_solutions",
@@ -353,26 +351,6 @@ def _first_bad(pts, combos, tol) -> tuple[int, ...] | None:
     return None
 
 
-def _frame_rows(a: Sequence) -> np.ndarray:
-    """The (d-1, d) step matrix of one frame given as a sequence of vectors."""
-    A = np.asarray(a, dtype=np.float64)
-    if A.shape == (0,):
-        A = A.reshape(0, 1)
-    if A.ndim != 2:
-        raise ValueError(f"expected a sequence of vectors, got shape {A.shape}")
-    d = A.shape[1]
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension {d} outside 1..{MAX_DIM}")
-    if A.shape[0] != d - 1:
-        raise ValueError(f"need d-1={d - 1} vectors in R^{d}, got {A.shape[0]}")
-    if not np.isfinite(A).all():
-        raise ValueError("vector has non-finite coordinates")
-    return A
-
-
-_DEPENDENT = "input vectors are linearly dependent"
-
-
 def _frame(A: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank mask, circumcenters c0 and unit normals v of a stack of frames
     A (m, d-1, d), from one batched full SVD.
@@ -380,8 +358,8 @@ def _frame(A: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     A = U S Vt per frame. The rank test is min S > tol. c0 is the
     minimum-norm solution of 2 c . a_j = |a_j|^2, namely
     Vt[:-1]^T ((U^T rhs) / S) with rhs_j = |a_j|^2 / 2, so it lies in
-    span(a). v = Vt[-1], not yet signed (`_branches` signs it). With no
-    rows (d = 1) S is empty, Vt = [[1]] and c0 = [0]. A frame that fails
+    span(a). v = Vt[-1], not yet signed (`unit_frame_batch` signs it). With
+    no rows (d = 1) S is empty, Vt = [[1]] and c0 = [0]. A frame that fails
     the rank test divides by S = inf instead, so its c0 is 0 rather than inf
     or NaN.
     """
@@ -391,29 +369,6 @@ def _frame(A: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     sv = np.where(ok[:, None], sv, np.inf)
     c0 = (((rhs[:, None] @ u) / sv[:, None]) @ vt[:, :-1])[:, 0]
     return ok, c0, vt[:, -1]
-
-
-@dataclass(frozen=True)
-class SphereSection:
-    """Unit-sphere slice {|x| = 1, x . normal = offset}: a (d-2)-sphere."""
-
-    offset: float
-    normal: np.ndarray
-    section_radius: float
-
-    def __post_init__(self) -> None:
-        gap = abs(self.section_radius**2 + self.offset**2 - 1.0)
-        if gap > 1e-9:
-            raise ValueError(f"r^2 + t^2 = 1 violated by {gap:.3e}")
-
-
-@dataclass(frozen=True)
-class TupleSolution:
-    """Unit vectors b_1..b_d with b_j - b_1 equal to the prescribed steps."""
-
-    b: np.ndarray            # (d, d), row j-1 is b_j
-    t: float                 # signed height of b_1 over span(a)
-    section: SphereSection
 
 
 class FrameBatch(NamedTuple):
@@ -434,35 +389,21 @@ _CASE_COUNT = np.array([2, 1, 0, -1])
 _CASE_T = np.array([[1.0, -1.0], [0.0, np.nan], [np.nan, np.nan], [np.nan, np.nan]])
 
 
-def _classify(A: np.ndarray, tol: float):
-    """Case of each frame of a validated stack A (m, d-1, d), with its
-    circumcenter c0, radius r0 = |c0| and unsigned normal v."""
-    ok, c0, v = _frame(A, tol)
-    r0 = np.sqrt(np.add.reduce(c0 * c0, axis=1))
-    case = np.where(ok, _TANGENT_EDGES.searchsorted(r0 - 1.0, side="right"), 3)
-    return case, c0, r0, v
-
-
-def _branches(case, c0, r0, v, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t, the unit rows b and the signed normal v of every frame: b_1 =
-    t v - c0, b_{j+1} = b_1 + a_j, with t = +-sqrt(1 - r0^2), +t first.
-    v is signed so that its first coordinate above 1e-12 in magnitude is
-    positive."""
-    lead = v[np.arange(v.shape[0]), (np.abs(v) > 1e-12).argmax(axis=1)]
-    v = v * np.sign(lead)[:, None]
-    # |1 - r0^2| keeps s finite for tangent frames, whose factor is 0
-    t = np.sqrt(np.abs(1.0 - r0 * r0))[:, None] * _CASE_T[case]
-    b = np.empty((A.shape[0], 2, A.shape[2], A.shape[2]))
-    np.subtract(t[:, :, None] * v[:, None], c0[:, None], out=b[:, :, 0])
-    np.add(b[:, :, :1], A[:, None], out=b[:, :, 1:])
-    return t, b, v
-
-
 def unit_frame_batch(A, tol: float = 1e-9) -> FrameBatch:
-    """`unit_frame_solutions` for a stack A of m frames, shape (m, d-1, d).
+    """All tuples (b_1, ..., b_d) of unit vectors with b_{j+1} = b_1 + a_j,
+    for each frame a_1..a_{d-1} of a stack A of shape (m, d-1, d).
+
+    Geometry: such b_1 lies on the unit sphere and on the sphere of radius
+    r0 about -c0 ... equivalently b_1 = t v - c0 where (c0, r0) is the
+    circumsphere through the origin and the a_j, v the unit normal to
+    span(a), and t = ±sqrt(1 - r0^2). Hence 0, 1, or 2 solutions:
+    none for r0 > 1, one at tangency (|r0 - 1| <= 1e-12), else two,
+    with the +t branch first. v is signed so that its first coordinate
+    above 1e-12 in magnitude is positive. d = 1 is the frame with no
+    steps: b_1 = ±1.
 
     One batched SVD solves every frame. A dependent frame (smallest singular
-    value <= tol) gets count -1 instead of raising.
+    value <= tol) gets count -1.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 3 or A.shape[1] != A.shape[2] - 1 or not 1 <= A.shape[2] <= MAX_DIM:
@@ -471,37 +412,29 @@ def unit_frame_batch(A, tol: float = 1e-9) -> FrameBatch:
         )
     if not np.isfinite(A).all():
         raise ValueError("frames have non-finite coordinates")
-    case, c0, r0, v = _classify(A, tol)
-    t, b, _ = _branches(case, c0, r0, v, A)
+    ok, c0, v = _frame(A, tol)
+    r0 = np.sqrt(np.add.reduce(c0 * c0, axis=1))
+    case = np.where(ok, _TANGENT_EDGES.searchsorted(r0 - 1.0, side="right"), 3)
+    lead = v[np.arange(v.shape[0]), (np.abs(v) > 1e-12).argmax(axis=1)]
+    v = v * np.sign(lead)[:, None]
+    # |1 - r0^2| keeps s finite for tangent frames, whose factor is 0
+    t = np.sqrt(np.abs(1.0 - r0 * r0))[:, None] * _CASE_T[case]
+    b = np.empty((A.shape[0], 2, A.shape[2], A.shape[2]))
+    np.subtract(t[:, :, None] * v[:, None], c0[:, None], out=b[:, :, 0])
+    np.add(b[:, :, :1], A[:, None], out=b[:, :, 1:])
     return FrameBatch(_CASE_COUNT[case], t, b)
 
 
-def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[TupleSolution]:
-    """All tuples (b_1, ..., b_d) of unit vectors with b_j = b_1 + a_j.
-
-    Geometry: such b_1 lies on the unit sphere and on the sphere of radius
-    r0 about -c0 ... equivalently b_1 = t v - c0 where (c0, r0) is the
-    circumsphere through the origin and the a_j, v the unit normal to
-    span(a), and t = ±sqrt(1 - r0^2). Hence 0, 1, or 2 solutions:
-    none for r0 > 1, one at tangency (|r0 - 1| <= 1e-12), else two,
-    returned with the +t branch first.
-
-    This is `unit_frame_batch` on a stack of one frame. d = 1 is the frame
-    with no steps: b_1 = ±1.
-    """
-    A = _frame_rows(a)[None]
-    case, c0, r0, v = _classify(A, tol)
-    count = _CASE_COUNT[case[0]]
+def unit_frame_solutions(a: Sequence, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
+    """The solutions of one frame, a sequence of d-1 vectors in R^d ([] for
+    d = 1), as `unit_frame_batch` finds them: (t, b) pairs, +t first. A
+    dependent frame raises ValueError."""
+    A = np.asarray(a, dtype=np.float64)
+    batch = unit_frame_batch((A.reshape(0, 1) if A.shape == (0,) else A)[None], tol)
+    count = int(batch.count[0])
     if count < 0:
-        raise ValueError(_DEPENDENT)
-    if count == 0:
-        return []
-    t, b, v = _branches(case, c0, r0, v, A)
-    v = v[0]
-    return [
-        TupleSolution(bk, tk, SphereSection(tk, v, math.sqrt(1.0 - tk * tk)))
-        for tk, bk in zip(t[0, :count].tolist(), b[0])
-    ]
+        raise ValueError("input vectors are linearly dependent")
+    return list(zip(batch.t[0, :count].tolist(), batch.b[0, :count]))
 
 
 @dataclass(frozen=True)

@@ -223,15 +223,15 @@ class ExponentFit:
     n_points: int
 
 
-def fit_exponent(series: ScalingSeries, drop_transient: bool = True) -> ExponentFit:
+def fit_exponent(series: ScalingSeries) -> ExponentFit:
     """OLS of log(value) against log(delta).
 
-    With drop_transient (the default) the largest delta is excluded once at
-    least four samples remain: fattened fractals only scale cleanly below
-    their first construction scale.
+    The largest delta is excluded when the series has at least four
+    samples: fattened fractals only scale cleanly below their first
+    construction scale.
     """
     samples = series.samples
-    if drop_transient and len(samples) >= 4:
+    if len(samples) >= 4:
         samples = samples[1:]
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit")

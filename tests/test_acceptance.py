@@ -24,7 +24,7 @@ from unitdist.discrete import (
     two_circles_r4,
     unit_step_census,
 )
-from unitdist.geom import triple_annulus_diameter, unit_frame_solutions
+from unitdist.geom import triple_annulus_diameter, unit_frame_batch
 from unitdist.grids import alpha_set_verify, rasterize
 from unitdist.incidence import annulus_intersection_area
 from unitdist.scaling import (
@@ -220,27 +220,24 @@ def test_criterion_04_frame_solver_vs_sphere_mesh():
     frames_run = 0
     oracle_frames = {2: [], 3: []}
     for d in (2, 3):
-        for _ in range(50_000):
+        A = np.empty((50_000, d - 1, d))
+        for a in A:
             scale = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-            a = rng.normal(size=(d - 1, d)) * scale
-            try:
-                sols = unit_frame_solutions(a)
-            except ValueError:
-                continue
-            frames_run += 1
-            max_solutions = max(max_solutions, len(sols))
-            for s in sols:
-                worst_resid = max(worst_resid, abs(np.linalg.norm(s.b[0]) - 1.0))
-                for aj in a:
-                    worst_resid = max(
-                        worst_resid, abs(np.linalg.norm(s.b[0] + aj) - 1.0)
-                    )
-            if len(sols) == 2 and len(oracle_frames[d]) < 50:
-                r0 = float(np.linalg.norm(sols[0].section.offset))
-                if 0.05 <= r0 <= 0.95 and _constraint_conditioning(
-                    a, sols[0].b[0]
-                ) >= 0.25:
-                    oracle_frames[d].append((a, sols))
+            a[:] = rng.normal(size=(d - 1, d)) * scale
+        count, t, b = unit_frame_batch(A)
+        # a dependent frame (count -1) is skipped
+        frames_run += int((count >= 0).sum())
+        max_solutions = max(max_solutions, int(count.max()))
+        # every row of a solution, b_1 and b_1 + a_j, is a unit step
+        rows = b[np.arange(2) < count[:, None]]
+        resid = np.abs(np.linalg.norm(rows, axis=-1) - 1.0)
+        worst_resid = max(worst_resid, float(resid.max()))
+        offset = np.abs(t[:, 0])
+        for i in np.flatnonzero((count == 2) & (offset >= 0.05) & (offset <= 0.95)):
+            if _constraint_conditioning(A[i], b[i, 0, 0]) >= 0.25:
+                oracle_frames[d].append((A[i], b[i, :, 0]))
+                if len(oracle_frames[d]) == 50:
+                    break
     assert frames_run >= 99_000
     assert max_solutions <= 2
     assert worst_resid <= 1e-9
@@ -249,10 +246,9 @@ def test_criterion_04_frame_solver_vs_sphere_mesh():
     # coarse mesh oracle: hits must localize around the returned solutions
     # (completeness) and nowhere else (no extra solution family)
     for d, search in ((2, _circle_hits), (3, _sphere_hits)):
-        for a, sols in oracle_frames[d]:
+        for a, bs in oracle_frames[d]:
             hits = search(list(a))
             assert hits.shape[0] > 0
-            bs = np.array([s.b[0] for s in sols])
             sigma = min(_constraint_conditioning(a, b) for b in bs)
             radius = 4 * (_MESH_TOL + _MESH_STEP) / sigma
             for b in bs:

@@ -800,6 +800,9 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
             "r_exps",
             "spectral config",
         ),
+        # an output directory is a JSON string, read even when --out wins
+        ("count", {"set": "triangle", "out": 5}, "out", "count config"),
+        ("frames", {"d": 2, "count": 3, "out": ["r"]}, "out", "frames config"),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, monkeypatch, kind, cfg, field, where):
@@ -938,3 +941,17 @@ def test_seed_override_reaches_set(tmp_path):
     out = tmp_path / "r"
     assert main(["count", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     assert _manifest(out)["config"]["set"]["seed"] == 7
+
+
+def test_out_override_wins_over_the_config_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "c.json", {"d": 2, "count": 3, "out": "from_config"})
+    assert main(["frames", "--config", cfg, "--out", "from_flag"]) == 0
+    assert _manifest(tmp_path / "from_flag")["config"]["out"] == "from_flag"
+    assert not (tmp_path / "from_config").exists()
+    # without --out the config's out is used, and null means the default
+    assert main(["frames", "--config", cfg]) == 0
+    assert _manifest(tmp_path / "from_config")["config"]["out"] == "from_config"
+    cfg = _write(tmp_path / "c.json", {"d": 2, "count": 3, "out": None})
+    assert main(["frames", "--config", cfg]) == 0
+    assert _manifest(tmp_path / "runs" / "frames")["config"]["out"] == "runs/frames"

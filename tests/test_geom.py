@@ -30,32 +30,33 @@ SQRT2_2 = np.sqrt(2.0) / 2.0
 def test_equilateral_pair_in_plane():
     sols = unit_frame_solutions([np.array([1.0, 0.0])])
     assert len(sols) == 2
-    got = np.sort(np.array([s.b[0] for s in sols]), axis=0)
+    got = np.sort(np.array([b[0] for _, b in sols]), axis=0)
     np.testing.assert_allclose(got, [[-0.5, -SQRT3_2], [-0.5, SQRT3_2]], atol=1e-12)
-    for s in sols:
+    for _, b in sols:
         # b1 and b2 = b1 + a1 must both be unit steps from the origin
-        assert abs(np.linalg.norm(s.b[0]) - 1) < 1e-12
-        assert abs(np.linalg.norm(s.b[0] + np.array([1.0, 0.0])) - 1) < 1e-12
+        assert abs(np.linalg.norm(b[0]) - 1) < 1e-12
+        assert abs(np.linalg.norm(b[0] + np.array([1.0, 0.0])) - 1) < 1e-12
 
 
 def test_orthogonal_pair_in_space():
     a = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
     sols = unit_frame_solutions(a)
     assert len(sols) == 2
-    got = np.sort(np.array([s.b[0] for s in sols]), axis=0)
+    got = np.sort(np.array([b[0] for _, b in sols]), axis=0)
     np.testing.assert_allclose(
         got, [[-0.5, -0.5, -SQRT2_2], [-0.5, -0.5, SQRT2_2]], atol=1e-12
     )
-    for s in sols:
+    for _, b in sols:
         for aj in a:
-            assert abs(np.linalg.norm(s.b[0] + aj) - 1) < 1e-12
+            assert abs(np.linalg.norm(b[0] + aj) - 1) < 1e-12
 
 
 def test_tangent_configuration_has_single_solution():
     sols = unit_frame_solutions([np.array([2.0, 0.0])])
     assert len(sols) == 1
-    np.testing.assert_allclose(sols[0].b[0], [-1.0, 0.0], atol=1e-12)
-    assert sols[0].t == 0.0
+    t, b = sols[0]
+    np.testing.assert_allclose(b[0], [-1.0, 0.0], atol=1e-12)
+    assert t == 0.0
 
 
 def test_distant_configuration_has_no_solution():
@@ -89,11 +90,11 @@ def _assert_matches_oracle(a):
     want = _three_call_frame_solutions(a)
     got = unit_frame_solutions(a)
     assert len(got) == len(want)
-    for s, (t, b, v) in zip(got, want):
-        assert np.sign(s.t) == np.sign(t)
-        assert abs(s.t - t) <= 1e-12
-        assert np.abs(s.b - b).max() <= 1e-12
-        assert np.abs(s.section.normal - v).max() <= 1e-12
+    # b_1 = t v - c0, so equal b at t != 0 means an equal signed normal v
+    for (t, b), (t_want, b_want, _) in zip(got, want):
+        assert np.sign(t) == np.sign(t_want)
+        assert abs(t - t_want) <= 1e-12
+        assert np.abs(b - b_want).max() <= 1e-12
     return got
 
 
@@ -124,9 +125,8 @@ def test_frame_solver_matches_oracle_on_explicit_frames(a, n_solutions):
 
 def test_empty_frame_is_the_one_dimensional_case():
     sols = unit_frame_solutions([])
-    assert [s.t for s in sols] == [1.0, -1.0]
-    assert [s.b.tolist() for s in sols] == [[[1.0]], [[-1.0]]]
-    assert all(s.section.normal.tolist() == [1.0] for s in sols)
+    assert [t for t, _ in sols] == [1.0, -1.0]
+    assert [b.tolist() for _, b in sols] == [[[1.0]], [[-1.0]]]
 
 
 @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ def test_mesh_oracle_localizes_every_solution(seed):
     assert hits.size > 0
     # every solver solution is confirmed by a nearby mesh hit, and every mesh
     # hit clusters around some solver solution
-    bs = np.array([s.b[0] for s in sols])
+    bs = np.array([b[0] for _, b in sols])
     for b in bs:
         assert np.min(np.linalg.norm(hits - b[None, :], axis=1)) < 8 * step / r0
     for hit in hits[:: max(1, hits.shape[0] // 50)]:
@@ -383,28 +383,41 @@ def _mixed_stack(d, rng):
     return np.stack(frames)
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_frame_batch_equals_frame_by_frame(d):
-    A = _mixed_stack(d, np.random.default_rng(d))
+    # d = 1 has one frame, the empty one, given to the view as []
+    A = _mixed_stack(d, np.random.default_rng(d)) if d > 1 else np.zeros((2, 0, 1))
     got = unit_frame_batch(A)
-    counts = []
     for a, k, t, b in zip(A, *got):
-        try:
-            sols = unit_frame_solutions(a)
-        except ValueError as e:
-            assert str(e) == "input vectors are linearly dependent"
-            counts.append(-1)
-            assert np.isnan(t).all() and np.isnan(b).all()
+        assert np.isnan(t[max(k, 0) :]).all() and np.isnan(b[max(k, 0) :]).all()
+        if k < 0:
+            with pytest.raises(ValueError, match="^input vectors are linearly dependent$"):
+                unit_frame_solutions(a)
             continue
-        counts.append(len(sols))
-        assert k == len(sols)
-        for s, tk, bk in zip(sols, t, b):
-            assert s.t == tk
-            np.testing.assert_array_equal(s.b, bk)
-        assert np.isnan(t[k:]).all() and np.isnan(b[k:]).all()
+        sols = unit_frame_solutions(a if d > 1 else [])
+        assert len(sols) == k
+        # bit for bit: the view is the batch's row
+        assert np.array([tk for tk, _ in sols]).tobytes() == t[:k].tobytes()
+        assert np.array([bk for _, bk in sols]).reshape(k, d, d).tobytes() == b[:k].tobytes()
     # the stack has every case: dependent, none, tangent, two solutions
-    assert set(counts) == {-1, 0, 1, 2}
-    assert got.count.tolist() == counts
+    assert set(got.count.tolist()) == ({-1, 0, 1, 2} if d > 1 else {2})
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 0.0, 0.0]],                      # one step in R^3, which needs two
+        [[0.5, 0.0], [0.0, 0.5]],               # two steps in R^2, which needs one
+        np.eye(9)[:8] * 0.5,                    # d = 9
+        [[np.nan, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0]],          # ragged
+        [0.5, 0.0],                             # a vector, not a list of vectors
+    ],
+)
+def test_frame_view_refuses_malformed_frames(a):
+    with pytest.raises(ValueError) as err:
+        unit_frame_solutions(a)
+    assert str(err.value) != "input vectors are linearly dependent"
 
 
 def test_frame_batch_validates_its_stack():

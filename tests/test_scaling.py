@@ -92,23 +92,28 @@ def test_fit_exponent_constant_series_is_flat():
 
 
 def test_fit_exponent_drops_coarse_transient():
+    # the coarsest sample is off the power law; it is dropped from four
+    # samples on, and kept (so the slope moves) below four
     deltas = [2.0**-k for k in range(2, 9)]
     vals = [d**2 for d in deltas]
-    vals[0] *= 5.0  # corrupt only the coarsest sample
+    vals[0] *= 5.0
     samples = tuple(ScaleSample(d, v, v, v) for d, v in zip(deltas, vals))
-    fit_keep = fit_exponent(ScalingSeries(samples=samples), drop_transient=False)
-    fit_drop = fit_exponent(ScalingSeries(samples=samples), drop_transient=True)
-    assert abs(fit_drop.slope - 2.0) < 1e-12
-    assert abs(fit_keep.slope - 2.0) > 0.05
-    assert fit_drop.n_points == len(deltas) - 1
+    for n in range(4, len(samples) + 1):
+        fit = fit_exponent(ScalingSeries(samples=samples[:n]))
+        assert fit.n_points == n - 1
+        assert abs(fit.slope - 2.0) < 1e-12
+    for n in (2, 3):
+        fit = fit_exponent(ScalingSeries(samples=samples[:n]))
+        assert fit.n_points == n
+        assert abs(fit.slope - 2.0) > 0.05
 
 
 def test_fit_needs_two_points():
-    with pytest.raises(ValueError):
-        fit_exponent(
-            ScalingSeries(samples=(ScaleSample(0.5, 1.0, 1.0, 1.0),)),
-            drop_transient=False,
-        )
+    # fewer than four samples are all kept, and a fit needs two
+    with pytest.raises(ValueError, match="two samples"):
+        fit_exponent(ScalingSeries(samples=(ScaleSample(0.5, 1.0, 1.0, 1.0),)))
+    with pytest.raises(ValueError, match="two samples"):
+        fit_exponent(ScalingSeries(samples=()))
 
 
 # ---- neighborhood covering series --------------------------------------------
