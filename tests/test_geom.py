@@ -90,7 +90,8 @@ def _assert_matches_oracle(a):
     want = _three_call_frame_solutions(a)
     got = unit_frame_solutions(a)
     assert len(got) == len(want)
-    # b_1 = t v - c0, so equal b at t != 0 means an equal signed normal v
+    # both branches b_1 = +-t v - c0 are compared, so where t != 0 their
+    # difference 2 t v pins the signed normal v
     for (t, b), (t_want, b_want, _) in zip(got, want):
         assert np.sign(t) == np.sign(t_want)
         assert abs(t - t_want) <= 1e-12
