@@ -705,6 +705,9 @@ def run_config(
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if out_override:  # a directory for the manifest that names the field
+            out = Path(out_override)
+            _Run(kind, out, {"kind": kind, **cfg, "out": str(out)}).finish(1, str(exc))
         return 1
     out = Path(out_override or cfg_out)
     if seed_override is not None:

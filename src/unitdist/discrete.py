@@ -1,14 +1,16 @@
 """Discrete unit-distance counting.
 
 Ordered-pair convention throughout: the count is over ordered pairs
-(p1, p2), p1 != p2, with | |p1 - p2| - 1 | <= eps. The literature often
-reports unordered edges; ordered counts here are exactly twice those.
+(p1, p2), p1 != p2, with 1 - eps <= |p1 - p2| <= 1 + eps, the distance and
+the edges as doubles. The literature often reports unordered edges; ordered
+counts here are exactly twice those.
 
-The brute force evaluates every unordered pair once. The grid counter runs
-the package's one near-pair search, `geom._near_pairs`, on the neighbour grid
-(cells just wider than the unit band). Both counters take squared distances
-from the one kernel `geom._sq_dist`, so the two agree bit-for-bit, not just
-approximately.
+`_band_limits` takes the squared band from `geom._squared_limits`, so a
+squared distance is decided exactly as its square root. The brute force, the
+counting oracle, evaluates every unordered pair once; the grid counter and
+the census run the package's one near-pair search, `geom._near_pairs`, on
+the neighbour grid (cells just wider than the unit band). All take squared
+distances from the one kernel `geom._sq_dist`, so they agree bit-for-bit.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import _near_pairs, _sq_dist, general_position_check
+from .geom import _near_pairs, _sq_dist, _squared_limits, general_position_check
 
 __all__ = [
     "PointSet",
@@ -39,7 +41,9 @@ class PointSet:
     """Finite point configuration with an explicit unit-distance tolerance.
 
     eps is always an explicit field: exact-1 distances exist only in
-    constructed examples, while random experiments need a band.
+    constructed examples, while random experiments need a band. A pair is a
+    unit pair when 1 - eps <= |p1 - p2| <= 1 + eps, with the distance and
+    the edges as doubles; eps must be finite and >= 0.
     """
 
     points: np.ndarray
@@ -56,8 +60,8 @@ class PointSet:
             raise ValueError(f"dimension {pts.shape[1]} outside 1..8")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -71,22 +75,19 @@ class PointSet:
 
 
 def _band_limits(eps: float) -> tuple[float, float]:
-    lo = max(0.0, 1.0 - eps)
-    hi = 1.0 + eps
-    return lo * lo, hi * hi
+    """The squared limits of the unit band [max(0, 1 - eps), 1 + eps]."""
+    return _squared_limits(max(0.0, 1.0 - eps), 1.0 + eps)
 
 
-def _inband_blocks(P: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The unordered pairs {i, j}, i != j, each once, in blocks of about
-    `_BLOCK_PAIRS` pairs: (i0, shifts, inband), where entry (r, c) of the
-    bool array inband is whether pair {i, (i + shifts[c]) mod n}, i = i0 + r,
-    has its distance within eps of 1.
+def _inband_blocks(P: PointSet) -> Iterator[np.ndarray]:
+    """Whether each unordered pair {i, j}, i != j, is in the unit band, each
+    pair once, in bool blocks of about `_BLOCK_PAIRS` pairs.
 
-    Shifts 1 .. (n - 1) // 2 are taken from every i, read as a sliding
-    window over the coordinates repeated once, so a block is a plain
-    broadcast with no gather; for even n the shift n / 2 is taken from
-    i < n / 2 only. |p - q|^2 has the same bits as |q - p|^2, so every pair
-    is decided as in the full (n, n) matrix.
+    Row i of a block pairs p_i with p_{(i + s) mod n} for the shifts
+    s = 1 .. (n - 1) // 2, read as a sliding window over the coordinates
+    repeated once, so a block is a plain broadcast with no gather; for even
+    n the shift n / 2 is taken from i < n / 2 only. |p - q|^2 has the same
+    bits as |q - p|^2, so every pair is decided as in the full (n, n) matrix.
     """
     cols = np.ascontiguousarray(P.points.T)
     lo2, hi2 = _band_limits(P.eps)
@@ -97,21 +98,19 @@ def _inband_blocks(P: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         ext = np.concatenate([cols[:, 1:], cols[:, :h]], axis=1)
         step = ext.strides[1]
         window = np.ndarray((d, n, h), ext.dtype, ext, 0, (ext.strides[0], step, step))
-        shifts = np.arange(1, h + 1)
         rows = max(1, _BLOCK_PAIRS // h)
         for i0 in range(0, n, rows):
             d2 = _sq_dist(cols[:, i0 : i0 + rows, None], window[:, i0 : i0 + rows])
-            yield i0, shifts, (d2 >= lo2) & (d2 <= hi2)
+            yield (d2 >= lo2) & (d2 <= hi2)
     if n and n % 2 == 0:
         d2 = _sq_dist(cols[:, : n // 2, None], cols[:, n // 2 :, None])
-        yield 0, np.array([n // 2]), (d2 >= lo2) & (d2 <= hi2)
+        yield (d2 >= lo2) & (d2 <= hi2)
 
 
 def count_unit_pairs_bruteforce(P: PointSet) -> int:
     """O(n^2) reference count of ordered unit pairs: twice the unordered
     pairs in the band, each evaluated once."""
-    blocks = _inband_blocks(P)
-    return 2 * sum(int(np.count_nonzero(inband)) for _, _, inband in blocks)
+    return 2 * sum(int(np.count_nonzero(inband)) for inband in _inband_blocks(P))
 
 
 def _neighbour_grid(eps: float) -> float:
@@ -216,13 +215,12 @@ class UnitPairReport:
 
 
 def _unit_neighbor_lists(P: PointSet) -> list[np.ndarray]:
-    """neighbors[i] = indices j != i with |p_i - p_j| within eps of 1, in
-    ascending order, from the unordered pairs of `_inband_blocks`."""
+    """neighbors[i] = indices j != i with |p_i - p_j| in the unit band, in
+    ascending order, from the unordered pairs that `geom._near_pairs` finds
+    on the neighbour grid."""
     n = P.n
     pairs = [(np.zeros(0, dtype=np.intp),) * 2]
-    for i0, shifts, inband in _inband_blocks(P):
-        r, c = inband.nonzero()
-        pairs.append((i0 + r, (i0 + r + shifts[c]) % n))
+    pairs += _near_pairs(P.points, _neighbour_grid(P.eps), *_band_limits(P.eps))
     i, j = (np.concatenate(a) for a in zip(*pairs))
     owner, other = np.concatenate([i, j]), np.concatenate([j, i])
     other = other[np.argsort(owner * n + other)]
@@ -253,11 +251,11 @@ def unit_step_census(P: PointSet) -> UnitPairReport:
             f"distinct-tuple enumeration {distinct_tuple_count} exceeds cap {_TUPLE_CAP}"
         )
 
+    # a fiber counts points, so every order of a d-set of neighbours has
+    # the same fiber: each set is counted once, in ascending order
     fibers: dict[tuple[int, ...], int] = {}
-    for i, nb in enumerate(neighbors):
-        if len(nb) < d:
-            continue
-        for combo in itertools.permutations(nb.tolist(), d):
+    for nb in neighbors:
+        for combo in itertools.combinations(nb.tolist(), d):
             fibers[combo] = fibers.get(combo, 0) + 1
     max_fiber = max(fibers.values()) if fibers else 0
 

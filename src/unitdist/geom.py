@@ -20,8 +20,8 @@ The squared distances between point arrays in `discrete`, `geom` and
 `_near_pairs` is the package's one near-pair search: the unordered pairs of a
 point array whose squared distance lies in a closed band narrower than one
 cell side, found through sorted linear cell keys and one fixed stencil of
-neighbouring cells, {-1, 0, 1}^d up to sign. The grid unit-pair counter and
-the separated nets both run on it.
+neighbouring cells, {-1, 0, 1}^d up to sign. The grid unit-pair counter, the
+unit-step census and the separated nets all run on it.
 """
 from __future__ import annotations
 
@@ -471,10 +471,11 @@ def _squared_limits(lo: float, hi: float) -> tuple[float, float]:
     lo <= sqrt(s) <= hi, for every double s >= 0.
 
     sqrt is correctly rounded, hence monotone, so both sets are intervals;
-    the ends are found by stepping from the rounded squares.
+    the ends are found by stepping from the rounded squares. lo and hi must
+    be finite.
     """
     lo2, hi2 = lo * lo, hi * hi
-    while math.sqrt(lo2) >= lo:
+    while lo2 > 0.0 and math.sqrt(lo2) >= lo:
         lo2 = math.nextafter(lo2, 0.0)
     while math.sqrt(lo2) < lo:
         lo2 = math.nextafter(lo2, math.inf)

@@ -141,14 +141,13 @@ def sweep(
     delta_list,
     method: str = "grid",
     width_multiplier: float = 2.0,
-    cell_factor=Fraction(1, 2),
     label: str = "",
 ) -> ScalingSeries:
     """Bracketed |D^delta| series for the product of the axis sets.
 
-    method="grid" rasterizes the per-axis delta-neighborhoods (cell =
-    cell_factor * delta) and brackets the measure by certified cell-pair
-    counts; the sample value is the bracket midpoint. method="product"
+    method="grid" rasterizes the per-axis delta-neighborhoods on cells of
+    side delta / 2 and brackets the measure by certified cell-pair counts;
+    the sample value is the bracket midpoint. method="product"
     measures one axis exactly (`pair_band_mass`: the value is the correctly
     rounded mass, the bracket its adjacent floats, or the value itself where
     the mass is a float) and two axes by `pair_band_measure_product`'s
@@ -158,16 +157,13 @@ def sweep(
     if not 1 <= len(axes) <= 3:
         raise ValueError("need 1 to 3 axes")
     deltas = _as_deltas(delta_list)
-    cell_factor = Fraction(cell_factor)
-    if not 0 < cell_factor <= 1:
-        raise ValueError("cell_factor must be in (0, 1]")
 
     samples = []
     for delta in deltas:
         sets = [ax.at_scale(delta) for ax in axes]
         try:
             if method == "grid":
-                G = rasterize(sets, delta, delta * cell_factor)
+                G = rasterize(sets, delta, delta / 2)
                 br = pair_band_measure_grid(G, width_multiplier)
                 val = 0.5 * (br.inner + br.outer)
                 samples.append(ScaleSample(float(delta), val, br.inner, br.outer))

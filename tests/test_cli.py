@@ -267,12 +267,19 @@ def test_unexpected_error_leaves_a_manifest_and_propagates(tmp_path, monkeypatch
 
 
 def test_config_error_manifest_names_the_field(tmp_path):
-    cfg = _write(tmp_path / "c.json", {"p": 1, "stage": 3})
-    out = tmp_path / "run"
-    assert main(["cantor", "--config", cfg, "--out", str(out)]) == 1
-    man = _manifest(out)
-    assert man["artifacts"] == [] and man["exit_code"] == 1
-    assert "missing required field 'q'" in man["error"]
+    cases = [
+        ("cantor", {"p": 1, "stage": 3}, "missing required field 'q'"),
+        # the config's out is read before the run starts; --out still
+        # gives the manifest a directory
+        ("frames", {"d": 2, "count": 3, "out": 5}, "field 'out' in frames config"),
+    ]
+    for k, (kind, spec, message) in enumerate(cases):
+        cfg = _write(tmp_path / f"c{k}.json", spec)
+        out = tmp_path / f"run{k}"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 1
+        man = _manifest(out)
+        assert man["artifacts"] == [] and man["exit_code"] == 1
+        assert message in man["error"]
 
 
 def test_empty_points_axis_is_refused_before_any_scale_runs(tmp_path, capsys, monkeypatch):

@@ -41,8 +41,9 @@ def test_square_has_eight_ordered_unit_pairs():
 def test_pointset_validation():
     with pytest.raises(ValueError):
         PointSet(np.zeros((3,)))  # needs an (n, d) array
-    with pytest.raises(ValueError):
-        PointSet(TRIANGLE, eps=-1.0)
+    for eps in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            PointSet(TRIANGLE, eps=eps)
     # the empty set is legal and counts zero
     assert count_unit_pairs_bruteforce(PointSet(np.zeros((0, 2)))) == 0
 
@@ -324,7 +325,8 @@ def _full_matrix_neighbors(P):
     cols = P.points.T
     d2 = _sq_dist(cols[:, :, None], cols[:, None, :])
     lo, hi = max(0.0, 1.0 - P.eps), 1.0 + P.eps
-    inband = (d2 >= lo * lo) & (d2 <= hi * hi)
+    dist = np.sqrt(d2)
+    inband = (dist >= lo) & (dist <= hi)
     np.fill_diagonal(inband, False)
     return [np.flatnonzero(row) for row in inband]
 
@@ -372,3 +374,77 @@ def test_unordered_pass_across_block_boundaries(monkeypatch, block, n):
 def test_census_of_tiny_sets_equals_the_full_matrix(monkeypatch, n, eps):
     P = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])[:n], eps=eps)
     assert unit_step_census(P) == _full_matrix_census(monkeypatch, P)
+
+
+def _count_three_ways(P):
+    """The brute force, the grid counter and the census's edge count."""
+    return (
+        count_unit_pairs_bruteforce(P),
+        count_unit_pairs_grid(P),
+        unit_step_census(P).edge_count,
+    )
+
+
+def test_a_unit_pair_whose_square_rounds_up_counts_at_eps_zero():
+    # |(5/13, 12/13)|^2 rounds to 1 + 2^-52, whose square root rounds to 1
+    P = PointSet(np.array([[0.0, 0.0], [5 / 13, 12 / 13]]), eps=0.0)
+    cols = P.points.T
+    assert _sq_dist(cols[:, 0], cols[:, 1]) == 1.0000000000000002
+    assert _count_three_ways(P) == (2, 2, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    eps=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]),
+    upper=st.booleans(),
+    ulps=st.integers(-6, 6),
+    split=st.floats(0.0, 1.0),
+    base=st.sampled_from([0.0, 0.5, -3.25, 7.0]),
+)
+def test_two_point_sets_count_the_documented_band(eps, upper, ulps, split, base):
+    # a squared distance a few ulps from the square of a band edge, split
+    # between two axes, decided by its float square root against the edges
+    lo, hi = max(0.0, 1.0 - eps), 1.0 + eps
+    s = hi * hi if upper else lo * lo
+    for _ in range(abs(ulps)):
+        s = math.nextafter(s, math.copysign(math.inf, ulps))
+    x = math.sqrt(split * s)
+    y = math.sqrt(max(0.0, s - x * x))
+    P = PointSet(np.array([[base, base], [base + x, base - y]]), eps=eps)
+    cols = P.points.T
+    d2 = float(_sq_dist(cols[:, 0], cols[:, 1]))
+    want = 2 if lo <= math.sqrt(d2) <= hi else 0
+    assert _count_three_ways(P) == (want,) * 3
+
+
+def _ordered_tuple_fiber(neighbors, d):
+    """The largest endpoint fiber over every ordered d-tuple of distinct
+    neighbours, each order counted in its own dict entry."""
+    fibers = {}
+    for nb in neighbors:
+        for combo in itertools.permutations(nb.tolist(), d):
+            fibers[combo] = fibers.get(combo, 0) + 1
+    return max(fibers.values(), default=0)
+
+
+def _integer_lattice(N, d, m):
+    """{0, ..., N-1}^d / sqrt(m)."""
+    return np.array(list(itertools.product(range(N), repeat=d)), float) / math.sqrt(m)
+
+
+@pytest.mark.parametrize(
+    "P, fiber",
+    [
+        (PointSet(_integer_lattice(60, 2, 1)), 2),
+        (PointSet(_integer_lattice(5, 3, 2)), 2),
+        (PointSet(_integer_lattice(4, 3, 3)), 2),
+        (two_circles_r4(6, seed=0), 6),
+        (PointSet(SQUARE), 2),
+    ],
+)
+def test_endpoint_fiber_equals_the_ordered_tuple_count(P, fiber):
+    # the census counts each d-set of neighbours once; every order of a
+    # set has the same fiber, so the maximum is the ordered tuples' maximum
+    rep = unit_step_census(P)
+    assert rep.max_endpoint_fiber == _ordered_tuple_fiber(_full_matrix_neighbors(P), P.d)
+    assert rep.max_endpoint_fiber == fiber

@@ -431,7 +431,8 @@ def test_frame_batch_validates_its_stack():
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(1 - 6e-3, 1 + 6e-3), (0.3, 0.30000000000000004), (2.5, 7.0)]
+    "lo, hi",
+    [(1 - 6e-3, 1 + 6e-3), (0.3, 0.30000000000000004), (2.5, 7.0), (0.0, 1.0)],
 )
 def test_squared_limits_decide_like_the_square_root(lo, hi):
     lo2, hi2 = _squared_limits(lo, hi)
