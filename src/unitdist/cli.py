@@ -36,7 +36,7 @@ from .discrete import (
     two_circles_r4,
     unit_step_census,
 )
-from .geom import unit_frame_batch
+from .geom import MAX_DIM, unit_frame_batch
 from .grids import alpha_set_verify, rasterize
 from .incidence import incidence_census, section_histogram
 from .scaling import (
@@ -333,8 +333,8 @@ def _run_frames(cfg: dict, run: _Run) -> int:
     count = _take(cfg, "count", default=1000, where=where, cast=_at_least(0))
     seed = _take(cfg, "seed", default=0, where=where, cast=_integer)
     _done(cfg, where)
-    if not 2 <= d <= 8:
-        raise ConfigError("'d' must be in [2, 8] in frames config")
+    if not 2 <= d <= MAX_DIM:
+        raise ConfigError(f"'d' must be in [2, {MAX_DIM}] in frames config")
 
     rng = np.random.default_rng(seed)
     A = np.empty((count, d - 1, d))
@@ -424,6 +424,8 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
     axes = [
         _axis_from_config(a, f"sweep.axes[{i}]") for i, a in enumerate(axes_cfg)
     ]
+    if len(deltas) < 2:  # refused before any scale is measured
+        raise ConfigError(f"field 'deltas' in {where}: a fit needs at least two scales")
     d = len(axes)
     alpha = (
         alpha_cfg

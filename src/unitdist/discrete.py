@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import _near_pairs, _sq_dist, _squared_limits, general_position_check
+from .geom import MAX_DIM, _near_pairs, _sq_dist, _squared_limits, general_position_check
 
 __all__ = [
     "PointSet",
@@ -56,8 +56,8 @@ class PointSet:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 1)
         if pts.ndim != 2:
             raise ValueError(f"points must be (n, d), got shape {pts.shape}")
-        if not 1 <= pts.shape[1] <= 8:
-            raise ValueError(f"dimension {pts.shape[1]} outside 1..8")
+        if not 1 <= pts.shape[1] <= MAX_DIM:
+            raise ValueError(f"dimension {pts.shape[1]} outside 1..{MAX_DIM}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -170,8 +170,8 @@ def random_general_position(
     remain abundant. The retry sequence is deterministic in the seed; the
     check mode used is recorded in the label.
     """
-    if d < 2 or d > 8:
-        raise ValueError("d must be in 2..8")
+    if not 2 <= d <= MAX_DIM:
+        raise ValueError(f"d must be in 2..{MAX_DIM}")
     if n < d:
         raise ValueError("need n >= d")
     exhaustive = math.comb(n, d) <= sample_count

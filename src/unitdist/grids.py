@@ -4,8 +4,8 @@ A GridIndicator is the cell-level picture of a delta-neighborhood
 K_delta = (A1)_delta x ... x (Ad)_delta, d <= 3. Because every set we
 rasterize is an axis product, occupancy is stored per axis (outer = cells
 meeting the neighborhood in positive length, inner = cells fully inside)
-and the full d-dimensional bitmaps are materialized only on demand, under a
-size cap. Outer and inner cell measures bracket |K_delta| exactly.
+and the full d-dimensional bitmaps are materialized only on demand. Outer
+and inner cell measures bracket |K_delta| exactly.
 
 All index arithmetic happens on the exact integer lattice shared by the
 union's endpoints and the cell size, so a cell is never misclassified by
@@ -30,8 +30,16 @@ __all__ = [
     "fft_length",
 ]
 
-DENSE_CAP = 1 << 26
 INT64_LIMIT = 1 << 63  # an exact integer sum bounded below this fits int64
+MEMORY_BUDGET = 3 << 30  # bytes one step may allocate
+
+
+def _within_budget(step: str, nbytes: int) -> None:
+    """Refuse a step whose bytes, predicted from sizes known before it
+    allocates anything, exceed MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        budget = f"the memory budget of {MEMORY_BUDGET} bytes"
+        raise ValueError(f"{step}: {nbytes} bytes predicted, over {budget}")
 
 
 def fft_length(m: int) -> int:
@@ -101,12 +109,7 @@ class GridIndicator:
         return o + (np.arange(n) + 0.5) * c
 
     def dense_mask(self) -> np.ndarray:
-        """Materialize the full d-dim boolean outer occupancy (size-capped)."""
-        total = 1
-        for n in self.dims:
-            total *= n
-        if total > DENSE_CAP:
-            raise ValueError(f"dense mask of {total} cells exceeds cap {DENSE_CAP}")
+        """Materialize the full d-dim boolean outer occupancy."""
         out = self.axis_masks[0]
         for m in self.axis_masks[1:]:
             out = np.multiply.outer(out, m)
@@ -125,6 +128,7 @@ def _axis_occupancy(
     if fattened.is_empty:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), Fraction(0)
     lo, hi, step, n, origin = fattened._cells(cell)
+    _within_budget("rasterize", 24 * n)  # the covers' int64 counts: 18 bytes a cell
     outer = _cover(lo // step, -(-hi // step), n)
     inner = _cover(-(-lo // step), hi // step, n)
     return outer, inner, origin

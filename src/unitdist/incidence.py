@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import _near_pairs, _sq_dist, _squared_limits
-from .grids import GridIndicator, _certified_counts, fft_length
+from .grids import GridIndicator, _certified_counts, _within_budget, fft_length
 
 __all__ = [
     "AnnulusOverlap",
@@ -32,7 +32,6 @@ __all__ = [
     "incidence_census",
 ]
 
-TUPLE_CAP = 10**9
 _TRIPLE_BLOCK = 1 << 22  # (pair, k) candidates tested at once
 
 
@@ -159,12 +158,17 @@ def section_measures(G: GridIndicator) -> np.ndarray:
     The FFT counts are certified-rounded to integers."""
     if G.d not in (2, 3):
         raise ValueError("section measures need a 2-D or 3-D grid")
-    mask = G.dense_mask().astype(np.float64)
     cell = float(G.cell)
     delta = float(G.delta)
     R = int(math.ceil((1.0 + 2 * delta) / cell)) + 1
-    axes = np.meshgrid(*([np.arange(-R, R + 1)] * G.d), indexing="ij")
-    dist = np.sqrt(sum((a * cell) ** 2 for a in axes))
+    # 8 bytes a cell for the mask, 16 a shell offset for the kernel and its
+    # distances, and at most 42 per padded transform entry measured at the FFTs
+    cells, shell = math.prod(G.dims), (2 * R + 1) ** G.d
+    padded = math.prod(fft_length(n + 2 * R) for n in G.dims)
+    _within_budget("section measures", 8 * cells + 16 * shell + 56 * padded)
+    mask = G.dense_mask().astype(np.float64)
+    offsets = np.arange(-R, R + 1) * cell
+    dist = np.sqrt(sum(a**2 for a in np.ix_(*[offsets] * G.d)))
     kernel = ((dist >= 1.0 - 2 * delta) & (dist <= 1.0 + 2 * delta)).astype(np.float64)
     counts = _certified_counts(_fft_convolve_same(mask, kernel))
     counts[mask == 0] = 0
@@ -296,11 +300,11 @@ def incidence_census(hist: SectionHistogram, lam: float, c: float = 0.1) -> Inci
         sections.append(sel)
 
     arity = 2 if d == 2 else 3
-    if float((sizes.astype(np.float64) ** arity).sum()) > TUPLE_CAP:
-        raise RuntimeError(
-            f"tuple enumeration would exceed the cap of {TUPLE_CAP}; "
-            "coarsen the grid or raise lam"
-        )
+    # a key is 8 bytes, held in the keys list, their concatenation and
+    # np.unique's sorted copy and index arrays; a section's far matrix and
+    # its distances take 32 bytes per entry
+    keys_max = sum(math.comb(m, arity) for m in sizes.tolist())
+    _within_budget("tuple keys", 48 * keys_max + 32 * int(sizes.max(initial=0)) ** 2)
 
     n_j = j_points.shape[0]
     if n_j**arity > np.iinfo(np.int64).max:

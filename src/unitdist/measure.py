@@ -16,7 +16,7 @@ Three independent computations of the same quantity live here on purpose:
   is linear on each lattice cell and the band kernel monotone in s;
 * the "atoms" path evaluates the same double integral from deduplicated
   block-pair center differences -- the only route that reaches
-  delta = 2^-26. Where a union's blocks are a Minkowski sum of two-point
+  delta = 2^-30. Where a union's blocks are a Minkowski sum of two-point
   sets (a C(p, q) stage, its planted double and the fattenings a sweep
   builds of them, once each block of up to twice the shortest length is
   split into two shortest blocks minus their overlap), the differences are
@@ -43,12 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .geom import _ranges
 from .intervals import IntervalUnion
-from .grids import DENSE_CAP, INT64_LIMIT, GridIndicator, _certified_counts, fft_length
+from .grids import INT64_LIMIT, GridIndicator, _certified_counts, _within_budget, fft_length
 
 __all__ = [
     "Correlogram",
@@ -487,6 +488,9 @@ def _sum_by_value(vals: np.ndarray, cnts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 _DIFF_BLOCK = 1 << 22  # center differences formed at once
+# bytes per difference atom at the route's peak: `_trapezoid_breaklist`
+# sorts 1.5 breakpoints per atom (108 bytes measured), while B's profile is held
+_ATOM_BYTES = 160
 
 
 def _pair_differences(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -559,13 +563,10 @@ def _convolved_differences(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Values and multiplicities of the differences of {0} + {0, t_1} + ...:
     the convolution of the factors {-t: 1, 0: 2, +t: 1}. The smallest t go
     first; a factor whose t exceeds the span so far leaves three disjoint
-    sorted runs, and the others are merged by a stable sort of the runs.
-    Arrays past the package's array cap are refused before they are built."""
+    sorted runs, and the others are merged by a stable sort of the runs."""
     vals = np.zeros(1, dtype=np.int64)
     cnts = np.ones(1, dtype=np.int64)
     for t in sorted(ts):
-        if 3 * vals.size > DENSE_CAP:
-            raise ValueError(f"{3 * vals.size} difference atoms exceed cap {DENSE_CAP}")
         overlap = t <= 2 * int(vals[-1])  # vals is symmetric about 0
         vals = np.concatenate([vals - t, vals, vals + t])
         cnts = np.concatenate([cnts, 2 * cnts, cnts])
@@ -576,10 +577,11 @@ def _convolved_differences(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _translate_atoms(
     centers: np.ndarray, lengths: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, int, int]] | None:
+) -> tuple[int, Callable] | None:
     """Difference atoms of the same autocorrelation as `_difference_atoms`'s
     (the two give one canonical breaklist), from the union's translate
-    structure; None where the union has none.
+    structure, as (their count at most, a function that builds them); None
+    where the union has none.
 
     L is the shortest positive block length; points add nothing to an
     autocorrelation and are dropped. A block of length in (L, 2L] is, as an
@@ -588,8 +590,8 @@ def _translate_atoms(
     (fattening merges two L-blocks this way at the planted seam). If the
     sorted L-block centers are a Minkowski sum of two-point sets
     (`_translates`), their differences are the convolution of the factors,
-    with no N^2 step; the few other class pairs take the generic
-    differences, with signed int64 multiplicities.
+    with no N^2 step: 3^k atoms at most for k factors. The few other class
+    pairs take the generic differences, with signed int64 multiplicities.
     """
     solid = lengths > 0
     centers, lengths = centers[solid], lengths[solid]
@@ -609,23 +611,27 @@ def _translate_atoms(
     classes = [(unit, int(L), 1)]
     for cs, ls, sign in ((centers[long], lengths[long], 1), (c[cut], overlap[cut], -1)):
         classes += [(cs[ls == la], int(la), sign) for la in _distinct(ls)]
-    out = [(*_convolved_differences(ts), int(L), int(L))]
-    for ca, la, sa in classes:
-        for cb, lb, sb in classes:
-            if la == lb == L:
-                continue
-            vals, cnts = _pair_differences(ca, cb)
-            out.append((vals, sa * sb * cnts, la, lb))
-    return out
+
+    def build() -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+        out = [(*_convolved_differences(ts), int(L), int(L))]
+        for ca, la, sa in classes:
+            for cb, lb, sb in classes:
+                if la == lb == L:
+                    continue
+                vals, cnts = _pair_differences(ca, cb)
+                out.append((vals, sa * sb * cnts, la, lb))
+        return out
+
+    n = sum(cs.size for cs, _, _ in classes)
+    return 3 ** len(ts) + n * n - unit.size**2, build
 
 
-def _union_atoms(
-    centers: np.ndarray, lengths: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """Difference atoms from the translate structure where the union has
-    one, else from all N^2 differences."""
-    atoms = _translate_atoms(centers, lengths)
-    return _difference_atoms(centers, lengths) if atoms is None else atoms
+def _union_atoms(centers: np.ndarray, lengths: np.ndarray) -> tuple[int, Callable]:
+    """(the union's difference atoms at most, a function that builds them):
+    from the translate structure where the union has one, else from all
+    N^2 differences."""
+    plan = _translate_atoms(centers, lengths)
+    return plan or (centers.size**2, lambda: _difference_atoms(centers, lengths))
 
 
 def _trapezoid_breaklist(
@@ -1024,13 +1030,18 @@ def _integrate_pieces(fn, knot, radii, za, zb, kf, kg):
 def _band_integrand(
     F: IntervalUnion, B: IntervalUnion, lo: float, hi: float
 ) -> _BandIntegrand:
-    """corrF's exact breaklist and B's pair-mass profile G up to hi."""
+    """corrF's exact breaklist and B's pair-mass profile G up to hi. Both
+    unions' atoms are counted, and their bytes predicted, before any is built."""
     den = _common_denominator(
         [F, B], 1 << 40, "endpoint lattice too fine for the atoms path"
     )
     quarter = 1.0 / (4 * den)
-    cum_b = _PairCum.from_atoms(_union_atoms(*_lattice_blocks(B, den)), quarter, hi)
-    pos, slope, value = _trapezoid_breaklist(_union_atoms(*_lattice_blocks(F, den)))
+    (size_b, atoms_b), (size_f, atoms_f) = (
+        _union_atoms(*_lattice_blocks(U, den)) for U in (B, F)
+    )
+    _within_budget("difference atoms", _ATOM_BYTES * max(size_b, size_f))
+    cum_b = _PairCum.from_atoms(atoms_b(), quarter, hi)
+    pos, slope, value = _trapezoid_breaklist(atoms_f())
     return _BandIntegrand(
         pos * quarter, value * quarter, slope.astype(np.float64), cum_b, lo, hi
     )
@@ -1079,7 +1090,7 @@ def pair_band_measure_product(
     `_dense_band_integral`; its relative width falls linearly with the
     spacing (about 0.1 at delta/4 on the planted C(1,2) product).
     The atoms method evaluates the same integral from deduplicated block
-    differences and scales to delta = 2^-26. It takes them from the union's
+    differences and scales to delta = 2^-30. It takes them from the union's
     translate structure where it has one (`_translate_atoms`: O(N) to
     recognize, a convolution of two-point factors to build), else from all
     N^2 differences; both give the same canonical breaklist. m(s) is exact

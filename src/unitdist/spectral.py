@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import INT64_LIMIT, GridIndicator
+from .grids import INT64_LIMIT, GridIndicator, _within_budget
 
 __all__ = [
     "MollifierSpec",
@@ -29,7 +29,6 @@ __all__ = [
     "weighted_energy",
 ]
 
-MAX_SAMPLES = 1 << 26
 SUPPORT_RADIUS = 8.0  # kernel mass beyond 8 sigma is < 1.3e-15
 
 
@@ -121,8 +120,7 @@ def mollify_transform(G: GridIndicator) -> SpectrumGrid:
     extra = int(math.ceil(SUPPORT_RADIUS * sigma / cell)) + 1
     need = mask.size + 2 * extra
     N = 1 << max(need - 1, 1).bit_length()
-    if N > MAX_SAMPLES:
-        raise ValueError(f"padded transform length {N} exceeds the 2^26 cap")
+    _within_budget("mollified transform", 56 * N)  # 45 bytes per sample measured
     spec = np.fft.rfft(mask.astype(np.float64), N) * cell
     xi = np.arange(spec.size) / (N * cell)
     spec = spec * MollifierSpec(sigma).fourier(xi)

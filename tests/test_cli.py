@@ -1,13 +1,17 @@
 """End-to-end checks of the experiment runner: exit codes, artifacts, manifests."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import unitdist.measure
+import unitdist.grids
 from unitdist.cli import main, run_config
+from unitdist.measure import _ATOM_BYTES
 from unitdist.intervals import IntervalUnion
 
 
@@ -454,10 +458,10 @@ def test_report_refuses_a_recorded_table_it_cannot_use(tmp_path, capsys, edit, m
     assert message in err
 
 
-def test_atoms_past_the_array_cap_end_the_sweep_with_a_manifest(tmp_path, monkeypatch):
+def test_atoms_past_the_memory_budget_end_the_sweep_with_a_manifest(tmp_path, monkeypatch):
     # the atoms route's difference arrays triple per translate factor; past
-    # the package's array cap the sweep refuses instead of building them
-    monkeypatch.setattr(unitdist.measure, "DENSE_CAP", 1000)
+    # the memory budget the sweep refuses instead of building them
+    monkeypatch.setattr(unitdist.grids, "MEMORY_BUDGET", 1000 * _ATOM_BYTES)
     cfg = _write(
         tmp_path / "s.json",
         {
@@ -470,7 +474,60 @@ def test_atoms_past_the_array_cap_end_the_sweep_with_a_manifest(tmp_path, monkey
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     manifest = _manifest(out)
     assert manifest["exit_code"] == 1
-    assert "difference atoms exceed cap 1000" in manifest["error"]
+    # refused at 2^-18, before either union's atoms are built
+    assert "at delta=3.8147e-06: difference atoms: " in manifest["error"]
+    budget = f"bytes predicted, over the memory budget of {1000 * _ATOM_BYTES} bytes"
+    assert budget in manifest["error"]
+
+
+_C12 = {"kind": "cantor", "p": 1, "q": 2}
+_BUDGET_PROBE = """
+import resource, sys
+import unitdist.grids
+from unitdist.cli import run_config
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unitdist.grids.MEMORY_BUDGET = 64 << 20
+code = run_config(sys.argv[2], kind=sys.argv[1], out_override=sys.argv[3])
+print(code, baseline, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [
+        (
+            "sweep",
+            {
+                "axes": [{**_C12, "shift": 1}, _C12],
+                "deltas": ["2^-27", "2^-28"],
+                "method": "product",
+            },
+        ),
+        ("incidence", {"axes": [_C12] * 3, "delta": "2^-5"}),
+        ("spectral", {"p": 1, "q": 2, "delta_exps": [21]}),
+    ],
+)
+def test_a_small_memory_budget_refuses_each_route_before_it_allocates(tmp_path, kind, cfg):
+    # each run takes GiBs or hundreds of MiB past its refused step; under a
+    # 64 MiB budget it exits 1 with the predicted bytes in its manifest, and
+    # the child's own peak (RUSAGE_SELF, in KiB) stays within the budget of
+    # what the imports took
+    src = str(Path(unitdist.grids.__file__).parents[1])
+    out = tmp_path / "r"
+    code, baseline, peak = map(
+        int,
+        subprocess.run(
+            [sys.executable, "-c", _BUDGET_PROBE, kind, _write(tmp_path / "c.json", cfg), out],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split(),
+    )
+    assert code == 1
+    error = _manifest(out)["error"]
+    assert f"bytes predicted, over the memory budget of {64 << 20} bytes" in error
+    assert peak - baseline < 64 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +867,8 @@ _AXES = [{"kind": "interval", "lo": 0, "hi": 1}]
         # an output directory is a JSON string, read even when --out wins
         ("count", {"set": "triangle", "out": 5}, "out", "count config"),
         ("frames", {"d": 2, "count": 3, "out": ["r"]}, "out", "frames config"),
+        # a fit needs two scales, so one is refused before it is measured
+        ("sweep", {"axes": _AXES, "deltas": ["2^-30"]}, "deltas", "sweep config"),
     ],
 )
 def test_bad_values_name_the_field(tmp_path, capsys, monkeypatch, kind, cfg, field, where):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import unitdist.grids
 from unitdist.cantor import CantorSpec, cantor_stage
 from unitdist.grids import rasterize
 from unitdist.incidence import (
@@ -364,3 +365,13 @@ def test_census_tuples_and_fibers_match_dict_oracle(axes, k, c):
     assert census.tuple_count > 0
     want = _census_dict_oracle(census, G.d)
     assert (census.tuple_count, census.max_projection_fiber) == want
+
+
+def test_census_refuses_tuple_keys_past_the_memory_budget(monkeypatch):
+    # the keys are predicted from the section sizes, before any is formed
+    delta = Fraction(1, 8)
+    sets = [cantor_stage(CantorSpec(1, 3), 3)] * 3
+    hist = section_histogram(rasterize(sets, delta, delta / 2, alpha=1.0))
+    monkeypatch.setattr(unitdist.grids, "MEMORY_BUDGET", 1 << 20)
+    with pytest.raises(ValueError, match="tuple keys: [0-9]+ bytes predicted"):
+        incidence_census(hist, hist.top_threshold(), c=0.08)

@@ -23,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage, shift_union, stage_for_scale
 from unitdist.intervals import IntervalUnion
+import unitdist.grids
 import unitdist.measure
 from unitdist.measure import (
     Correlogram,
@@ -826,8 +827,12 @@ def test_translate_atoms_give_the_generic_breaklist(case):
     if structured is not None:
         assert (atoms is not None) == structured
     generic = _trapezoid_breaklist(_difference_atoms(centers, lengths))
-    for got in (_trapezoid_breaklist(_union_atoms(centers, lengths)),) + (
-        () if atoms is None else (_trapezoid_breaklist(atoms),)
+    # the count predicted before the build bounds the atoms built
+    size, build = _union_atoms(centers, lengths)
+    union_atoms = build()
+    assert sum(vals.size for vals, *_ in union_atoms) <= size
+    for got in (_trapezoid_breaklist(union_atoms),) + (
+        () if atoms is None else (_trapezoid_breaklist(atoms[1]()),)
     ):
         for x, y in zip(got, generic):
             assert x.dtype == y.dtype == np.int64
@@ -844,7 +849,7 @@ def test_planted_product_takes_the_translate_path(k):
         centers, lengths = _lattice_blocks(U, U.den)
         atoms = _translate_atoms(centers, lengths)
         assert atoms is not None
-        got = _trapezoid_breaklist(atoms)
+        got = _trapezoid_breaklist(atoms[1]())
         want = _trapezoid_breaklist(_difference_atoms(centers, lengths))
         for x, y in zip(got, want):
             np.testing.assert_array_equal(x, y)
@@ -897,13 +902,25 @@ def test_convolved_differences_are_all_pair_differences(ts):
     np.testing.assert_array_equal(cnts, want_cnts)
 
 
-def test_convolved_differences_refuse_arrays_past_the_cap(monkeypatch):
-    # t = 1, 3, 9, 27 never overlap, so the arrays hold 3^k entries: 27 are
-    # built under a cap of 27, and the next 81 are refused before they exist
-    monkeypatch.setattr(unitdist.measure, "DENSE_CAP", 27)
-    assert _convolved_differences([1, 3, 9])[0].size == 27
-    with pytest.raises(ValueError, match="81 difference atoms exceed cap 27"):
-        _convolved_differences([1, 3, 9, 27])
+def _unit_blocks_at_sums(ts):
+    """Unit intervals starting at {0} + {0, t_1} + {0, t_2} + ..."""
+    starts = [0]
+    for t in ts:
+        starts += [s + t for s in starts]
+    return IntervalUnion.from_pairs([(s, s + 1) for s in starts])
+
+
+def test_atoms_past_the_budget_are_refused_before_any_is_built(monkeypatch):
+    # blocks at {0, 4} + {0, 12} + {0, 36} never overlap, so their
+    # differences are 3^3 atoms, built under a budget of 27 atoms; a fourth
+    # factor {0, 108} makes 81, refused before either union builds one
+    atom = unitdist.measure._ATOM_BYTES
+    monkeypatch.setattr(unitdist.grids, "MEMORY_BUDGET", 27 * atom)
+    B, F = _unit_blocks_at_sums([4, 12, 36]), _unit_blocks_at_sums([4, 12, 36, 108])
+    assert _band_integrand(B, B, 0.5, 1.5).fx.size > 0
+    monkeypatch.setattr(unitdist.measure, "_convolved_differences", None)
+    with pytest.raises(ValueError, match=f"difference atoms: {81 * atom} bytes predicted"):
+        _band_integrand(F, B, 0.5, 1.5)
 
 
 # ---- atoms path: Gauss-Legendre pieces and their error bounds -------------

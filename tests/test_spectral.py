@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitdist.cantor import CantorSpec, cantor_stage
 from unitdist.grids import GridIndicator, rasterize
+import unitdist.grids
 import unitdist.spectral
 from unitdist.intervals import IntervalUnion
 from unitdist.spectral import (
@@ -83,6 +84,14 @@ def test_cell_must_resolve_mollifier():
     A = cantor_stage(CantorSpec(1, 2), 3)
     G = rasterize(A, Fraction(1, 64), Fraction(1, 128))  # cell = delta/2 too coarse
     with pytest.raises(ValueError):
+        mollify_transform(G)
+
+
+def test_transform_past_the_memory_budget_is_refused(monkeypatch):
+    # the budget is checked on the padded length, before the transform
+    G = _line_grid(cantor_stage(CantorSpec(1, 2), 3), Fraction(1, 64), alpha=0.5)
+    monkeypatch.setattr(unitdist.grids, "MEMORY_BUDGET", mollify_transform(G).length)
+    with pytest.raises(ValueError, match="mollified transform: [0-9]+ bytes predicted"):
         mollify_transform(G)
 
 
