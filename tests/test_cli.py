@@ -510,8 +510,8 @@ print(code, baseline, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 def test_a_small_memory_budget_refuses_each_route_before_it_allocates(tmp_path, kind, cfg):
     # each run takes GiBs or hundreds of MiB past its refused step; under a
     # 64 MiB budget it exits 1 with the predicted bytes in its manifest, and
-    # the child's own peak (RUSAGE_SELF, in KiB) stays within the budget of
-    # what the imports took
+    # the child's own peak (RUSAGE_SELF, in KiB) stays below its import
+    # baseline plus the budget
     src = str(Path(unitdist.grids.__file__).parents[1])
     out = tmp_path / "r"
     code, baseline, peak = map(
