@@ -49,6 +49,7 @@ from .scaling import (
     ScalingSeries,
     compare_report,
     fit_exponent,
+    log_log_fit,
     sweep,
     theory_bounds,
     verdict_table,
@@ -437,8 +438,9 @@ def _run_sweep(cfg: dict, run: _Run) -> int:
             axes, deltas, method=method, width_multiplier=widthm, label=label
         )
         fit = fit_exponent(series)
-    except ValueError as exc:
-        raise ConfigError(f"sweep failed: {exc}") from exc
+    except ValueError as exc:  # an error at one scale names the sweep already
+        prefix = "" if str(exc).startswith("sweep failed at") else "sweep failed: "
+        raise ConfigError(f"{prefix}{exc}") from exc
     emit_csv(run.path("scaling.csv"), _SCALING_SCHEMA, _series_rows(series, d, alpha))
     return _judge(fit, verdict_table(axes, d, alpha), tol, run)
 
@@ -525,9 +527,8 @@ def _run_spectral(cfg: dict, run: _Run) -> int:
     # gate cannot pass
     slope = None
     if len(energy_rows) >= 2:
-        logs = np.log([row[0] for row in energy_rows])
-        ratios = np.log([row[3] for row in energy_rows])
-        slope = float(np.polyfit(logs, ratios, 1)[0])
+        columns = list(zip(*energy_rows))  # delta, energy, reference, ratio
+        slope = log_log_fit(columns[0], columns[3])[0]
     _write_json(
         run.path("summary.json"),
         {"alpha": alpha, "ratio_log_slope": slope, "scales": len(energy_rows)},

@@ -141,9 +141,11 @@ def separated_subset(points: np.ndarray, r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fft_convolve_same(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve with a centered kernel, same output shape as mask."""
+    """Convolve with a centered kernel of half-width R, same shape as mask,
+    by cyclic transforms of n + R points per axis: the outputs kept use
+    kernel offsets in (-n, n) only, and a wrapped index lands past R."""
     pads = [(k - 1) // 2 for k in kernel.shape]
-    shape = [fft_length(n + k - 1) for n, k in zip(mask.shape, kernel.shape)]
+    shape = [fft_length(n + p) for n, p in zip(mask.shape, pads)]
     axes = tuple(range(mask.ndim))
     fa = np.fft.rfftn(mask, shape, axes=axes)
     fk = np.fft.rfftn(kernel, shape, axes=axes)
@@ -164,7 +166,7 @@ def section_measures(G: GridIndicator) -> np.ndarray:
     # 8 bytes a cell for the mask, 16 a shell offset for the kernel and its
     # distances, and at most 42 per padded transform entry measured at the FFTs
     cells, shell = math.prod(G.dims), (2 * R + 1) ** G.d
-    padded = math.prod(fft_length(n + 2 * R) for n in G.dims)
+    padded = math.prod(fft_length(n + R) for n in G.dims)
     _within_budget("section measures", 8 * cells + 16 * shell + 56 * padded)
     mask = G.dense_mask().astype(np.float64)
     offsets = np.arange(-R, R + 1) * cell

@@ -964,7 +964,9 @@ def _gauss_sums(fn, knot, radii, kf, kg, c, h):
     dz = (4.0 * _UNIT) * (np.abs(c) + h)[:, None]
     f, df = _evaluate(fn, knot, radii, kf[:, None], tuple(k[:, None] for k in kg), z, dz)
     w = _GL_WEIGHTS
-    return h * (f @ w), 2.0 * h * (df @ w), h * (np.abs(f) @ w)
+    def weighted(t):  # ((t0 w0 + t1 w1) + t2 w2) + t3 w3: an order no BLAS kernel picks
+        return ((t[:, 0] * w[0] + t[:, 1] * w[1]) + t[:, 2] * w[2]) + t[:, 3] * w[3]
+    return h * weighted(f), 2.0 * h * weighted(df), h * weighted(np.abs(f))
 
 
 def _w_vanishes(g: _PairCum, kg) -> np.ndarray:
@@ -990,10 +992,7 @@ def _integrate_pieces(fn, knot, radii, za, zb, kf, kg):
     Pieces on which W vanishes (`_w_vanishes`) are not evaluated: their
     exact zeros are kept in the per-piece arrays, so every sum runs over
     the same terms in the same order and the result is bit for bit that of
-    evaluating every piece, and they count their nodes in `terms`. A lone
-    live piece among several is evaluated with one vanishing neighbour,
-    because NumPy takes a one-row matrix product through a dot kernel that
-    rounds differently from the batched one.
+    evaluating every piece, and they count their nodes in `terms`.
     """
     total = bound = size = 0.0
     terms = 0
@@ -1001,10 +1000,7 @@ def _integrate_pieces(fn, knot, radii, za, zb, kf, kg):
         wide = zb > za
         za, zb, kf, kg = za[wide], zb[wide], kf[wide], tuple(k[wide] for k in kg)
         c, h = 0.5 * (za + zb), 0.5 * (zb - za)
-        live = ~_w_vanishes(fn.g, kg)
-        if np.count_nonzero(live) == 1 < live.size:
-            live[np.argmin(live)] = True
-        i = np.flatnonzero(live)
+        i = np.flatnonzero(~_w_vanishes(fn.g, kg))
         trunc, est, err, mag = np.zeros((4, c.size))
         args = (fn, knot, radii, kf[i], tuple(k[i] for k in kg), c[i], h[i])
         trunc[i] = _truncation_bound(*args)

@@ -34,6 +34,7 @@ __all__ = [
     "sweep",
     "neighborhood_measure_series",
     "ExponentFit",
+    "log_log_fit",
     "fit_exponent",
     "Bound",
     "BoundTable",
@@ -219,8 +220,27 @@ class ExponentFit:
     n_points: int
 
 
+def log_log_fit(xs, ys) -> tuple[float, float, float]:
+    """OLS line through (math.log x, math.log y): slope, intercept and the
+    largest absolute residual, each exact for those logs and rounded once.
+    A double is an integer over a power of two, so over one common power
+    the logs are integers, and the fit is solved in Python ints."""
+    ratios = [math.log(v).as_integer_ratio() for v in (*xs, *ys)]
+    den = max(d for _, d in ratios)
+    ints = [a * (den // d) for a, d in ratios]
+    X, Y = ints[: len(xs)], ints[len(xs) :]
+    n, Sx, Sy = len(X), sum(X), sum(Y)
+    Sxx, Sxy = sum(a * a for a in X), sum(a * b for a, b in zip(X, Y))
+    det = n * Sxx - Sx * Sx  # n^2 times the variance of X
+    if det == 0:
+        raise ValueError("a fit needs two distinct scales")
+    num_s, num_i = n * Sxy - Sx * Sy, Sxx * Sy - Sx * Sxy
+    resid = max(abs(num_s * a + num_i - det * b) for a, b in zip(X, Y))
+    return num_s / det, num_i / (det * den), resid / (det * den)
+
+
 def fit_exponent(series: ScalingSeries) -> ExponentFit:
-    """OLS of log(value) against log(delta).
+    """OLS of log(value) against log(delta): `log_log_fit`, exact, rounded once.
 
     The largest delta is excluded when the series has at least four
     samples: fattened fractals only scale cleanly below their first
@@ -231,17 +251,8 @@ def fit_exponent(series: ScalingSeries) -> ExponentFit:
         samples = samples[1:]
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit")
-    x = np.log(np.array([s.delta for s in samples]))
-    y = np.log(np.array([s.value for s in samples]))  # every value is positive
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = np.abs(A @ np.array([slope, intercept]) - y)
-    return ExponentFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=float(resid.max()),
-        n_points=len(samples),
-    )
+    fit = log_log_fit([s.delta for s in samples], [s.value for s in samples])
+    return ExponentFit(*fit, n_points=len(samples))
 
 
 # ---------------------------------------------------------------------------

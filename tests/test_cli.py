@@ -2,11 +2,13 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unitdist.grids
@@ -229,6 +231,13 @@ def test_spectral_with_fewer_than_two_scales_has_no_slope(tmp_path, delta_exps):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ratio_log_slope"] is None
         assert summary["scales"] == len(delta_exps)
+
+
+def test_spectral_has_no_slope_over_one_repeated_scale(tmp_path, capsys):
+    # two rows at one delta are not two scales: no line fits them
+    cfg = _write(tmp_path / "c.json", {"p": 1, "q": 2, "delta_exps": [8, 8]})
+    assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "error: a fit needs two distinct scales\n"
 
 
 def test_failing_run_leaves_a_manifest_with_its_error(tmp_path, capsys):
@@ -480,6 +489,26 @@ def test_atoms_past_the_memory_budget_end_the_sweep_with_a_manifest(tmp_path, mo
     assert budget in manifest["error"]
 
 
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        # 2^-5 fits the budget; 2^-12's cells do not
+        (["2^-5", "2^-12"], "sweep failed at delta=0.000244141: rasterize: "),
+        # an error of the whole series, at no one scale
+        (["2^-6", "2^-5"], "sweep failed: deltas must be strictly decreasing"),
+    ],
+)
+def test_a_failed_sweep_says_so_once(tmp_path, capsys, monkeypatch, deltas, message):
+    monkeypatch.setattr(unitdist.grids, "MEMORY_BUDGET", 24 * 1000)
+    spec = {"axes": [_cantor(1, 2), {"kind": "interval", "lo": 0, "hi": 2}], "deltas": deltas}
+    out = tmp_path / "r"
+    assert main(["sweep", "--config", _write(tmp_path / "s.json", spec), "--out", str(out)]) == 1
+    error = _manifest(out)["error"]
+    assert error.startswith(message)
+    assert error.count("sweep failed") == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 _C12 = {"kind": "cantor", "p": 1, "q": 2}
 _BUDGET_PROBE = """
 import resource, sys
@@ -645,6 +674,52 @@ def test_artifacts_match_golden_bytes(tmp_path, case):
     assert sorted(_manifest(out)["artifacts"]) == want
     for name in want:
         assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+_GOLDEN_PROBE = """
+import json, sys
+from pathlib import Path
+from unitdist.cli import main
+cases, golden, out = json.loads(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
+for case, (kind, spec) in sorted(cases.items()):
+    cfg = out / (case + ".json")
+    cfg.write_text(json.dumps(spec))
+    assert main([kind, "--config", str(cfg), "--out", str(out / case)]) == 0, case
+    for want in sorted((golden / case).iterdir()):
+        if (out / case / want.name).read_bytes() != want.read_bytes():
+            print(case + "/" + want.name)
+"""
+
+
+def _coretype_skip_reason() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot change NumPy's kernels here, if it cannot."""
+    if platform.machine().lower() not in ("x86_64", "amd64", "i386", "i686"):
+        return f"OPENBLAS_CORETYPE selects x86 kernels; this machine is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this NumPy does not report how its BLAS was built"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"NumPy's BLAS ({blas.get('name')}) is not an OpenBLAS built with DYNAMIC_ARCH"
+    return None
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_bytes_under_other_openblas_kernels(tmp_path, coretype):
+    # no BLAS or LAPACK kernel decides a written digit: forcing OpenBLAS's
+    # CPU dispatch to another core type leaves every golden artifact as is
+    reason = _coretype_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    src = str(Path(unitdist.grids.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_PROBE, json.dumps(GOLDEN_CASES), str(GOLDEN), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": coretype},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("sweep_")))

@@ -222,6 +222,41 @@ def test_section_measures_match_direct_count():
         assert lam[i, j] == pytest.approx(expect, abs=cell_area * 1.5), (i, j)
 
 
+def _section_measures_full_transform(G):
+    """lambda from the full linear convolution: transforms of n + 2R
+    points per axis, where no index wraps (the oracle for the n + R ones)."""
+    cell, delta = float(G.cell), float(G.delta)
+    R = int(math.ceil((1.0 + 2 * delta) / cell)) + 1
+    mask = G.dense_mask().astype(np.float64)
+    offsets = np.arange(-R, R + 1) * cell
+    dist = np.sqrt(sum(a**2 for a in np.ix_(*[offsets] * G.d)))
+    kernel = ((dist >= 1.0 - 2 * delta) & (dist <= 1.0 + 2 * delta)).astype(np.float64)
+    shape, axes = [n + 2 * R for n in mask.shape], tuple(range(G.d))
+    fa, fk = (np.fft.rfftn(a, shape, axes=axes) for a in (mask, kernel))
+    conv = np.fft.irfftn(fa * fk, shape, axes=axes)
+    counts = np.rint(conv[tuple(slice(R, R + n) for n in mask.shape)])
+    counts[mask == 0] = 0
+    return counts * cell**G.d
+
+
+_AXES = [
+    cantor_stage(CantorSpec(1, 2), 3),
+    cantor_stage(CantorSpec(2, 3), 2),
+    IntervalUnion.single(Fraction(0), Fraction(2)),  # wider than the shell: n > R
+    IntervalUnion.points([Fraction(0), Fraction(1, 3)]),  # a few cells: n < R
+]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_section_measures_match_the_full_transform(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    axes = data.draw(st.lists(st.sampled_from(_AXES), min_size=d, max_size=d))
+    delta = Fraction(1, 2 ** data.draw(st.integers(4, 6) if d == 2 else st.integers(3, 4)))
+    G = rasterize(axes, delta, delta / 2, alpha=1.0)
+    assert np.array_equal(section_measures(G), _section_measures_full_transform(G))
+
+
 def test_section_measures_zero_off_support():
     G = _cross_grid(Fraction(1, 64), Fraction(1, 128))
     lam = section_measures(G)

@@ -1,10 +1,15 @@
 """Scale sweeps, exponent fits, and the dimension-bound tables."""
 
+import csv
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unitdist.measure
 from unitdist.scaling import (
@@ -18,6 +23,7 @@ from unitdist.scaling import (
     ScalingSeries,
     compare_report,
     fit_exponent,
+    log_log_fit,
     neighborhood_measure_series,
     sweep,
     theory_bounds,
@@ -114,6 +120,79 @@ def test_fit_needs_two_points():
         fit_exponent(ScalingSeries(samples=(ScaleSample(0.5, 1.0, 1.0, 1.0),)))
     with pytest.raises(ValueError, match="two samples"):
         fit_exponent(ScalingSeries(samples=()))
+
+
+def _fit_oracle(xs, ys):
+    """The OLS line through (log x, log y) in Fractions, centered, each
+    output rounded once: an independent recomputation of `log_log_fit`."""
+    x = [Fraction(math.log(v)) for v in xs]
+    y = [Fraction(math.log(v)) for v in ys]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+    intercept = my - slope * mx
+    resid = max(abs(slope * a + intercept - b) for a, b in zip(x, y))
+    return float(slope), float(intercept), float(resid)
+
+
+def _fit_of(samples):
+    kept = samples[1:] if len(samples) >= 4 else samples
+    return _fit_oracle([s.delta for s in kept], [s.value for s in kept]), len(kept)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_positive, _positive), min_size=2, max_size=30, unique_by=lambda t: t[0]))
+def test_fit_exponent_is_the_exact_ols_rounded_once(points):
+    points.sort(reverse=True)
+    series = ScalingSeries(tuple(ScaleSample(d, v, v, v) for d, v in points))
+    try:
+        want, n = _fit_of(series.samples)
+    except ZeroDivisionError:  # distinct deltas whose logs round to one double
+        with pytest.raises(ValueError, match="two distinct scales"):
+            fit_exponent(series)
+        return
+    assert fit_exponent(series) == ExponentFit(*want, n_points=n)
+    if n == 2:
+        assert want[2] == 0.0
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+@pytest.mark.parametrize("case", sorted(p.parent.name for p in GOLDEN.glob("*/scaling.csv")))
+def test_golden_series_fit_is_the_exact_ols(case):
+    # the series as the CSV writes it, read back from text
+    with open(GOLDEN / case / "scaling.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    samples = tuple(
+        ScaleSample(*(float(r[k]) for k in ("delta", "value", "value_low", "value_high")))
+        for r in rows
+    )
+    want, n = _fit_of(samples)
+    fit = fit_exponent(ScalingSeries(samples))
+    assert fit == ExponentFit(*want, n_points=n)
+    assert json.loads((GOLDEN / case / "verdict.json").read_text())["fit"] == asdict(fit)
+    if n == 2:
+        assert fit.max_residual == 0.0
+
+
+def test_golden_spectral_slope_is_the_exact_ols():
+    with open(GOLDEN / "spectral" / "energy.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    deltas, ratios = [float(r["delta"]) for r in rows], [float(r["ratio"]) for r in rows]
+    slope = _fit_oracle(deltas, ratios)[0]
+    assert log_log_fit(deltas, ratios)[0] == slope
+    summary = json.loads((GOLDEN / "spectral" / "summary.json").read_text())
+    assert summary["ratio_log_slope"] == slope
+
+
+def test_log_log_fit_needs_two_distinct_scales():
+    with pytest.raises(ValueError, match="two distinct scales"):
+        log_log_fit([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+    # two points lie on their own line: the residual is an exact zero
+    assert log_log_fit([0.5, 0.25], [3.0, 0.75])[2] == 0.0
 
 
 # ---- neighborhood covering series --------------------------------------------
